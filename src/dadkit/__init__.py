@@ -23,9 +23,9 @@ from .errors import (ConfigError, DadkitError, DegenerateInputError,
                      InvalidParameterError, PlacementError)
 from .evaluate import (ErrorCurve, EvalConfig, auc, corner_epe,
                        detection_recall, dlt_homography, evaluate_detections,
-                       polarity_recall, pose_error, ransac_homography,
-                       repeatability, write_report)
-from .geometry import (HomographyTransfer, MatchSet, apply_transfer,
+                       polarity_recall, ransac_homography, repeatability,
+                       write_report)
+from .geometry import (HomographyTransfer, MatchSet, apply_transfer, covisible,
                        covisibility_mask, match_mutual_nn, read_homography,
                        transfer_points, write_homography)
 from .gradcheck import GradCheckResult, fd_param_grads, max_rel_error, run_gradcheck

@@ -15,6 +15,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -30,8 +31,8 @@ from .model import (ArchConfig, TrainConfig, forward, load_weights,
 from .objective import RewardConfig
 from .sampler import (SamplerConfig, read_keypoints_csv, sample_keypoints,
                       write_keypoints_csv)
-from .synth import (HomographyMagnitude, SceneConfig, config_meta,
-                    generate_dataset, load_dataset, read_pgm, write_pgm)
+from .synth import (SceneConfig, config_meta, generate_dataset, load_dataset,
+                    pair_dirs, read_pgm, write_pgm)
 
 
 REQUIRED = object()
@@ -179,7 +180,6 @@ DETECT_KEYS = {
     "data": KeySpec(_cast_str, None, "dataset directory (writes per-pair a.csv/b.csv under --out)"),
     "out": KeySpec(_cast_str, REQUIRED, "CSV path (with --image) or output directory (with --data)"),
     "mode": KeySpec(_choice("train", "inference"), "inference", "sampling mode"),
-    "seed": KeySpec(_cast_int, 0, "accepted for uniformity; detection is deterministic"),
     "threads": KeySpec(_cast_int, 1, "per-pair workers in --data mode"),
     **_sampler_keys(512),
     "dump_scoremap": KeySpec(_cast_str, None, "also write the raw scoremap grid here (--image only)"),
@@ -209,7 +209,6 @@ GRADCHECK_KEYS = {
     "step": KeySpec(_cast_float, 1e-4, "central-difference step"),
     "tolerance": KeySpec(_cast_float, 1e-3, "max relative error allowed"),
     "out": KeySpec(_cast_str, None, "optional report file"),
-    "threads": KeySpec(_cast_int, 1, "accepted for uniformity; the suite is sequential"),
 }
 
 
@@ -328,9 +327,14 @@ def _overlay_image(image, kps) -> np.ndarray:
     return img
 
 
-def _pair_dirs(root) -> list[Path]:
-    return sorted(p for p in Path(root).iterdir()
-                  if p.is_dir() and p.name.startswith("pair_"))
+def _detect_pair(params, scfg: SamplerConfig, mode: str, images) -> tuple:
+    """Keypoints of each image of a pair, in order."""
+    return tuple(sample_keypoints(forward(params, img)[0], scfg, mode) for img in images)
+
+
+def _check_threads(cfg: dict) -> None:
+    if cfg["threads"] < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {cfg['threads']}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -347,8 +351,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(TRAIN_KEYS, args)
     pairs = load_dataset(cfg["data"])
-    arch = ArchConfig(tuple(cfg["widths"]), cfg["kernel_size"],
-                      len(cfg["widths"]), seed=cfg["seed"])
+    arch = ArchConfig(tuple(cfg["widths"]), cfg["kernel_size"], seed=cfg["seed"])
     sampler = SamplerConfig(k=cfg["topk"], nms_window=cfg["nms_window"],
                             use_kde=cfg["use_kde"], kde_sigma_frac=cfg["kde_sigma_frac"])
     reward = RewardConfig(tau_r=cfg["tau_r"], eps=cfg["reward_eps"],
@@ -379,8 +382,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
     cfg = resolve_config(DISTILL_KEYS, args)
     light = load_weights(cfg["light"])
     dark = load_weights(cfg["dark"])
-    arch = ArchConfig(tuple(cfg["widths"]), cfg["kernel_size"],
-                      len(cfg["widths"]), seed=cfg["seed"])
+    arch = ArchConfig(tuple(cfg["widths"]), cfg["kernel_size"], seed=cfg["seed"])
     dc = DistillConfig(
         scene=_build_scene_config(cfg),
         merge=MergeConfig(r={"1": 1, "2": 2, "inf": math.inf}[cfg["r"]]),
@@ -403,6 +405,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = resolve_config(DETECT_KEYS, args)
+    _check_threads(cfg)
     if (cfg["image"] is None) == (cfg["data"] is None):
         raise ConfigError("exactly one of keys 'image' and 'data' is required")
     params = load_weights(cfg["weights"])
@@ -425,27 +428,21 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     if cfg["dump_scoremap"] is not None or cfg["overlay"] is not None:
         raise ConfigError("keys 'dump_scoremap' and 'overlay' require key 'image'")
-    dirs = _pair_dirs(cfg["data"])
+    dirs = pair_dirs(cfg["data"])
     if not dirs:
         raise ConfigError(f"key 'data': no pair_* directories under {cfg['data']}")
-
-    def detect_pair(d: Path):
-        out_pair = {}
-        for name in ("a", "b"):
-            smap, _ = forward(params, read_pgm(d / f"{name}.pgm"))
-            out_pair[name] = sample_keypoints(smap, scfg, cfg["mode"])
-        return out_pair
-
-    results = _ordered_map(detect_pair, dirs, cfg["threads"])
+    detect = partial(_detect_pair, params, scfg, cfg["mode"])
+    results = _ordered_map(lambda d: detect((read_pgm(d / "a.pgm"), read_pgm(d / "b.pgm"))),
+                           dirs, cfg["threads"])
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
     total = 0
     for d, res in zip(dirs, results):
         pd = outd / d.name
         pd.mkdir(parents=True, exist_ok=True)
-        for name in ("a", "b"):
-            write_keypoints_csv(pd / f"{name}.csv", res[name])
-            total += len(res[name].keypoints)
+        for name, kps in zip(("a", "b"), res):
+            write_keypoints_csv(pd / f"{name}.csv", kps)
+            total += len(kps.keypoints)
     _echo_meta(outd / "meta.txt", "detect", cfg, extra={"num_pairs": len(dirs)})
     print(f"{total} keypoint(s) across {len(dirs)} pair(s) -> {outd}")
     return 0
@@ -453,10 +450,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(EVAL_KEYS, args)
+    _check_threads(cfg)
     if (cfg["detections"] is None) == (cfg["weights"] is None):
         raise ConfigError("exactly one of keys 'detections' and 'weights' is required")
     pairs = load_dataset(cfg["data"])
-    names = [d.name for d in _pair_dirs(cfg["data"])]
+    names = [d.name for d in pair_dirs(cfg["data"])]
 
     if cfg["detections"] is not None:
         det_root = Path(cfg["detections"])
@@ -466,16 +464,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             kb = read_keypoints_csv(det_root / name / "b.csv", pair.image_b.shape)
             detections.append((ka, kb))
     else:
-        params = load_weights(cfg["weights"])
-        scfg = _build_sampler_config(cfg)
-
-        def detect_pair(pair):
-            sa, _ = forward(params, pair.image_a)
-            sb, _ = forward(params, pair.image_b)
-            return (sample_keypoints(sa, scfg, cfg["mode"]),
-                    sample_keypoints(sb, scfg, cfg["mode"]))
-
-        detections = _ordered_map(detect_pair, pairs, cfg["threads"])
+        detect = partial(_detect_pair, load_weights(cfg["weights"]),
+                         _build_sampler_config(cfg), cfg["mode"])
+        detections = _ordered_map(lambda p: detect((p.image_a, p.image_b)),
+                                  pairs, cfg["threads"])
 
     ecfg = EvalConfig(
         match_threshold=cfg["match_threshold"], ransac_threshold=cfg["ransac_threshold"],

@@ -29,7 +29,7 @@ from .model import (
     init_params,
     optimizer_step,
 )
-from .synth import SceneConfig, gen_scene_pair, gen_toy_pair, pair_rng
+from .synth import SceneConfig, pair_generator, pair_rng
 
 MERGE_EXPONENTS = (1, 2, math.inf)
 
@@ -230,8 +230,7 @@ class DistillConfig:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
-        if self.kind not in ("toy", "scene"):
-            raise InvalidParameterError("kind must be 'toy' or 'scene'")
+        pair_generator(self.kind)  # rejects an unknown kind
         if self.num_pairs < 1:
             raise InvalidParameterError("num_pairs must be >= 1")
 
@@ -247,7 +246,7 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
     student = init_params(cfg.arch)
     state = OptState.init(student, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_opt,
                           cfg.weight_decay)
-    gen = gen_toy_pair if cfg.kind == "toy" else gen_scene_pair
+    gen = pair_generator(cfg.kind)
     losses: list[float] = []
     for i in range(cfg.num_pairs):
         pair = gen(pair_rng(cfg.seed, i), cfg.scene, seed=cfg.seed)

@@ -22,7 +22,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .geometry import HomographyTransfer, match_mutual_nn, transfer_points
+from .geometry import HomographyTransfer, covisible, match_mutual_nn, transfer_points
 from .sampler import KeypointSet
 from .synth import PairSample, classify_polarity, toy_pair_hits
 
@@ -55,10 +55,7 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
         raise InvalidParameterError("threshold must be positive")
     if len(ka) == 0:
         return float("nan")
-    hb, wb = kb.source_shape
-    moved, valid = transfer_points(t, ka.xy())
-    inside = valid & (moved[:, 0] >= 0) & (moved[:, 0] <= wb - 1) \
-        & (moved[:, 1] >= 0) & (moved[:, 1] <= hb - 1)
+    moved, inside = covisible(t, ka.xy(), kb.source_shape)
     n = int(inside.sum())
     if n == 0:
         return float("nan")
@@ -210,34 +207,6 @@ def corner_epe(h_hat: HomographyTransfer, h_gt: HomographyTransfer, shape) -> fl
     return float(dist * 480.0 / min(h, w))
 
 
-def _unit(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64).ravel()
-    if not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} contains NaN/Inf")
-    norm = np.linalg.norm(a)
-    if norm < 1e-12:
-        raise DegenerateInputError(f"{name} has zero norm")
-    return a / norm
-
-
-def pose_error(q_hat, t_hat, q_gt, t_gt) -> float:
-    """Max of rotation angle and translation-direction angle, in degrees.
-
-    Quaternions are compared up to sign; translation directions are
-    compared up to sign as well (up-to-scale two-view convention), so the
-    translational angle lies in [0, 90].
-    """
-    qh = _unit(q_hat, "q_hat")
-    qg = _unit(q_gt, "q_gt")
-    if qh.shape != (4,) or qg.shape != (4,):
-        raise InvalidInputError("quaternions must have 4 components")
-    th = _unit(t_hat, "t_hat")
-    tg = _unit(t_gt, "t_gt")
-    rot = 2.0 * math.degrees(math.acos(min(1.0, abs(float(qh @ qg)))))
-    tra = math.degrees(math.acos(min(1.0, abs(float(th @ tg)))))
-    return max(rot, tra)
-
-
 def auc(curve: ErrorCurve) -> float:
     """Exact area under the cumulative accuracy curve on [0, threshold].
 
@@ -318,10 +287,7 @@ def _toy_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConfig
 def _scene_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConfig,
                rng: np.random.Generator) -> dict:
     rep = repeatability(ka, kb, pair.transfer, cfg.match_threshold)
-    moved, valid = transfer_points(pair.transfer, ka.xy()) if len(ka) else (np.zeros((0, 2)), np.zeros(0, bool))
-    hb, wb = pair.image_b.shape
-    covis = int((valid & (moved[:, 0] >= 0) & (moved[:, 0] <= wb - 1)
-                 & (moved[:, 1] >= 0) & (moved[:, 1] <= hb - 1)).sum()) if len(ka) else 0
+    covis = int(covisible(pair.transfer, ka.xy(), pair.image_b.shape)[1].sum())
     mab, _ = match_mutual_nn(ka, kb, pair.transfer, cfg.match_threshold * 2)
     epe = float("inf")
     if len(mab) >= 4:

@@ -67,24 +67,27 @@ def transfer_points(t: HomographyTransfer, pts) -> tuple[np.ndarray, np.ndarray]
     return out, valid
 
 
-def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> Mask:
-    """True where a source pixel center lands inside the destination bounds.
+def covisible(t: HomographyTransfer, pts, shape_dst) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer (N, 2) points; returns (points, inside).
 
-    "Inside" means 0 <= x <= W-1 and 0 <= y <= H-1 in the destination.
+    "Inside" means the transfer is valid and lands at 0 <= x <= W-1 and
+    0 <= y <= H-1 in a destination of shape (H, W).
     """
+    moved, valid = transfer_points(t, pts)
+    h, w = int(shape_dst[0]), int(shape_dst[1])
+    inside = valid & (moved[:, 0] >= 0) & (moved[:, 0] <= w - 1) \
+        & (moved[:, 1] >= 0) & (moved[:, 1] <= h - 1)
+    return moved, inside
+
+
+def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> Mask:
+    """True where a source pixel center is covisible in the destination."""
     hs, ws = int(shape_src[0]), int(shape_src[1])
-    hd, wd = int(shape_dst[0]), int(shape_dst[1])
-    if min(hs, ws, hd, wd) < 1:
+    if min(hs, ws, int(shape_dst[0]), int(shape_dst[1])) < 1:
         raise InvalidInputError("image shapes must be positive")
     ys, xs = np.mgrid[0:hs, 0:ws]
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    out, valid = transfer_points(t, pts)
-    inside = valid.copy()
-    inside[valid] = (
-        (out[valid, 0] >= 0) & (out[valid, 0] <= wd - 1)
-        & (out[valid, 1] >= 0) & (out[valid, 1] <= hd - 1)
-    )
-    return Mask(inside.reshape(hs, ws))
+    return Mask(covisible(t, pts, shape_dst)[1].reshape(hs, ws))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .model import (
     ConvLayer,
     DetectorParams,
     _covisible_subset,
+    _sum_grads,
     backward,
     forward,
     init_params,
@@ -118,7 +119,7 @@ def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
     w = int(rng.integers(12, 17))
     blocks = int(rng.integers(1, 3))
     widths = tuple(int(rng.integers(3, 6)) for _ in range(blocks))
-    arch = ArchConfig(widths, 3, blocks, seed=int(rng.integers(2**31)))
+    arch = ArchConfig(widths, 3, seed=int(rng.integers(2**31)))
     params = init_params(arch)
     image_a = rng.uniform(0.0, 1.0, (h, w))
     image_b = rng.uniform(0.0, 1.0, (h, w))
@@ -154,17 +155,13 @@ def _analytic_and_loss_fns(inst: _Instance):
         sb, cb = forward(params, inst.image_b)
         return sa, sb, ca, cb
 
-    def add(g1, g2):
-        return tuple(ConvLayer(a.kernel + b.kernel, a.bias + b.bias)
-                     for a, b in zip(g1, g2))
-
     sa, sb, ca, cb = fwd(inst.params)
     out = {}
 
     _, ga, gb = rl_loss_and_grad(sa, sb, inst.mask_a, inst.mask_b, inst.ka, inst.kb,
                                  inst.mab, inst.mba, inst.reward)
     out["rl"] = (
-        add(backward(ca, ga), backward(cb, gb)),
+        _sum_grads([backward(ca, ga), backward(cb, gb)]),
         lambda p: rl_loss_and_grad(*fwd(p)[:2], inst.mask_a, inst.mask_b, inst.ka,
                                    inst.kb, inst.mab, inst.mba, inst.reward)[0],
     )
@@ -194,7 +191,7 @@ def _analytic_and_loss_fns(inst: _Instance):
         sa, sb, inst.mask_a, inst.mask_b, inst.ka, inst.kb, inst.mab, inst.mba,
         inst.reward, inst.reg_sigma, reg_weight=0.7,
     )
-    out["full"] = (add(backward(ca, gfa), backward(cb, gfb)), full_loss)
+    out["full"] = (_sum_grads([backward(ca, gfa), backward(cb, gfb)]), full_loss)
     return out
 
 

@@ -35,21 +35,18 @@ class ArchConfig:
 
     channel_widths: tuple[int, ...] = (8, 16, 16)
     kernel_size: int = 5
-    num_blocks: int = 3
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "channel_widths", tuple(int(w) for w in self.channel_widths))
-        if self.num_blocks != len(self.channel_widths) or self.num_blocks < 1:
-            raise InvalidParameterError("num_blocks must equal len(channel_widths) and be >= 1")
-        if any(w < 1 for w in self.channel_widths):
-            raise InvalidParameterError("channel widths must be >= 1")
+        if not self.channel_widths or any(w < 1 for w in self.channel_widths):
+            raise InvalidParameterError("need at least one channel width, each >= 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise InvalidParameterError("kernel_size must be odd and >= 1")
 
     @property
     def receptive_field(self) -> int:
-        return self.num_blocks * (self.kernel_size - 1) + 1
+        return len(self.channel_widths) * (self.kernel_size - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def init_params(cfg: ArchConfig) -> DetectorParams:
     widths = (1, *cfg.channel_widths)
     k = cfg.kernel_size
     layers = []
-    for i in range(cfg.num_blocks):
+    for i in range(len(cfg.channel_widths)):
         fan_in = widths[i] * k * k
         fan_out = widths[i + 1] * k * k
         a = math.sqrt(6.0 / (fan_in + fan_out))
@@ -262,23 +259,29 @@ def save_weights(path, params: DetectorParams) -> None:
 
 def load_weights(path) -> DetectorParams:
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            data = f.read(n)
+            if len(data) != n:
+                raise InvalidInputError(f"{path}: truncated weights file")
+            return data
+
         if f.read(4) != WEIGHTS_MAGIC:
             raise InvalidInputError(f"{path}: bad weights magic")
-        version, n_layers = struct.unpack("<II", f.read(8))
+        version, n_layers = struct.unpack("<II", read(8))
         if version != WEIGHTS_VERSION:
             raise InvalidInputError(f"unsupported weights version {version}")
         layers = []
         for _ in range(n_layers):
-            shape = struct.unpack("<IIII", f.read(16))
+            shape = struct.unpack("<IIII", read(16))
             count = shape[0] * shape[1] * shape[2] * shape[3]
-            kernel = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
-            (blen,) = struct.unpack("<I", f.read(4))
-            bias = np.frombuffer(f.read(4 * blen), dtype="<f4")
+            kernel = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
+            (blen,) = struct.unpack("<I", read(4))
+            bias = np.frombuffer(read(4 * blen), dtype="<f4")
             layers.append(ConvLayer(kernel.astype(np.float64), bias.astype(np.float64)))
     if n_layers < 2 or layers[-1].kernel.shape[0] != 1 or layers[-1].kernel.shape[2:] != (1, 1):
         raise InvalidInputError("weights file does not end in a 1x1 single-channel head")
     widths = tuple(l.kernel.shape[0] for l in layers[:-1])
-    arch = ArchConfig(widths, layers[0].kernel.shape[2], len(widths), seed=0)
+    arch = ArchConfig(widths, layers[0].kernel.shape[2], seed=0)
     for i, layer in enumerate(layers):
         expect_in = 1 if i == 0 else widths[i - 1]
         if i < len(widths) and layer.kernel.shape[1] != expect_in:
@@ -354,15 +357,11 @@ def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
         sa, sb, pair.mask_a, pair.mask_b, ka, kb, mab, mba,
         cfg.reward, reg_sigma, cfg.reg_weight, step,
     )
-    pga = backward(ca, ga)
-    pgb = backward(cb, gb)
-    grads = tuple(
-        ConvLayer(a.kernel + b.kernel, a.bias + b.bias) for a, b in zip(pga, pgb)
-    )
-    return grads, report
+    return _sum_grads([backward(ca, ga), backward(cb, gb)]), report
 
 
 def _sum_grads(grad_lists):
+    """Layer-wise sum of per-layer gradient tuples, added left to right."""
     total = grad_lists[0]
     for grads in grad_lists[1:]:
         total = tuple(

@@ -128,8 +128,13 @@ def rl_loss_and_grad(
     mean (+ eps), then the A->B matches drive only grad_a and the B->A
     matches only grad_b: each direction reinforces the side that queried.
     """
-    raw = _pooled_raw_rewards(mab, mba, cfg)
-    rhat = normalize_rewards(raw, cfg.eps)
+    return _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba,
+                     _pooled_raw_rewards(mab, mba, cfg), cfg.eps)
+
+
+def _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba, raw, eps):
+    """rl_loss_and_grad given the pooled raw rewards."""
+    rhat = normalize_rewards(raw, eps)
     rhat_ab, rhat_ba = rhat[: len(mab)], rhat[len(mab):]
     loss_a, grad_a = _directional_loss_and_grad(
         sa, mask_a, ka, mab.pairs, lambda pr: pr[0], rhat_ab
@@ -177,7 +182,9 @@ def total_loss_and_grad(
     """Reinforcement + weighted coverage regularizer for both images of a pair."""
     if reg_weight < 0:
         raise InvalidParameterError("reg_weight must be >= 0")
-    rl, grad_a, grad_b = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba, reward_cfg)
+    raw = _pooled_raw_rewards(mab, mba, reward_cfg)
+    rl, grad_a, grad_b = _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba, raw,
+                                   reward_cfg.eps)
     reg = 0.0
     if reg_weight > 0:
         la, ga = reg_loss_and_grad(sa, mask_a, reg_sigma)
@@ -185,7 +192,6 @@ def total_loss_and_grad(
         reg = reg_weight * (la + lb)
         grad_a = grad_a + reg_weight * ga
         grad_b = grad_b + reg_weight * gb
-    raw = _pooled_raw_rewards(mab, mba, reward_cfg)
     report = LossReport(
         step=step,
         rl_loss=float(rl),

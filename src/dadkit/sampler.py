@@ -219,8 +219,9 @@ def read_keypoints_csv(path, source_shape) -> KeypointSet:
         raise InvalidInputError(f"{path}: missing keypoint CSV header")
     kps = []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) < 3:
-            raise InvalidInputError(f"{path}: malformed row {line!r}")
-        kps.append(Keypoint(float(parts[0]), float(parts[1]), float(parts[2])))
+        try:
+            x, y, score = (float(v) for v in line.split(",")[:3])
+        except ValueError:
+            raise InvalidInputError(f"{path}: malformed row {line!r}") from None
+        kps.append(Keypoint(x, y, score))
     return KeypointSet(tuple(kps), tuple(source_shape))

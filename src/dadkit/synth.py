@@ -27,7 +27,9 @@ from .errors import (
 from .geometry import (
     HomographyTransfer,
     MatchSet,
+    _nearest,
     covisibility_mask,
+    covisible,
     read_homography,
     transfer_points,
     write_homography,
@@ -182,10 +184,7 @@ def check_pair_consistency(pair: PairSample, tol: float = 1e-6) -> None:
         if pair.polarity_a != pair.polarity_b:
             raise InvalidInputError("toy polarity labels must match index-wise")
         return
-    h, w = pair.image_b.shape
-    moved, valid = transfer_points(pair.transfer, pair.gt_keypoints_a.xy())
-    inside = valid & (moved[:, 0] >= 0) & (moved[:, 0] <= w - 1) \
-        & (moved[:, 1] >= 0) & (moved[:, 1] <= h - 1)
+    moved, inside = covisible(pair.transfer, pair.gt_keypoints_a.xy(), pair.image_b.shape)
     expect = moved[inside]
     got = pair.gt_keypoints_b.xy()
     if len(expect) != len(got):
@@ -426,9 +425,7 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
     image_b = _render(cfg.size, structures, cfg.background_gray, noise,
                       cfg.noise_sigma, inv=transfer.inverse())
 
-    moved, valid = transfer_points(transfer, centers)
-    inside = valid & (moved[:, 0] >= 0) & (moved[:, 0] <= cfg.size - 1) \
-        & (moved[:, 1] >= 0) & (moved[:, 1] <= cfg.size - 1)
+    moved, inside = covisible(transfer, centers, shape)
     gt_b = _gt_set(moved[inside], shape)
     labels_b = tuple(l for l, keep in zip(labels, inside) if keep)
 
@@ -469,9 +466,7 @@ def toy_matches(ka: KeypointSet, kb: KeypointSet, pair: PairSample,
     pa, pb = ka.xy(), kb.xy()
 
     def assign(points, gt):
-        d2 = ((points[:, None, :] - gt[None, :, :]) ** 2).sum(axis=2)
-        idx = np.argmin(d2, axis=1)
-        dist = np.sqrt(d2[np.arange(len(points)), idx])
+        idx, dist = _nearest(points, gt)
         return np.where(dist <= assign_radius, idx, -1)
 
     owner_a = assign(pa, ga)
@@ -521,9 +516,7 @@ def classify_polarity(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ..
         return ()
     if len(gt) == 0:
         return ("none",) * len(kps)
-    d2 = ((kps.xy()[:, None, :] - gt.xy()[None, :, :]) ** 2).sum(axis=2)
-    idx = d2.argmin(axis=1)
-    dist = np.sqrt(d2[np.arange(len(kps)), idx])
+    idx, dist = _nearest(kps.xy(), gt.xy())
     return tuple(
         polarity[i] if d <= radius else "none" for i, d in zip(idx, dist)
     )
@@ -606,10 +599,15 @@ def read_pgm(path) -> np.ndarray:
         fields.append(data[start:pos])
     if fields[0] != b"P5":
         raise InvalidInputError(f"{path}: not a binary PGM")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    except ValueError:
+        raise InvalidInputError(f"{path}: truncated or malformed PGM header") from None
     if maxval != 255:
         raise InvalidInputError(f"{path}: only 8-bit PGM supported")
     pos += 1  # single whitespace byte after the header
+    if min(w, h) < 1 or len(data) - pos < h * w:
+        raise InvalidInputError(f"{path}: PGM payload shorter than {w}x{h}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
@@ -707,14 +705,21 @@ def pair_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def pair_generator(kind: str):
+    """The pair generator of a dataset kind, 'toy' or 'scene'."""
+    if kind == "toy":
+        return gen_toy_pair
+    if kind == "scene":
+        return gen_scene_pair
+    raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {kind!r}")
+
+
 def generate_dataset(root, cfg: SceneConfig, count: int, seed: int,
                      kind: str = "toy") -> list[Path]:
     """Write `count` pair directories pair_000000..; returns their paths."""
-    if kind not in ("toy", "scene"):
-        raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {kind!r}")
+    gen = pair_generator(kind)
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
-    gen = gen_toy_pair if kind == "toy" else gen_scene_pair
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -732,12 +737,17 @@ def generate_dataset(root, cfg: SceneConfig, count: int, seed: int,
 def generate_pairs(cfg: SceneConfig, count: int, seed: int,
                    kind: str = "toy") -> list[PairSample]:
     """In-memory variant of generate_dataset with the same per-pair streams."""
-    gen = gen_toy_pair if kind == "toy" else gen_scene_pair
+    gen = pair_generator(kind)
     return [gen(pair_rng(seed, i), cfg, seed=seed) for i in range(count)]
 
 
+def pair_dirs(root) -> list[Path]:
+    """The pair_* directories of a dataset root, in name order."""
+    return sorted(p for p in Path(root).iterdir() if p.is_dir() and p.name.startswith("pair_"))
+
+
 def load_dataset(root) -> list[PairSample]:
-    dirs = sorted(p for p in Path(root).iterdir() if p.is_dir() and p.name.startswith("pair_"))
+    dirs = pair_dirs(root)
     if not dirs:
         raise InvalidInputError(f"{root}: no pair_* directories")
     return [load_pair(d) for d in dirs]

@@ -196,6 +196,49 @@ def test_eval_source_selection_errors(workspace, tmp_path):
                         "--weights", str(workspace["weights"])]) == 1
 
 
+def _bad_input_case(case, ws, tmp):
+    """argv for one malformed input, and the file it names (None for flags)."""
+    img = ws["data"] / "pair_000000" / "a.pgm"
+    detect = ["detect", "--weights", str(ws["weights"]), "--out", str(tmp / "out")]
+    bad = tmp / "bad"
+    if case == "dadw_truncated":
+        bad.write_bytes(ws["weights"].read_bytes()[:-6])
+        return ["detect", "--weights", str(bad), "--image", str(img),
+                "--out", str(tmp / "k.csv")], bad
+    if case == "pgm_payload_truncated":
+        bad.write_bytes(img.read_bytes()[:-1])
+        return detect + ["--image", str(bad)], bad
+    if case == "pgm_header_truncated":
+        bad.write_bytes(b"P5\n32 ")
+        return detect + ["--image", str(bad)], bad
+    if case == "csv_non_numeric":
+        for pair in ("pair_000000", "pair_000001"):
+            (bad / pair).mkdir(parents=True)
+            for side in ("a", "b"):
+                (bad / pair / f"{side}.csv").write_text("x,y,score\n1.0,2.0,0.5\n")
+        bad = bad / "pair_000001" / "b.csv"
+        bad.write_text("x,y,score\n1.0,two,0.5\n")
+        return ["eval", "--data", str(ws["data"]), "--detections", str(tmp / "bad"),
+                "--out", str(tmp / "out")], bad
+    if case == "detect_threads_0":
+        return detect + ["--data", str(ws["data"]), "--threads", "0"], None
+    assert case == "eval_threads_0"
+    return ["eval", "--data", str(ws["data"]), "--weights", str(ws["weights"]),
+            "--out", str(tmp / "out"), "--threads", "0"], None
+
+
+@pytest.mark.parametrize("case, code", [
+    ("dadw_truncated", 2), ("pgm_payload_truncated", 2), ("pgm_header_truncated", 2),
+    ("csv_non_numeric", 2), ("detect_threads_0", 1), ("eval_threads_0", 1),
+])
+def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
+    argv, bad = _bad_input_case(case, workspace, tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dadkit: ")
+    assert str(bad) in err[0] if bad else "threads" in err[0]
+
+
 def test_gradcheck_command(tmp_path, capsys):
     out = tmp_path / "grad.txt"
     rc = main(["gradcheck", "--instances", "1", "--out", str(out)])

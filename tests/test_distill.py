@@ -248,9 +248,9 @@ def test_partner_merge_validation():
 # student training
 
 def test_train_distilled_smoke_and_determinism():
-    arch = ArchConfig((4,), 3, 1, seed=0)
-    light = init_params(ArchConfig((4,), 3, 1, seed=1))
-    dark = init_params(ArchConfig((4,), 3, 1, seed=2))
+    arch = ArchConfig((4,), 3, seed=0)
+    light = init_params(ArchConfig((4,), 3, seed=1))
+    dark = init_params(ArchConfig((4,), 3, seed=2))
     cfg = DistillConfig(scene=SceneConfig.toy(size=32, num_light=2, num_dark=2),
                         arch=arch, kind="toy", num_pairs=2, seed=5)
     s1, l1 = train_distilled(light, dark, cfg)

@@ -10,8 +10,7 @@ from dadkit.errors import (DegenerateInputError, InsufficientDataError,
 from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, auc,
                              corner_epe, detection_recall, dlt_homography,
                              evaluate_detections, polarity_recall,
-                             pose_error, ransac_homography, repeatability,
-                             write_report)
+                             ransac_homography, repeatability, write_report)
 from dadkit.geometry import HomographyTransfer, transfer_points
 from dadkit.sampler import Keypoint, KeypointSet
 from dadkit.synth import SceneConfig, gen_scene_pair, gen_toy_pair, pair_rng
@@ -196,38 +195,6 @@ def test_corner_epe_infinite_when_a_corner_vanishes():
     assert corner_epe(bad, HomographyTransfer.identity(), (8, 8)) == math.inf
     with pytest.raises(InvalidInputError):
         corner_epe(h, h, (0, 8))
-
-
-def quat(deg, axis):
-    ax = np.asarray(axis, dtype=np.float64)
-    ax = ax / np.linalg.norm(ax)
-    half = math.radians(deg) / 2.0
-    return np.concatenate([[math.cos(half)], math.sin(half) * ax])
-
-
-def test_pose_error_angles():
-    qi = np.array([1.0, 0.0, 0.0, 0.0])
-    tz = np.array([0.0, 0.0, 1.0])
-    assert pose_error(qi, tz, qi, tz) == pytest.approx(0.0, abs=1e-9)
-    assert pose_error(-qi, tz, qi, -tz) == pytest.approx(0.0, abs=1e-9)  # sign folds
-    q10 = quat(10.0, (0, 0, 1))
-    assert pose_error(q10, tz, qi, tz) == pytest.approx(10.0, rel=1e-9)
-    tx = np.array([1.0, 0.0, 0.0])
-    assert pose_error(qi, tx, qi, tz) == pytest.approx(90.0)
-    assert pose_error(q10, tx, qi, tz) == pytest.approx(90.0)  # max of the two
-    t45 = np.array([1.0, 0.0, 1.0])
-    assert pose_error(qi, t45, qi, tz) == pytest.approx(45.0)
-
-
-def test_pose_error_validation():
-    qi = np.array([1.0, 0.0, 0.0, 0.0])
-    tz = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(DegenerateInputError):
-        pose_error(np.zeros(4), tz, qi, tz)
-    with pytest.raises(InvalidInputError):
-        pose_error(np.array([1.0, 0.0, 0.0]), tz, qi, tz)
-    with pytest.raises(InvalidInputError):
-        pose_error(np.array([np.nan, 0, 0, 0]), tz, qi, tz)
 
 
 def test_auc_closed_form_and_riemann_cross_check():

@@ -8,7 +8,7 @@ import pytest
 from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError)
 from dadkit.geometry import (HomographyTransfer, MatchSet, apply_transfer,
-                             covisibility_mask, match_mutual_nn,
+                             covisibility_mask, covisible, match_mutual_nn,
                              read_homography, transfer_points,
                              write_homography)
 from dadkit.sampler import Keypoint, KeypointSet
@@ -118,6 +118,27 @@ def test_covisibility_identity_and_translation():
     m = covisibility_mask(shift, (6, 8), (6, 8)).bits
     want = np.broadcast_to(np.arange(8) + 3 <= 7, (6, 8))
     np.testing.assert_array_equal(m, want)
+
+
+def test_covisible_matches_mask_and_rejects_unmappable_points():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        t = random_transfer(rng)
+        shape_src, shape_dst = (9, 11), (10, 7)
+        ys, xs = np.mgrid[0:9, 0:11]
+        grid = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+        # non-finite inputs and points on the line t sends to infinity
+        a, b, c = t.h[2]
+        x = np.array([0.0, 5.0])
+        bad = np.vstack([[[np.inf, 0.0], [np.nan, 1.0]],
+                         np.stack([x, -(a * x + c) / b], axis=1)])
+        pts = np.vstack([grid, bad])
+        assert not transfer_points(t, pts)[1][len(grid):].any()
+        moved, inside = covisible(t, pts, shape_dst)
+        mask = covisibility_mask(t, shape_src, shape_dst).bits
+        np.testing.assert_array_equal(inside[:len(grid)], mask.ravel())
+        assert not inside[len(grid):].any()
+        np.testing.assert_array_equal(moved[inside], transfer_points(t, pts)[0][inside])
 
 
 def mutual_oracle(ka, kb, t, threshold):

@@ -25,7 +25,7 @@ def test_run_gradcheck_deterministic():
 
 
 def test_max_rel_error_detects_sabotage():
-    params = init_params(ArchConfig((3,), 3, 1, seed=0))
+    params = init_params(ArchConfig((3,), 3, seed=0))
     rng = np.random.default_rng(0)
     img = rng.random((10, 10))
     g = rng.normal(size=(10, 10))

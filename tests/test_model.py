@@ -55,8 +55,8 @@ def fd_param_grad(loss_fn, params: DetectorParams, li: int, field: str,
 
 
 def test_forward_matches_loop_oracle():
-    for arch in (ArchConfig((3,), 3, 1, seed=1), ArchConfig((3, 4), 3, 2, seed=2),
-                 ArchConfig((2, 2), 5, 2, seed=3)):
+    for arch in (ArchConfig((3,), 3, seed=1), ArchConfig((3, 4), 3, seed=2),
+                 ArchConfig((2, 2), 5, seed=3)):
         params = init_params(arch)
         rng = np.random.default_rng(arch.seed)
         img = rng.random((11, 12))
@@ -66,20 +66,20 @@ def test_forward_matches_loop_oracle():
 
 
 def test_forward_constant_image_gives_constant_scoremap():
-    params = init_params(ArchConfig((4, 4), 5, 2, seed=0))
+    params = init_params(ArchConfig((4, 4), 5, seed=0))
     s, _ = forward(params, np.full((16, 16), 0.5))
     assert float(np.ptp(s.logits)) < 1e-12
 
 
 def test_forward_validates_inputs():
-    params = init_params(ArchConfig((3,), 3, 1, seed=0))
+    params = init_params(ArchConfig((3,), 3, seed=0))
     with pytest.raises(InvalidInputError):
         forward(params, np.full((10, 10), 1.5))
     with pytest.raises(InvalidInputError):
         forward(params, np.zeros((4, 10)))  # below the 8x8 floor
     with pytest.raises(InvalidInputError):
         forward(params, np.zeros(100))
-    deep = init_params(ArchConfig((2, 2, 2, 2), 5, 4, seed=0))  # rf 17
+    deep = init_params(ArchConfig((2, 2, 2, 2), 5, seed=0))  # rf 17
     with pytest.raises(InvalidInputError):
         forward(deep, np.zeros((16, 16)))
 
@@ -90,7 +90,7 @@ def test_backward_matches_parameter_finite_differences():
     while checked < 3 and attempt < 50:
         attempt += 1
         rng = np.random.default_rng(1000 + attempt)
-        arch = ArchConfig((3, 3), 3, 2, seed=attempt)
+        arch = ArchConfig((3, 3), 3, seed=attempt)
         params = init_params(arch)
         img = rng.random((10, 10))
         g_score = rng.normal(size=(10, 10))
@@ -117,7 +117,7 @@ def test_backward_matches_parameter_finite_differences():
 
 def test_backward_bias_gradient_is_spatial_sum_on_head():
     # the head is linear, so its bias gradient is just sum(dL/dS)
-    params = init_params(ArchConfig((3,), 3, 1, seed=5))
+    params = init_params(ArchConfig((3,), 3, seed=5))
     rng = np.random.default_rng(5)
     img = rng.random((9, 9))
     g = rng.normal(size=(9, 9))
@@ -127,14 +127,14 @@ def test_backward_bias_gradient_is_spatial_sum_on_head():
 
 
 def test_backward_rejects_wrong_gradient_shape():
-    params = init_params(ArchConfig((3,), 3, 1, seed=0))
+    params = init_params(ArchConfig((3,), 3, seed=0))
     _, cache = forward(params, np.zeros((9, 9)))
     with pytest.raises(InvalidInputError):
         backward(cache, np.zeros((9, 8)))
 
 
 def test_init_params_bounds_and_determinism():
-    arch = ArchConfig((8, 16, 16), 5, 3, seed=7)
+    arch = ArchConfig((8, 16, 16), 5, seed=7)
     params = init_params(arch)
     widths = (1, 8, 16, 16)
     for i, layer in enumerate(params.layers[:-1]):
@@ -148,23 +148,23 @@ def test_init_params_bounds_and_determinism():
     again = init_params(arch)
     for a, b in zip(params.layers, again.layers):
         np.testing.assert_array_equal(a.kernel, b.kernel)
-    other = init_params(ArchConfig((8, 16, 16), 5, 3, seed=8))
+    other = init_params(ArchConfig((8, 16, 16), 5, seed=8))
     assert np.any(other.layers[0].kernel != params.layers[0].kernel)
 
 
 def test_arch_config_validation_and_receptive_field():
-    assert ArchConfig((8, 16, 16), 5, 3).receptive_field == 13
-    assert ArchConfig((4,), 3, 1).receptive_field == 3
+    assert ArchConfig((8, 16, 16), 5).receptive_field == 13
+    assert ArchConfig((4,), 3).receptive_field == 3
     with pytest.raises(InvalidParameterError):
-        ArchConfig((8, 16), 5, 3)
+        ArchConfig((), 5)
     with pytest.raises(InvalidParameterError):
-        ArchConfig((8,), 4, 1)
+        ArchConfig((8,), 4)
     with pytest.raises(InvalidParameterError):
-        ArchConfig((0,), 3, 1)
+        ArchConfig((0,), 3)
 
 
 def test_optimizer_step_matches_manual_formula():
-    params = init_params(ArchConfig((2,), 3, 1, seed=0))
+    params = init_params(ArchConfig((2,), 3, seed=0))
     state = OptState.init(params, lr=0.01, beta1=0.9, beta2=0.99,
                           eps=1e-8, weight_decay=0.1)
     rng = np.random.default_rng(0)
@@ -184,7 +184,7 @@ def test_optimizer_step_matches_manual_formula():
 
 
 def test_optimizer_zero_gradient_only_decays():
-    params = init_params(ArchConfig((2,), 3, 1, seed=1))
+    params = init_params(ArchConfig((2,), 3, seed=1))
     state = OptState.init(params, lr=0.1, weight_decay=0.5)
     zeros = tuple(ConvLayer(np.zeros_like(l.kernel), np.zeros_like(l.bias))
                   for l in params.layers)
@@ -194,7 +194,7 @@ def test_optimizer_zero_gradient_only_decays():
 
 
 def test_optimizer_state_validation():
-    params = init_params(ArchConfig((2,), 3, 1, seed=0))
+    params = init_params(ArchConfig((2,), 3, seed=0))
     with pytest.raises(InvalidParameterError):
         OptState.init(params, lr=0.0)
     with pytest.raises(InvalidParameterError):
@@ -205,7 +205,7 @@ def test_optimizer_state_validation():
 
 
 def test_weights_round_trip_is_a_fixpoint(tmp_path):
-    params = init_params(ArchConfig((3, 4), 3, 2, seed=9))
+    params = init_params(ArchConfig((3, 4), 3, seed=9))
     p1 = tmp_path / "w1.dadw"
     p2 = tmp_path / "w2.dadw"
     save_weights(p1, params)
@@ -224,7 +224,7 @@ def test_load_weights_validates_structure(tmp_path):
     with pytest.raises(InvalidInputError):
         load_weights(p)
     # a stack whose last layer is not a 1x1 head must be refused
-    params = init_params(ArchConfig((3,), 3, 1, seed=0))
+    params = init_params(ArchConfig((3,), 3, seed=0))
     headless = DetectorParams((params.layers[0], params.layers[0]), params.arch)
     save_weights(p, headless)
     with pytest.raises(InvalidInputError):
@@ -234,7 +234,7 @@ def test_load_weights_validates_structure(tmp_path):
 def test_train_loop_is_deterministic_and_reports_per_pair():
     cfg = SceneConfig.toy(size=32, num_light=2, num_dark=2)
     pairs = generate_pairs(cfg, 3, seed=0, kind="toy")
-    tc = TrainConfig(arch=ArchConfig((4, 4), 3, 2, seed=0),
+    tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0),
                      epochs=2, match_threshold=np.inf)
     p1, r1 = train_loop(pairs, tc)
     p2, r2 = train_loop(pairs, tc)
@@ -249,7 +249,7 @@ def test_train_loop_is_deterministic_and_reports_per_pair():
 def test_train_loop_threaded_is_deterministic():
     cfg = SceneConfig.toy(size=32, num_light=2, num_dark=2)
     pairs = generate_pairs(cfg, 4, seed=1, kind="toy")
-    tc = TrainConfig(arch=ArchConfig((4, 4), 3, 2, seed=0), threads=2)
+    tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0), threads=2)
     p1, r1 = train_loop(pairs, tc)
     p2, r2 = train_loop(pairs, tc)
     assert len(r1) == len(r2) == 4

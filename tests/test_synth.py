@@ -388,6 +388,12 @@ def test_generate_dataset_empty_and_invalid(tmp_path):
         generate_dataset(tmp_path / "x", cfg, 1, seed=0, kind="video")
 
 
+def test_generate_pairs_rejects_unknown_kind():
+    with pytest.raises(InvalidParameterError):
+        generate_pairs(SceneConfig.toy(size=48, num_light=2, num_dark=2), 1, seed=0,
+                       kind="typo")
+
+
 def test_pair_rng_streams_are_stable_and_independent():
     a = pair_rng(3, 0).random(4)
     b = pair_rng(3, 0).random(4)
