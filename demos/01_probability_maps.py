@@ -41,7 +41,7 @@ def main() -> None:
     print("\nsoftmax of 16*(image - 0.5), i.e. a hand-built light detector:")
     print(heat(p.probs))
 
-    light_xy = [xy for xy, lab in zip(pair.gt_keypoints_a.xy(), pair.polarity_a)
+    light_xy = [xy for xy, lab in zip(pair.gt_keypoints_a.xy, pair.polarity_a)
                 if lab == "light"]
     mass_on_dots = sum(p.probs[int(y), int(x)] for x, y in light_xy)
     print(f"\nprobability mass sitting exactly on the 6 light dots: {mass_on_dots:.3f}")

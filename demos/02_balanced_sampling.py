@@ -34,12 +34,12 @@ def main() -> None:
     on = sample_keypoints(z, SamplerConfig(k=4, use_kde=True, kde_sigma_frac=0.15), "train")
 
     print("budget k=4, no balancing (K marks a selected keypoint):")
-    print(heat_with_marks(z, off.xy()))
+    print(heat_with_marks(z, off.xy))
     print("\nsame budget with KDE balancing:")
-    print(heat_with_marks(z, on.xy()))
+    print(heat_with_marks(z, on.xy))
 
     def near_isolated(kps):
-        xy = kps.xy()
+        xy = kps.xy
         return int(np.sum(np.hypot(xy[:, 0] - 26, xy[:, 1] - 26) < 3))
 
     print(f"\nkeypoints near the isolated peak: {near_isolated(off)} without "

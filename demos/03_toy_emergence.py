@@ -53,7 +53,7 @@ def main() -> None:
         ka = sample_keypoints(sa, sc, "inference")
         kb = sample_keypoints(sb, sc, "inference")
         mab, _ = toy_matches(ka, kb, p, tc.assign_radius, tc.match_threshold)
-        rewards.append(sum(reward_threshold(d, tc.reward.tau_r) for _, _, d in mab.pairs))
+        rewards.append(sum(reward_threshold(d, tc.reward.tau_r) for d in mab.dist))
         labels += list(classify_polarity(ka, p.gt_keypoints_a, p.polarity_a))
         labels += list(classify_polarity(kb, p.gt_keypoints_b, p.polarity_b))
 

@@ -10,16 +10,16 @@ corner end-point error, and recall per polarity.
 import numpy as np
 
 from dadkit.evaluate import EvalConfig, evaluate_detections
-from dadkit.sampler import Keypoint, KeypointSet
+from dadkit.sampler import KeypointSet
 from dadkit.synth import SceneConfig, generate_pairs
 
 
 def kset(xy, shape) -> KeypointSet:
-    return KeypointSet(tuple(Keypoint(float(x), float(y), 1.0) for x, y in xy), shape)
+    return KeypointSet(xy, np.ones(len(xy)), shape)
 
 
 def jitter(kps: KeypointSet, rng, sigma: float) -> KeypointSet:
-    xy = kps.xy() + rng.normal(scale=sigma, size=(len(kps), 2))
+    xy = kps.xy + rng.normal(scale=sigma, size=(len(kps), 2))
     h, w = kps.source_shape
     xy[:, 0] = np.clip(xy[:, 0], 0, w - 1)
     xy[:, 1] = np.clip(xy[:, 1], 0, h - 1)

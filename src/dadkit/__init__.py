@@ -35,7 +35,7 @@ from .model import (ArchConfig, ConvLayer, DetectorParams, OptState,
 from .objective import (LossReport, RewardConfig, normalize_rewards,
                         raw_reward, reg_loss_and_grad, reward_threshold,
                         rl_loss_and_grad, total_loss_and_grad)
-from .sampler import (Keypoint, KeypointSet, SamplerConfig, kde_balance, nms,
+from .sampler import (KeypointSet, SamplerConfig, kde_balance, nms,
                       read_keypoints_csv, sample_keypoints, subpixel_refine,
                       top_k, write_keypoints_csv)
 from .synth import (HomographyMagnitude, PairSample, SceneConfig,

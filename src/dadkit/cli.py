@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -26,7 +25,7 @@ from .distill import DistillConfig, MergeConfig, train_distilled
 from .errors import ConfigError, DadkitError, InvalidParameterError
 from .evaluate import EvalConfig, evaluate_detections, write_report
 from .gradcheck import FAMILIES, run_gradcheck
-from .model import (ArchConfig, TrainConfig, forward, load_weights,
+from .model import (ArchConfig, TrainConfig, _ordered_map, forward, load_weights,
                     save_weights, train_loop, write_loss_csv)
 from .objective import RewardConfig
 from .sampler import (SamplerConfig, read_keypoints_csv, sample_keypoints,
@@ -305,20 +304,12 @@ def _echo_meta(path, command: str, cfg: dict, extra: dict | None = None) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _ordered_map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # order preserved
-
-
 def _overlay_image(image, kps) -> np.ndarray:
     """Plus-shaped contrast markers at the rounded keypoint positions."""
     img = np.array(image, dtype=np.float64)
     h, w = img.shape
-    for kp in kps.keypoints:
-        x, y = int(round(kp.x)), int(round(kp.y))
+    for x, y in kps.xy.tolist():
+        x, y = int(round(x)), int(round(y))
         ink = 1.0 if img[y, x] < 0.5 else 0.0
         for dy, dx in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
             yy, xx = y + dy, x + dx
@@ -423,7 +414,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             write_dadf(cfg["dump_scoremap"], smap.logits)
         if cfg["overlay"] is not None:
             write_pgm(cfg["overlay"], _overlay_image(img, kps))
-        print(f"{len(kps.keypoints)} keypoint(s) -> {out}")
+        print(f"{len(kps)} keypoint(s) -> {out}")
         return 0
 
     if cfg["dump_scoremap"] is not None or cfg["overlay"] is not None:
@@ -442,7 +433,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         pd.mkdir(parents=True, exist_ok=True)
         for name, kps in zip(("a", "b"), res):
             write_keypoints_csv(pd / f"{name}.csv", kps)
-            total += len(kps.keypoints)
+            total += len(kps)
     _echo_meta(outd / "meta.txt", "detect", cfg, extra={"num_pairs": len(dirs)})
     print(f"{total} keypoint(s) across {len(dirs)} pair(s) -> {outd}")
     return 0

@@ -14,6 +14,7 @@ rely on those three facts.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -228,16 +229,25 @@ def write_dadf(path, grid) -> None:
         f.write(a.astype("<f4").tobytes(order="C"))
 
 
+def _read_exact(f, n: int, path) -> bytes:
+    """The next n bytes of binary file f; InvalidInputError if it ends first.
+
+    The size is checked before reading, so a corrupt length field never
+    makes the read allocate more than the file holds.
+    """
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise InvalidInputError(f"{path}: truncated file, expected {n} more bytes")
+    return f.read(n)
+
+
 def read_dadf(path) -> np.ndarray:
     """Read a grid written by write_dadf; returns float64."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != GRID_MAGIC:
-            raise InvalidInputError(f"bad magic {magic!r}, expected {GRID_MAGIC!r}")
-        version, h, w = struct.unpack("<III", f.read(12))
+            raise InvalidInputError(f"{path}: bad magic {magic!r}, expected {GRID_MAGIC!r}")
+        version, h, w = struct.unpack("<III", _read_exact(f, 12, path))
         if version != GRID_VERSION:
-            raise InvalidInputError(f"unsupported grid version {version}")
-        data = f.read(4 * h * w)
-        if len(data) != 4 * h * w:
-            raise InvalidInputError("truncated grid file")
+            raise InvalidInputError(f"{path}: unsupported grid version {version}")
+        data = _read_exact(f, 4 * h * w, path)
         return np.frombuffer(data, dtype="<f4").reshape(h, w).astype(np.float64)

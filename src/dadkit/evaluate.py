@@ -55,14 +55,14 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
         raise InvalidParameterError("threshold must be positive")
     if len(ka) == 0:
         return float("nan")
-    moved, inside = covisible(t, ka.xy(), kb.source_shape)
+    moved, inside = covisible(t, ka.xy, kb.source_shape)
     n = int(inside.sum())
     if n == 0:
         return float("nan")
     if len(kb) == 0:
         return 0.0
     src = moved[inside]
-    dst = kb.xy()
+    dst = kb.xy
     d = np.sqrt(((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2))
     order = np.argsort(d, axis=None, kind="stable")
     used_a = np.zeros(len(src), dtype=bool)
@@ -227,7 +227,7 @@ def detection_recall(kps: KeypointSet, gt: KeypointSet, radius: float) -> float:
         return float("nan")
     if len(kps) == 0:
         return 0.0
-    d2 = ((gt.xy()[:, None, :] - kps.xy()[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((gt.xy[:, None, :] - kps.xy[None, :, :]) ** 2).sum(axis=2)
     return float((d2.min(axis=1) <= radius * radius).mean())
 
 
@@ -236,8 +236,8 @@ def polarity_recall(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ...]
     """detection_recall split by gt polarity label; NaN for absent labels."""
     out = {}
     for label in ("light", "dark"):
-        keep = tuple(i for i, p in enumerate(polarity) if p == label)
-        sub = KeypointSet(tuple(gt.keypoints[i] for i in keep), gt.source_shape)
+        keep = np.array([p == label for p in polarity], dtype=bool)
+        sub = KeypointSet(gt.xy[keep], gt.scores[keep], gt.source_shape)
         out[label] = detection_recall(kps, sub, radius)
     return out
 
@@ -287,15 +287,13 @@ def _toy_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConfig
 def _scene_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConfig,
                rng: np.random.Generator) -> dict:
     rep = repeatability(ka, kb, pair.transfer, cfg.match_threshold)
-    covis = int(covisible(pair.transfer, ka.xy(), pair.image_b.shape)[1].sum())
+    covis = int(covisible(pair.transfer, ka.xy, pair.image_b.shape)[1].sum())
     mab, _ = match_mutual_nn(ka, kb, pair.transfer, cfg.match_threshold * 2)
     epe = float("inf")
     if len(mab) >= 4:
-        src = ka.xy()[[ia for ia, _, _ in mab.pairs]]
-        dst = kb.xy()[[ib for _, ib, _ in mab.pairs]]
         try:
-            h_hat, _ = ransac_homography(src, dst, cfg.ransac_threshold,
-                                         cfg.ransac_iterations, rng)
+            h_hat, _ = ransac_homography(ka.xy[mab.ia], kb.xy[mab.ib],
+                                         cfg.ransac_threshold, cfg.ransac_iterations, rng)
             epe = corner_epe(h_hat, pair.transfer, pair.image_a.shape)
         except (DegenerateInputError, InsufficientDataError):
             pass

@@ -90,29 +90,34 @@ def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> Mask:
     return Mask(covisible(t, pts, shape_dst)[1].reshape(hs, ws))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchSet:
-    """Index pairs (a_idx, b_idx, distance) for one match direction."""
+    """Matches of one direction: keypoint ia[m] of A with ib[m] of B at dist[m]."""
 
-    pairs: tuple[tuple[int, int, float], ...]
-    direction: str  # "a_to_b" | "b_to_a"
+    ia: np.ndarray
+    ib: np.ndarray
+    dist: np.ndarray
 
     def __post_init__(self):
-        if self.direction not in ("a_to_b", "b_to_a"):
-            raise InvalidInputError(f"bad direction {self.direction!r}")
-        seen_b = set()
-        for ia, ib, d in self.pairs:
-            if d < 0 or not np.isfinite(d):
-                raise InvalidInputError(f"match distance must be finite and >= 0, got {d}")
-            if ib in seen_b:
-                raise InvalidInputError(f"duplicate matched index {ib}")
-            seen_b.add(ib)
+        ia = np.array(self.ia, dtype=np.intp)
+        ib = np.array(self.ib, dtype=np.intp)
+        dist = np.array(self.dist, dtype=np.float64)
+        if not (ia.ndim == 1 and ia.shape == ib.shape == dist.shape):
+            raise InvalidInputError(
+                f"ia, ib and dist must be equal-length vectors, got "
+                f"{ia.shape}, {ib.shape} and {dist.shape}")
+        bad = ~(np.isfinite(dist) & (dist >= 0))
+        if bad.any():
+            raise InvalidInputError(f"match distance must be finite and >= 0, got {dist[bad][0]}")
+        values, counts = np.unique(ib, return_counts=True)
+        if (counts > 1).any():
+            raise InvalidInputError(f"duplicate matched index {values[counts > 1][0]}")
+        for name, a in (("ia", ia), ("ib", ib), ("dist", dist)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def distances(self) -> np.ndarray:
-        return np.array([d for _, _, d in self.pairs], dtype=np.float64)
+        return len(self.dist)
 
 
 def _nearest(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +140,8 @@ def match_mutual_nn(
     if not (threshold > 0):
         raise InvalidParameterError("threshold must be positive")
     if len(ka) == 0 or len(kb) == 0:
-        return MatchSet((), "a_to_b"), MatchSet((), "b_to_a")
-    pa, pb = ka.xy(), kb.xy()
+        return MatchSet((), (), ()), MatchSet((), (), ())
+    pa, pb = ka.xy, kb.xy
     fa, va = transfer_points(t, pa)
     fb, vb = transfer_points(t.inverse(), pb)
 
@@ -151,17 +156,15 @@ def match_mutual_nn(
         idx, d = _nearest(fb[vb], pa)
         nn_ba[vb], d_ba[vb] = idx, d
 
-    ab = tuple(
-        (int(i), int(nn_ab[i]), float(d_ab[i]))
-        for i in range(len(ka))
-        if nn_ab[i] >= 0 and d_ab[i] <= threshold and nn_ba[nn_ab[i]] == i
-    )
-    ba = tuple(
-        (int(nn_ba[j]), int(j), float(d_ba[j]))
-        for j in range(len(kb))
-        if nn_ba[j] >= 0 and d_ba[j] <= threshold and nn_ab[nn_ba[j]] == j
-    )
-    return MatchSet(ab, "a_to_b"), MatchSet(ba, "b_to_a")
+    qa = _mutual(nn_ab, d_ab, nn_ba, threshold)
+    qb = _mutual(nn_ba, d_ba, nn_ab, threshold)
+    return MatchSet(qa, nn_ab[qa], d_ab[qa]), MatchSet(nn_ba[qb], qb, d_ba[qb])
+
+
+def _mutual(nn: np.ndarray, d: np.ndarray, back: np.ndarray, threshold: float) -> np.ndarray:
+    """Query indices with a nearest neighbour within threshold that points back."""
+    q = np.flatnonzero((nn >= 0) & (d <= threshold))
+    return q[back[nn[q]] == q]
 
 
 def write_homography(path, t: HomographyTransfer) -> None:
@@ -171,7 +174,10 @@ def write_homography(path, t: HomographyTransfer) -> None:
 
 
 def read_homography(path) -> HomographyTransfer:
-    vals = [float(v) for v in Path(path).read_text().split()]
+    try:
+        vals = [float(v) for v in Path(path).read_text().split()]
+    except ValueError:
+        raise InvalidInputError(f"{path}: non-numeric homography entry") from None
     if len(vals) != 9:
         raise InvalidInputError(f"{path}: expected 9 floats, got {len(vals)}")
     return HomographyTransfer(np.array(vals).reshape(3, 3))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Mask, ScoreMap
+from .core import Mask, ScoreMap, _read_exact
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import match_mutual_nn
 from .objective import LossReport, RewardConfig, total_loss_and_grad
@@ -259,24 +259,18 @@ def save_weights(path, params: DetectorParams) -> None:
 
 def load_weights(path) -> DetectorParams:
     with open(path, "rb") as f:
-        def read(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) != n:
-                raise InvalidInputError(f"{path}: truncated weights file")
-            return data
-
         if f.read(4) != WEIGHTS_MAGIC:
             raise InvalidInputError(f"{path}: bad weights magic")
-        version, n_layers = struct.unpack("<II", read(8))
+        version, n_layers = struct.unpack("<II", _read_exact(f, 8, path))
         if version != WEIGHTS_VERSION:
             raise InvalidInputError(f"unsupported weights version {version}")
         layers = []
         for _ in range(n_layers):
-            shape = struct.unpack("<IIII", read(16))
+            shape = struct.unpack("<IIII", _read_exact(f, 16, path))
             count = shape[0] * shape[1] * shape[2] * shape[3]
-            kernel = np.frombuffer(read(4 * count), dtype="<f4").reshape(shape)
-            (blen,) = struct.unpack("<I", read(4))
-            bias = np.frombuffer(read(4 * blen), dtype="<f4")
+            kernel = np.frombuffer(_read_exact(f, 4 * count, path), dtype="<f4").reshape(shape)
+            (blen,) = struct.unpack("<I", _read_exact(f, 4, path))
+            bias = np.frombuffer(_read_exact(f, 4 * blen, path), dtype="<f4")
             layers.append(ConvLayer(kernel.astype(np.float64), bias.astype(np.float64)))
     if n_layers < 2 or layers[-1].kernel.shape[0] != 1 or layers[-1].kernel.shape[2:] != (1, 1):
         raise InvalidInputError("weights file does not end in a 1x1 single-channel head")
@@ -335,10 +329,9 @@ class TrainConfig:
 
 
 def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
-    kept = tuple(
-        kp for kp in kps.keypoints if mask.bits[int(round(kp.y)), int(round(kp.x))]
-    )
-    return KeypointSet(kept, kps.source_shape)
+    px = np.rint(kps.xy).astype(np.intp)
+    keep = mask.bits[px[:, 1], px[:, 0]]
+    return KeypointSet(kps.xy[keep], kps.scores[keep], kps.source_shape)
 
 
 def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
@@ -383,26 +376,25 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
     pairs = list(data)
     reports: list[LossReport] = []
     step = 0
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        for _ in range(cfg.epochs):
-            for at in range(0, len(pairs), cfg.threads):
-                batch = pairs[at:at + cfg.threads]
-                if pool is None:
-                    results = [_pair_grads(params, batch[0], cfg, step)]
-                else:
-                    results = list(pool.map(
-                        lambda ip: _pair_grads(params, ip[1], cfg, step + ip[0]),
-                        enumerate(batch),
-                    ))
-                grads = _sum_grads([g for g, _ in results])
-                params, state = optimizer_step(params, grads, state)
-                reports.extend(r for _, r in results)
-                step += len(batch)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for _ in range(cfg.epochs):
+        for at in range(0, len(pairs), cfg.threads):
+            batch = pairs[at:at + cfg.threads]
+            results = _ordered_map(lambda ip: _pair_grads(params, ip[1], cfg, step + ip[0]),
+                                   enumerate(batch), cfg.threads)
+            grads = _sum_grads([g for g, _ in results])
+            params, state = optimizer_step(params, grads, state)
+            reports.extend(r for _, r in results)
+            step += len(batch)
     return params, reports
+
+
+def _ordered_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], run on up to `threads` worker threads."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))  # order preserved
 
 
 def write_loss_csv(path, reports) -> None:

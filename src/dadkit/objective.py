@@ -87,24 +87,23 @@ def normalize_rewards(rewards, eps: float) -> np.ndarray:
 
 
 def _pooled_raw_rewards(mab: MatchSet, mba: MatchSet, cfg: RewardConfig) -> np.ndarray:
-    ds = list(mab.distances()) + list(mba.distances())
+    ds = np.concatenate([mab.dist, mba.dist])
     return np.array([raw_reward(d, cfg) for d in ds], dtype=np.float64)
 
 
-def _directional_loss_and_grad(scoremap, mask, kps: KeypointSet, pairs, key, rhat):
-    """-sum_m rhat_m log p(x_m) and its gradient over one scoremap."""
+def _directional_loss_and_grad(scoremap, mask, kps: KeypointSet, indices, rhat):
+    """-sum_m rhat_m log p(x_m) over keypoints kps[indices[m]], and its gradient."""
     lp = masked_log_softmax(scoremap, mask)
     p = lp.probs()
     h, w = p.shape
     loss = 0.0
     grad = np.zeros_like(p)
     coef = 0.0
-    for (pair, r) in zip(pairs, rhat):
-        idx = key(pair)
+    for idx, r in zip(indices.tolist(), rhat):
         if not (0 <= idx < len(kps)):
             raise InvalidInputError(f"match references keypoint {idx} of {len(kps)}")
-        kp = kps.keypoints[idx]
-        xi, yi = int(round(kp.x)), int(round(kp.y))
+        x, y = kps.xy[idx].tolist()
+        xi, yi = int(round(x)), int(round(y))
         if not (0 <= xi < w and 0 <= yi < h):
             raise InvalidInputError(f"keypoint pixel ({xi}, {yi}) outside grid")
         if not lp.mask.bits[yi, xi]:
@@ -136,12 +135,8 @@ def _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba, raw, eps):
     """rl_loss_and_grad given the pooled raw rewards."""
     rhat = normalize_rewards(raw, eps)
     rhat_ab, rhat_ba = rhat[: len(mab)], rhat[len(mab):]
-    loss_a, grad_a = _directional_loss_and_grad(
-        sa, mask_a, ka, mab.pairs, lambda pr: pr[0], rhat_ab
-    )
-    loss_b, grad_b = _directional_loss_and_grad(
-        sb, mask_b, kb, mba.pairs, lambda pr: pr[1], rhat_ba
-    )
+    loss_a, grad_a = _directional_loss_and_grad(sa, mask_a, ka, mab.ia, rhat_ab)
+    loss_b, grad_b = _directional_loss_and_grad(sb, mask_b, kb, mba.ib, rhat_ba)
     return loss_a + loss_b, grad_a, grad_b
 
 

@@ -20,47 +20,43 @@ from .errors import InvalidInputError, InvalidParameterError
 DENSITY_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Keypoint:
-    """One detection: position (x right, y down, pixel centers integer) and score."""
-
-    x: float
-    y: float
-    score: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeypointSet:
-    """Keypoints of one image, ordered by descending score, raster tie-break."""
+    """Keypoints of one image, ordered by descending score, raster tie-break.
 
-    keypoints: tuple[Keypoint, ...]
+    xy holds the (N, 2) positions (x right, y down, pixel centers integer)
+    and scores the (N,) scores; both are read-only float64 arrays.
+    """
+
+    xy: np.ndarray
+    scores: np.ndarray
     source_shape: tuple[int, int]
 
     def __post_init__(self):
         h, w = self.source_shape
         if h < 1 or w < 1:
             raise InvalidInputError(f"bad source shape {self.source_shape}")
-        prev = np.inf
-        for kp in self.keypoints:
-            if not (0 <= kp.x <= w - 1 and 0 <= kp.y <= h - 1):
-                raise InvalidInputError(f"keypoint ({kp.x}, {kp.y}) outside {self.source_shape}")
-            if not np.isfinite(kp.score):
-                raise InvalidInputError("keypoint score must be finite")
-            if kp.score > prev:
-                raise InvalidInputError("keypoints must be ordered by descending score")
-            prev = kp.score
+        xy = np.array(self.xy, dtype=np.float64)
+        if xy.size == 0:
+            xy = xy.reshape(0, 2)
+        scores = np.array(self.scores, dtype=np.float64)
+        if xy.ndim != 2 or xy.shape[1] != 2 or scores.shape != (len(xy),):
+            raise InvalidInputError(
+                f"need (N, 2) positions and N scores, got {xy.shape} and {scores.shape}")
+        outside = ~((xy[:, 0] >= 0) & (xy[:, 0] <= w - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= h - 1))
+        if outside.any():
+            x, y = xy[np.argmax(outside)]
+            raise InvalidInputError(f"keypoint ({x}, {y}) outside {self.source_shape}")
+        if not np.isfinite(scores).all():
+            raise InvalidInputError("keypoint score must be finite")
+        if np.any(scores[1:] > scores[:-1]):
+            raise InvalidInputError("keypoints must be ordered by descending score")
+        xy.flags.writeable = scores.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
-        return len(self.keypoints)
-
-    def xy(self) -> np.ndarray:
-        """Positions as an (N, 2) array of (x, y)."""
-        if not self.keypoints:
-            return np.zeros((0, 2))
-        return np.array([(kp.x, kp.y) for kp in self.keypoints], dtype=np.float64)
-
-    def scores(self) -> np.ndarray:
-        return np.array([kp.score for kp in self.keypoints], dtype=np.float64)
+        return len(self.xy)
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,7 @@ def top_k(scores, k: int) -> KeypointSet:
     nz = np.flatnonzero(flat)
     order = nz[np.argsort(-flat[nz], kind="stable")]  # stable keeps raster order on ties
     chosen = order[:k]
-    kps = tuple(Keypoint(float(i % w), float(i // w), float(flat[i])) for i in chosen)
-    return KeypointSet(kps, (h, w))
+    return KeypointSet(np.stack([chosen % w, chosen // w], axis=1), flat[chosen], (h, w))
 
 
 def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int = 3) -> KeypointSet:
@@ -155,9 +150,9 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
     z = _logits_of(scoremap)
     h, w = z.shape
     r = window // 2
-    out = []
-    for kp in kps.keypoints:
-        xi, yi = int(round(kp.x)), int(round(kp.y))
+    out = np.empty_like(kps.xy)
+    for n, (x, y) in enumerate(kps.xy.tolist()):
+        xi, yi = int(round(x)), int(round(y))
         y0, y1 = max(0, yi - r), min(h, yi + r + 1)
         x0, x1 = max(0, xi - r), min(w, xi + r + 1)
         patch = z[y0:y1, x0:x1] / temp
@@ -165,19 +160,17 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
         wgt /= wgt.sum()
         dy = float(wgt.sum(axis=1) @ (np.arange(y0, y1) - yi))
         dx = float(wgt.sum(axis=0) @ (np.arange(x0, x1) - xi))
-        out.append(Keypoint(xi + dx, yi + dy, kp.score))
-    return KeypointSet(tuple(out), kps.source_shape)
+        out[n] = (xi + dx, yi + dy)
+    return KeypointSet(out, kps.scores, kps.source_shape)
 
 
 def _rescore(kps: KeypointSet, probs: np.ndarray) -> KeypointSet:
     """Report raw probabilities as scores and restore score ordering."""
-    h, w = kps.source_shape
-    rows = []
-    for kp in kps.keypoints:
-        xi, yi = int(round(kp.x)), int(round(kp.y))
-        rows.append((float(xi), float(yi), float(probs[yi, xi])))
-    rows.sort(key=lambda t: (-t[2], t[1] * w + t[0]))
-    return KeypointSet(tuple(Keypoint(*row) for row in rows), kps.source_shape)
+    w = kps.source_shape[1]
+    px = np.rint(kps.xy).astype(np.intp)
+    scores = probs[px[:, 1], px[:, 0]]
+    order = np.lexsort((px[:, 1] * w + px[:, 0], -scores))
+    return KeypointSet(px[order], scores[order], kps.source_shape)
 
 
 def sample_keypoints(scoremap, cfg: SamplerConfig, mode: str = "inference") -> KeypointSet:
@@ -208,20 +201,29 @@ def sample_keypoints(scoremap, cfg: SamplerConfig, mode: str = "inference") -> K
 def write_keypoints_csv(path, kps: KeypointSet) -> None:
     """Write 'x,y,score' rows with six fractional digits (bit-stable text)."""
     lines = ["x,y,score"]
-    lines += [f"{kp.x:.6f},{kp.y:.6f},{kp.score:.6f}" for kp in kps.keypoints]
+    lines += [f"{x:.6f},{y:.6f},{s:.6f}"
+              for (x, y), s in zip(kps.xy.tolist(), kps.scores.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_points_csv(path, source_shape) -> tuple[KeypointSet, list[list[str]]]:
+    """Parse 'x,y,score[,...]' rows; returns the set and each row's extra cells."""
+    lines = Path(path).read_text().strip().splitlines()
+    if not lines or not lines[0].startswith("x,y,score"):
+        raise InvalidInputError(f"{path}: missing keypoint CSV header")
+    vals, extra = [], []
+    for line in lines[1:]:
+        cells = line.split(",")
+        try:
+            x, y, score = (float(v) for v in cells[:3])
+        except ValueError:
+            raise InvalidInputError(f"{path}: malformed row {line!r}") from None
+        vals.append((x, y, score))
+        extra.append(cells[3:])
+    v = np.array(vals, dtype=np.float64).reshape(-1, 3)
+    return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), extra
 
 
 def read_keypoints_csv(path, source_shape) -> KeypointSet:
     """Read a keypoint CSV written by write_keypoints_csv (extra columns ignored)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith("x,y,score"):
-        raise InvalidInputError(f"{path}: missing keypoint CSV header")
-    kps = []
-    for line in lines[1:]:
-        try:
-            x, y, score = (float(v) for v in line.split(",")[:3])
-        except ValueError:
-            raise InvalidInputError(f"{path}: malformed row {line!r}") from None
-        kps.append(Keypoint(x, y, score))
-    return KeypointSet(tuple(kps), tuple(source_shape))
+    return _read_points_csv(path, source_shape)[0]

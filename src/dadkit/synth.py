@@ -34,7 +34,7 @@ from .geometry import (
     transfer_points,
     write_homography,
 )
-from .sampler import Keypoint, KeypointSet
+from .sampler import KeypointSet, _read_points_csv
 
 POLARITIES = ("light", "dark")
 SHAPE_KINDS = ("dot", "cross", "blob", "corner")
@@ -184,9 +184,9 @@ def check_pair_consistency(pair: PairSample, tol: float = 1e-6) -> None:
         if pair.polarity_a != pair.polarity_b:
             raise InvalidInputError("toy polarity labels must match index-wise")
         return
-    moved, inside = covisible(pair.transfer, pair.gt_keypoints_a.xy(), pair.image_b.shape)
+    moved, inside = covisible(pair.transfer, pair.gt_keypoints_a.xy, pair.image_b.shape)
     expect = moved[inside]
-    got = pair.gt_keypoints_b.xy()
+    got = pair.gt_keypoints_b.xy
     if len(expect) != len(got):
         raise InvalidInputError(
             f"gt_b holds {len(got)} points, transfer predicts {len(expect)} covisible"
@@ -220,8 +220,7 @@ def _place_points(rng: np.random.Generator, cfg: SceneConfig, count: int,
 
 
 def _gt_set(centers: np.ndarray, shape: tuple[int, int]) -> KeypointSet:
-    kps = tuple(Keypoint(float(x), float(y), 1.0) for x, y in centers)
-    return KeypointSet(kps, shape)
+    return KeypointSet(centers, np.ones(len(centers)), shape)
 
 
 def _polarity_labels(cfg: SceneConfig) -> tuple[str, ...]:
@@ -461,9 +460,9 @@ def toy_matches(ka: KeypointSet, kb: KeypointSet, pair: PairSample,
     if not (assign_radius > 0):
         raise InvalidParameterError("assign_radius must be positive")
     if len(ka) == 0 or len(kb) == 0:
-        return MatchSet((), "a_to_b"), MatchSet((), "b_to_a")
-    ga, gb = pair.gt_keypoints_a.xy(), pair.gt_keypoints_b.xy()
-    pa, pb = ka.xy(), kb.xy()
+        return MatchSet((), (), ()), MatchSet((), (), ())
+    ga, gb = pair.gt_keypoints_a.xy, pair.gt_keypoints_b.xy
+    pa, pb = ka.xy, kb.xy
 
     def assign(points, gt):
         idx, dist = _nearest(points, gt)
@@ -491,8 +490,9 @@ def toy_matches(ka: KeypointSet, kb: KeypointSet, pair: PairSample,
                 best = (int(ia[j]), int(ib[k]), float(d[j, k]))
         if best is not None:
             pairs.append(best)
-    tup = tuple(pairs)
-    return MatchSet(tup, "a_to_b"), MatchSet(tup, "b_to_a")
+    m = np.array(pairs, dtype=np.float64).reshape(-1, 3)
+    matches = MatchSet(m[:, 0], m[:, 1], m[:, 2])
+    return matches, matches
 
 
 def toy_pair_hits(pair: PairSample, ka: KeypointSet, kb: KeypointSet,
@@ -500,11 +500,11 @@ def toy_pair_hits(pair: PairSample, ka: KeypointSet, kb: KeypointSet,
     """Dot identities with a selected keypoint within hit_radius in BOTH images."""
     if pair.kind != "toy":
         raise InvalidInputError("toy_pair_hits requires a toy pair")
-    ga, gb = pair.gt_keypoints_a.xy(), pair.gt_keypoints_b.xy()
+    ga, gb = pair.gt_keypoints_a.xy, pair.gt_keypoints_b.xy
     hits = 0
     for i in range(len(ga)):
-        ok_a = len(ka) and np.sqrt(((ka.xy() - ga[i]) ** 2).sum(axis=1)).min() <= hit_radius
-        ok_b = len(kb) and np.sqrt(((kb.xy() - gb[i]) ** 2).sum(axis=1)).min() <= hit_radius
+        ok_a = len(ka) and np.sqrt(((ka.xy - ga[i]) ** 2).sum(axis=1)).min() <= hit_radius
+        ok_b = len(kb) and np.sqrt(((kb.xy - gb[i]) ** 2).sum(axis=1)).min() <= hit_radius
         hits += bool(ok_a) and bool(ok_b)
     return hits
 
@@ -516,7 +516,7 @@ def classify_polarity(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ..
         return ()
     if len(gt) == 0:
         return ("none",) * len(kps)
-    idx, dist = _nearest(kps.xy(), gt.xy())
+    idx, dist = _nearest(kps.xy, gt.xy)
     return tuple(
         polarity[i] if d <= radius else "none" for i, d in zip(idx, dist)
     )
@@ -616,19 +616,17 @@ def write_gt_csv(path, kps: KeypointSet, polarity: tuple[str, ...]) -> None:
     if len(polarity) != len(kps):
         raise InvalidInputError("polarity labels misaligned with keypoints")
     lines = ["x,y,score,polarity"]
-    for kp, pol in zip(kps.keypoints, polarity):
-        lines.append(f"{kp.x:.6f},{kp.y:.6f},{kp.score:.6f},{pol}")
+    for (x, y), s, pol in zip(kps.xy.tolist(), kps.scores.tolist(), polarity):
+        lines.append(f"{x:.6f},{y:.6f},{s:.6f},{pol}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_gt_csv(path, source_shape) -> tuple[KeypointSet, tuple[str, ...]]:
-    lines = Path(path).read_text().strip().splitlines()
-    kps, pol = [], []
-    for line in lines[1:]:
-        x, y, score, label = line.split(",")
-        kps.append(Keypoint(float(x), float(y), float(score)))
-        pol.append(label.strip())
-    return KeypointSet(tuple(kps), tuple(source_shape)), tuple(pol)
+    """Read a keypoint CSV with one more column, the polarity label."""
+    kps, extra = _read_points_csv(path, source_shape)
+    if any(len(cells) != 1 for cells in extra):
+        raise InvalidInputError(f"{path}: every row needs exactly one polarity label")
+    return kps, tuple(cells[0].strip() for cells in extra)
 
 
 def _write_meta(path, entries: dict) -> None:
@@ -691,12 +689,16 @@ def load_pair(dirpath) -> PairSample:
     image_b = read_pgm(d / "b.pgm")
     gt_a, pol_a = read_gt_csv(d / "gt_a.csv", image_a.shape)
     gt_b, pol_b = read_gt_csv(d / "gt_b.csv", image_b.shape)
+    try:
+        seed = int(meta.get("seed", 0))
+    except ValueError:
+        raise InvalidInputError(f"{d / 'meta.txt'}: seed must be an integer") from None
     return PairSample(
         image_a, image_b, read_homography(d / "h.txt"),
         Mask(read_pgm(d / "mask_a.pgm") > 0.5),
         Mask(read_pgm(d / "mask_b.pgm") > 0.5),
         gt_a, gt_b, pol_a, pol_b,
-        kind=meta.get("kind", "scene"), seed=int(meta.get("seed", 0)),
+        kind=meta.get("kind", "scene"), seed=seed,
     )
 
 

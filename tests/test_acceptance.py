@@ -144,8 +144,8 @@ def test_acceptance_sampler_properties():
                 grid = probs
             surv = nms(grid, cfg.nms_window)
             selected = set()
-            for kp in kps.keypoints:
-                y, x = int(kp.y), int(kp.x)
+            for kx, ky in kps.xy:
+                y, x = int(ky), int(kx)
                 selected.add((y, x))
                 # strict local max of the grid fed to NMS
                 win = grid[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2]
@@ -168,8 +168,8 @@ def test_acceptance_sampler_properties():
         for j in range(3):
             z[8 + 3 * i, 8 + 3 * j] = 6.0
     z[26, 26] = 5.5
-    on = sample_keypoints(z, SamplerConfig(k=4, use_kde=True, kde_sigma_frac=0.15), "train").xy()
-    off = sample_keypoints(z, SamplerConfig(k=4, use_kde=False), "train").xy()
+    on = sample_keypoints(z, SamplerConfig(k=4, use_kde=True, kde_sigma_frac=0.15), "train").xy
+    off = sample_keypoints(z, SamplerConfig(k=4, use_kde=False), "train").xy
     iso_on = int(np.sum(np.hypot(on[:, 0] - 26, on[:, 1] - 26) < 3))
     iso_off = int(np.sum(np.hypot(off[:, 0] - 26, off[:, 1] - 26) < 3))
     cluster_on = len(on) - iso_on
@@ -223,8 +223,8 @@ def test_acceptance_subpixel_refinement():
         ys, xs = np.mgrid[0:24, 0:24]
         logits = amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sigma * sigma))
         logits = logits + rng.normal(scale=0.01, size=logits.shape)
-        xi, yi = sample_keypoints(logits, coarse, "inference").xy()[0]
-        xf, yf = sample_keypoints(logits, fine, "inference").xy()[0]
+        xi, yi = sample_keypoints(logits, coarse, "inference").xy[0]
+        xf, yf = sample_keypoints(logits, fine, "inference").xy[0]
         err_int.append(np.hypot(xi - cx, yi - cy))
         err_sub.append(np.hypot(xf - cx, yf - cy))
     mi = float(np.mean(err_int))
@@ -338,7 +338,7 @@ def test_acceptance_toy_polarity_emergence():
             ka = sample_keypoints(sa, sc, "inference")
             kb = sample_keypoints(sb, sc, "inference")
             mab, _ = toy_matches(ka, kb, p, tc.assign_radius, tc.match_threshold)
-            rewards.append(sum(reward_threshold(d, tc.reward.tau_r) for _, _, d in mab.pairs))
+            rewards.append(sum(reward_threshold(d, tc.reward.tau_r) for d in mab.dist))
             labels += list(classify_polarity(ka, p.gt_keypoints_a, p.polarity_a))
             labels += list(classify_polarity(kb, p.gt_keypoints_b, p.polarity_b))
         reward = float(np.mean(rewards))

@@ -1,6 +1,7 @@
 """End-to-end command checks: artifacts, exit codes, config precedence."""
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
@@ -196,11 +197,34 @@ def test_eval_source_selection_errors(workspace, tmp_path):
                         "--weights", str(workspace["weights"])]) == 1
 
 
+# A dataset file replaced by a corrupt one, for the cases that load a dataset.
+_CORRUPT_DATASET_FILES = {
+    "gt_non_numeric": ("gt_b.csv", "x,y,score,polarity\n1,zz,1,light\n"),
+    "h_non_numeric": ("h.txt", "1 0 0\n0 x 0\n0 0 1\n"),
+    "meta_seed_non_integer": ("meta.txt", "kind=toy\nseed=3.5\n"),
+}
+
+
+def _write_detections(root):
+    for pair in ("pair_000000", "pair_000001"):
+        (root / pair).mkdir(parents=True)
+        for side in ("a", "b"):
+            (root / pair / f"{side}.csv").write_text("x,y,score\n1.0,2.0,0.5\n")
+
+
 def _bad_input_case(case, ws, tmp):
     """argv for one malformed input, and the file it names (None for flags)."""
     img = ws["data"] / "pair_000000" / "a.pgm"
     detect = ["detect", "--weights", str(ws["weights"]), "--out", str(tmp / "out")]
     bad = tmp / "bad"
+    if case in _CORRUPT_DATASET_FILES:
+        name, text = _CORRUPT_DATASET_FILES[case]
+        shutil.copytree(ws["data"], tmp / "data")
+        _write_detections(tmp / "dets")
+        bad = tmp / "data" / "pair_000001" / name
+        bad.write_text(text)
+        return ["eval", "--data", str(tmp / "data"), "--detections", str(tmp / "dets"),
+                "--out", str(tmp / "out")], bad
     if case == "dadw_truncated":
         bad.write_bytes(ws["weights"].read_bytes()[:-6])
         return ["detect", "--weights", str(bad), "--image", str(img),
@@ -212,10 +236,7 @@ def _bad_input_case(case, ws, tmp):
         bad.write_bytes(b"P5\n32 ")
         return detect + ["--image", str(bad)], bad
     if case == "csv_non_numeric":
-        for pair in ("pair_000000", "pair_000001"):
-            (bad / pair).mkdir(parents=True)
-            for side in ("a", "b"):
-                (bad / pair / f"{side}.csv").write_text("x,y,score\n1.0,2.0,0.5\n")
+        _write_detections(bad)
         bad = bad / "pair_000001" / "b.csv"
         bad.write_text("x,y,score\n1.0,two,0.5\n")
         return ["eval", "--data", str(ws["data"]), "--detections", str(tmp / "bad"),
@@ -230,6 +251,7 @@ def _bad_input_case(case, ws, tmp):
 @pytest.mark.parametrize("case, code", [
     ("dadw_truncated", 2), ("pgm_payload_truncated", 2), ("pgm_header_truncated", 2),
     ("csv_non_numeric", 2), ("detect_threads_0", 1), ("eval_threads_0", 1),
+    ("gt_non_numeric", 2), ("h_non_numeric", 2), ("meta_seed_non_integer", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

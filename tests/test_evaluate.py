@@ -12,12 +12,12 @@ from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, auc,
                              evaluate_detections, polarity_recall,
                              ransac_homography, repeatability, write_report)
 from dadkit.geometry import HomographyTransfer, transfer_points
-from dadkit.sampler import Keypoint, KeypointSet
+from dadkit.sampler import KeypointSet
 from dadkit.synth import SceneConfig, gen_scene_pair, gen_toy_pair, pair_rng
 
 
 def kset(points, shape=(64, 64)):
-    return KeypointSet(tuple(Keypoint(float(x), float(y), 1.0) for x, y in points), shape)
+    return KeypointSet(points, np.ones(len(points)), shape)
 
 
 def translation(tx, ty):
@@ -244,8 +244,8 @@ def test_polarity_recall_splits_by_label():
 # the harness
 
 def gt_detections(pair):
-    return (kset(pair.gt_keypoints_a.xy(), pair.shape),
-            kset(pair.gt_keypoints_b.xy(), pair.shape))
+    return (kset(pair.gt_keypoints_a.xy, pair.shape),
+            kset(pair.gt_keypoints_b.xy, pair.shape))
 
 
 def test_evaluate_detections_toy_rows():

@@ -11,7 +11,7 @@ from dadkit.geometry import (HomographyTransfer, MatchSet, apply_transfer,
                              covisibility_mask, covisible, match_mutual_nn,
                              read_homography, transfer_points,
                              write_homography)
-from dadkit.sampler import Keypoint, KeypointSet
+from dadkit.sampler import KeypointSet
 
 
 def random_transfer(rng: np.random.Generator) -> HomographyTransfer:
@@ -28,8 +28,11 @@ def random_kps(rng: np.random.Generator, n: int, shape) -> KeypointSet:
     xs = rng.uniform(0, shape[1] - 1, n)
     ys = rng.uniform(0, shape[0] - 1, n)
     sc = np.sort(rng.random(n))[::-1]
-    return KeypointSet(tuple(Keypoint(float(x), float(y), float(s))
-                             for x, y, s in zip(xs, ys, sc)), tuple(shape))
+    return KeypointSet(np.stack([xs, ys], axis=1), sc, tuple(shape))
+
+
+def triples(m: MatchSet) -> list[tuple[int, int, float]]:
+    return list(zip(m.ia.tolist(), m.ib.tolist(), m.dist.tolist()))
 
 
 def test_homography_normalizes_and_validates():
@@ -143,7 +146,7 @@ def test_covisible_matches_mask_and_rejects_unmappable_points():
 
 def mutual_oracle(ka, kb, t, threshold):
     """Scalar restatement of mutual nearest-neighbor matching."""
-    pa, pb = ka.xy(), kb.xy()
+    pa, pb = ka.xy, kb.xy
 
     def nearest(q, pts):
         best, bd = -1, math.inf
@@ -180,10 +183,10 @@ def test_match_mutual_nn_matches_brute_force():
         threshold = float(rng.uniform(0.5, 6.0))
         mab, mba = match_mutual_nn(ka, kb, t, threshold)
         oab, oba = mutual_oracle(ka, kb, t, threshold)
-        assert [(i, j) for i, j, _ in mab.pairs] == [(i, j) for i, j, _ in oab]
-        assert [(i, j) for i, j, _ in mba.pairs] == [(i, j) for i, j, _ in oba]
-        np.testing.assert_allclose(mab.distances(), [d for _, _, d in oab], atol=1e-9)
-        np.testing.assert_allclose(mba.distances(), [d for _, _, d in oba], atol=1e-9)
+        assert [(i, j) for i, j, _ in triples(mab)] == [(i, j) for i, j, _ in oab]
+        assert [(i, j) for i, j, _ in triples(mba)] == [(i, j) for i, j, _ in oba]
+        np.testing.assert_allclose(mab.dist, [d for _, _, d in oab], atol=1e-9)
+        np.testing.assert_allclose(mba.dist, [d for _, _, d in oba], atol=1e-9)
 
 
 def test_match_mutual_nn_swap_symmetry():
@@ -196,8 +199,8 @@ def test_match_mutual_nn_swap_symmetry():
         kb = random_kps(rng, 9, (16, 16))
         _, mba = match_mutual_nn(ka, kb, t, threshold=4.0)
         sab, _ = match_mutual_nn(kb, ka, t.inverse(), threshold=4.0)
-        got = {(ia, ib, round(d, 9)) for ia, ib, d in mba.pairs}
-        want = {(ia, ib, round(d, 9)) for ib, ia, d in sab.pairs}
+        got = {(ia, ib, round(d, 9)) for ia, ib, d in triples(mba)}
+        want = {(ia, ib, round(d, 9)) for ib, ia, d in triples(sab)}
         assert got == want
 
 
@@ -205,22 +208,21 @@ def test_match_mutual_nn_exact_correspondence_matches_everything():
     rng = np.random.default_rng(5)
     ka = random_kps(rng, 10, (20, 20))
     t = random_transfer(rng)
-    moved, valid = transfer_points(t, ka.xy())
+    moved, valid = transfer_points(t, ka.xy)
     assert valid.all()
     # build B as the exact transfers, clipped shape large enough to hold them
     shape = (64, 64)
     ok = (moved[:, 0] >= 0) & (moved[:, 0] <= 63) & (moved[:, 1] >= 0) & (moved[:, 1] <= 63)
     assert ok.all()
-    kb = KeypointSet(tuple(Keypoint(float(x), float(y), float(s))
-                           for (x, y), s in zip(moved, ka.scores())), shape)
+    kb = KeypointSet(moved, ka.scores, shape)
     mab, mba = match_mutual_nn(ka, kb, t, threshold=1e-6)
     assert len(mab) == len(ka) and len(mba) == len(ka)
-    assert all(ia == ib for ia, ib, _ in mab.pairs)
-    assert float(mab.distances().max()) < 1e-9
+    np.testing.assert_array_equal(mab.ia, mab.ib)
+    assert float(mab.dist.max()) < 1e-9
 
 
 def test_match_mutual_nn_empty_inputs_and_threshold():
-    ka = KeypointSet((), (8, 8))
+    ka = KeypointSet((), (), (8, 8))
     kb = random_kps(np.random.default_rng(0), 3, (8, 8))
     mab, mba = match_mutual_nn(ka, kb, HomographyTransfer.identity(), 2.0)
     assert len(mab) == 0 and len(mba) == 0
@@ -230,11 +232,11 @@ def test_match_mutual_nn_empty_inputs_and_threshold():
 
 def test_matchset_validation():
     with pytest.raises(InvalidInputError):
-        MatchSet(((0, 1, 1.0),), "sideways")
+        MatchSet([0, 2], [1, 1], [1.0, 0.5])  # b index 1 reused
     with pytest.raises(InvalidInputError):
-        MatchSet(((0, 1, 1.0), (2, 1, 0.5)), "a_to_b")  # b index 1 reused
+        MatchSet([0], [1], [-1.0])
     with pytest.raises(InvalidInputError):
-        MatchSet(((0, 1, -1.0),), "a_to_b")
+        MatchSet([0], [1, 2], [1.0, 0.5])  # lengths differ
 
 
 def test_homography_io_round_trips_bit_exactly(tmp_path):

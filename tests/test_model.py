@@ -1,7 +1,11 @@
 """Conv stack forward/backward against loop-level oracles and parameter FD."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.model import (ArchConfig, ConvLayer, DetectorParams, OptState,
@@ -227,6 +231,22 @@ def test_load_weights_validates_structure(tmp_path):
     params = init_params(ArchConfig((3,), 3, seed=0))
     headless = DetectorParams((params.layers[0], params.layers[0]), params.arch)
     save_weights(p, headless)
+    with pytest.raises(InvalidInputError):
+        load_weights(p)
+    # a corrupt layer shape claims far more bytes than the file holds
+    p.write_bytes(b"DADW" + struct.pack("<II", 1, 2) + struct.pack("<IIII", *[2**32 - 1] * 4))
+    with pytest.raises(InvalidInputError):
+        load_weights(p)
+
+
+@settings(deadline=None, max_examples=50)
+@given(widths=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       kernel_size=st.sampled_from([1, 3]), data=st.data())
+def test_cut_weights_file_raises_invalid_input(tmp_path_factory, widths, kernel_size, data):
+    p = tmp_path_factory.mktemp("dadw") / "w.dadw"
+    save_weights(p, init_params(ArchConfig(tuple(widths), kernel_size)))
+    blob = p.read_bytes()
+    p.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
     with pytest.raises(InvalidInputError):
         load_weights(p)
 

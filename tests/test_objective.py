@@ -15,7 +15,7 @@ from dadkit.geometry import MatchSet
 from dadkit.objective import (LossReport, RewardConfig, normalize_rewards,
                               raw_reward, reg_loss_and_grad, reward_threshold,
                               rl_loss_and_grad, total_loss_and_grad)
-from dadkit.sampler import Keypoint, KeypointSet
+from dadkit.sampler import KeypointSet
 
 
 def fd_grad(fn, z: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -44,19 +44,18 @@ def random_case(seed: int):
     def kps(n, bits):
         idx = rng.choice(np.flatnonzero(bits), size=n, replace=False)
         sc = np.sort(rng.random(n))[::-1]
-        return KeypointSet(tuple(Keypoint(float(i % w), float(i // w), float(s))
-                                 for i, s in zip(idx, sc)), (h, w))
+        return KeypointSet(np.stack([idx % w, idx // w], axis=1), sc, (h, w))
 
     ka, kb = kps(5, bits_a), kps(6, bits_b)
     m = 4
     ia = rng.choice(5, size=m, replace=False)
     ib = rng.choice(6, size=m, replace=False)
     dists = rng.uniform(0.0, 2.0, size=m)
-    mab = MatchSet(tuple((int(i), int(j), float(d)) for i, j, d in zip(ia, ib, dists)), "a_to_b")
+    mab = MatchSet(ia, ib, dists)
     ib2 = rng.choice(6, size=3, replace=False)
     ia2 = rng.integers(0, 5, size=3)
     d2 = rng.uniform(0.0, 2.0, size=3)
-    mba = MatchSet(tuple((int(i), int(j), float(d)) for i, j, d in zip(ia2, ib2, d2)), "b_to_a")
+    mba = MatchSet(ia2, ib2, d2)
     return sa, sb, Mask(bits_a), Mask(bits_b), ka, kb, mab, mba
 
 
@@ -98,7 +97,7 @@ def test_rl_loss_matches_manual_restatement():
         loss, _, _ = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba, cfg)
 
         raw = np.array([1.0 if d < 1.0 else 0.0 for d in
-                        list(mab.distances()) + list(mba.distances())])
+                        list(mab.dist) + list(mba.dist)])
         rhat = raw / (raw.mean() + 0.01)
 
         def logp(z, bits):
@@ -108,12 +107,12 @@ def test_rl_loss_matches_manual_restatement():
 
         lpa, lpb = logp(sa, mask_a.bits), logp(sb, mask_b.bits)
         want = 0.0
-        for (i, j, d), r in zip(mab.pairs, rhat[:len(mab)]):
-            kp = ka.keypoints[i]
-            want -= r * lpa[int(kp.y), int(kp.x)]
-        for (i, j, d), r in zip(mba.pairs, rhat[len(mab):]):
-            kp = kb.keypoints[j]
-            want -= r * lpb[int(kp.y), int(kp.x)]
+        for i, r in zip(mab.ia, rhat[:len(mab)]):
+            x, y = ka.xy[i]
+            want -= r * lpa[int(y), int(x)]
+        for j, r in zip(mba.ib, rhat[len(mab):]):
+            x, y = kb.xy[j]
+            want -= r * lpb[int(y), int(x)]
         assert loss == pytest.approx(want, rel=1e-12)
 
 
@@ -142,7 +141,7 @@ def test_rl_gradient_vanishes_outside_mask_and_balances():
 
 def test_rl_each_direction_reinforces_its_query_side():
     sa, sb, mask_a, mask_b, ka, kb, mab, _ = random_case(4)
-    empty = MatchSet((), "b_to_a")
+    empty = MatchSet((), (), ())
     _, ga, gb = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, empty,
                                  RewardConfig())
     assert np.abs(ga).max() > 0
@@ -153,35 +152,34 @@ def test_rl_normalization_pools_both_directions():
     # one rewarded A->B match and one unrewarded B->A match: the shared
     # pooled mean is 1/2, so the A->B weight is 1/(0.5+eps)
     sa, sb, mask_a, mask_b, ka, kb, _, _ = random_case(5)
-    mab = MatchSet(((0, 0, 0.0),), "a_to_b")
-    mba = MatchSet(((0, 0, 99.0),), "b_to_a")
+    mab = MatchSet([0], [0], [0.0])
+    mba = MatchSet([0], [0], [99.0])
     cfg = RewardConfig(tau_r=1.0, eps=0.01)
     loss, _, _ = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba, cfg)
-    kp = ka.keypoints[0]
+    x, y = ka.xy[0]
     zm = np.where(mask_a.bits, sa, -np.inf)
     m = zm.max()
-    lp = zm[int(kp.y), int(kp.x)] - (m + np.log(np.exp(zm[mask_a.bits] - m).sum()))
+    lp = zm[int(y), int(x)] - (m + np.log(np.exp(zm[mask_a.bits] - m).sum()))
     assert loss == pytest.approx(-(1.0 / 0.51) * lp, rel=1e-12)
 
 
 def test_rl_no_matches_gives_zero_loss_and_gradients():
     sa, sb, mask_a, mask_b, ka, kb, _, _ = random_case(6)
-    empty_ab = MatchSet((), "a_to_b")
-    empty_ba = MatchSet((), "b_to_a")
+    empty = MatchSet((), (), ())
     loss, ga, gb = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb,
-                                    empty_ab, empty_ba, RewardConfig())
+                                    empty, empty, RewardConfig())
     assert loss == 0.0
     assert np.all(ga == 0.0) and np.all(gb == 0.0)
 
 
 def test_rl_rejects_matched_pixel_outside_mask():
     sa, sb, mask_a, mask_b, _, kb, _, _ = random_case(7)
-    ka = KeypointSet((Keypoint(0.0, 0.0, 1.0),), (10, 11))  # masked-out corner
+    ka = KeypointSet([[0.0, 0.0]], [1.0], (10, 11))  # masked-out corner
     assert not mask_a.bits[0, 0]
-    mab = MatchSet(((0, 0, 0.0),), "a_to_b")
+    mab = MatchSet([0], [0], [0.0])
     with pytest.raises(InvalidInputError):
         rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab,
-                         MatchSet((), "b_to_a"), RewardConfig())
+                         MatchSet((), (), ()), RewardConfig())
 
 
 def test_reg_loss_matches_direct_kl():
@@ -243,7 +241,7 @@ def test_total_loss_combines_and_reports():
     assert report.reg_loss == pytest.approx(2.5 * (la + lb), rel=1e-12)
     assert report.total == pytest.approx(report.rl_loss + report.reg_loss, rel=1e-12)
     assert report.num_matches == len(mab) + len(mba)
-    raw = [1.0 if d < 1.0 else 0.0 for d in list(mab.distances()) + list(mba.distances())]
+    raw = [1.0 if d < 1.0 else 0.0 for d in list(mab.dist) + list(mba.dist)]
     assert report.mean_raw_reward == pytest.approx(np.mean(raw), rel=1e-12)
     np.testing.assert_allclose(ga, ra + 2.5 * gra, rtol=1e-12)
     np.testing.assert_allclose(gb, rb + 2.5 * grb, rtol=1e-12)

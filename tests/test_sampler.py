@@ -8,10 +8,12 @@ scores so the tie-break actually gets exercised.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadkit.core import softmax_2d
-from dadkit.errors import InvalidInputError, InvalidParameterError
-from dadkit.sampler import (Keypoint, KeypointSet, SamplerConfig, kde_balance,
+from dadkit.errors import DadkitError, InvalidInputError, InvalidParameterError
+from dadkit.sampler import (KeypointSet, SamplerConfig, kde_balance,
                             nms, read_keypoints_csv, sample_keypoints,
                             subpixel_refine, top_k, write_keypoints_csv)
 
@@ -82,8 +84,8 @@ def test_top_k_orders_by_score_then_raster():
     s[3, 0] = 0.5  # tied with (1,1); raster-earlier one must come first
     s[5, 5] = 0.1
     kps = top_k(s, 3)
-    assert [(kp.x, kp.y, kp.score) for kp in kps.keypoints] == [
-        (4.0, 2.0, 0.9), (1.0, 1.0, 0.5), (0.0, 3.0, 0.5)]
+    assert kps.xy.tolist() == [[4.0, 2.0], [1.0, 1.0], [0.0, 3.0]]
+    assert kps.scores.tolist() == [0.9, 0.5, 0.5]
 
 
 def test_top_k_ignores_zeros_and_caps_at_nonzero_count():
@@ -123,18 +125,18 @@ def test_subpixel_refine_matches_direct_expectation():
     z = rng.normal(size=(12, 12))
     kps = top_k(nms(softmax_2d(z).probs, 3), 5)
     ref = subpixel_refine(z, kps, temp=0.7, window=3)
-    for kp, rp in zip(kps.keypoints, ref.keypoints):
-        xi, yi = int(kp.x), int(kp.y)
+    np.testing.assert_array_equal(ref.scores, kps.scores)
+    for (kx, ky), (rx, ry) in zip(kps.xy, ref.xy):
+        xi, yi = int(kx), int(ky)
         y0, y1 = max(0, yi - 1), min(12, yi + 2)
         x0, x1 = max(0, xi - 1), min(12, xi + 2)
         wgt = np.exp(z[y0:y1, x0:x1] / 0.7)
         wgt /= wgt.sum()
         ex = float((wgt.sum(axis=0) * np.arange(x0, x1)).sum())
         ey = float((wgt.sum(axis=1) * np.arange(y0, y1)).sum())
-        assert rp.x == pytest.approx(ex, abs=1e-12)
-        assert rp.y == pytest.approx(ey, abs=1e-12)
-        assert rp.score == kp.score
-        assert abs(rp.x - kp.x) <= 1.0 and abs(rp.y - kp.y) <= 1.0
+        assert rx == pytest.approx(ex, abs=1e-12)
+        assert ry == pytest.approx(ey, abs=1e-12)
+        assert abs(rx - kx) <= 1.0 and abs(ry - ky) <= 1.0
 
 
 def test_subpixel_refine_is_exact_on_symmetric_peak():
@@ -142,10 +144,10 @@ def test_subpixel_refine_is_exact_on_symmetric_peak():
     for dy in range(-1, 2):
         for dx in range(-1, 2):
             z[5 + dy, 5 + dx] = 3.0 - (dy * dy + dx * dx)
-    kps = KeypointSet((Keypoint(5.0, 5.0, 1.0),), (11, 11))
+    kps = KeypointSet([[5.0, 5.0]], [1.0], (11, 11))
     ref = subpixel_refine(z, kps)
-    assert ref.keypoints[0].x == pytest.approx(5.0, abs=1e-12)
-    assert ref.keypoints[0].y == pytest.approx(5.0, abs=1e-12)
+    assert ref.xy[0, 0] == pytest.approx(5.0, abs=1e-12)
+    assert ref.xy[0, 1] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_subpixel_refine_pulls_toward_heavier_side():
@@ -153,10 +155,10 @@ def test_subpixel_refine_pulls_toward_heavier_side():
     z[5, 5] = 3.0
     z[5, 6] = 2.5  # right neighbor much larger than left
     z[5, 4] = 0.0
-    kps = KeypointSet((Keypoint(5.0, 5.0, 1.0),), (11, 11))
+    kps = KeypointSet([[5.0, 5.0]], [1.0], (11, 11))
     ref = subpixel_refine(z, kps)
-    assert ref.keypoints[0].x > 5.05
-    assert ref.keypoints[0].y == pytest.approx(5.0, abs=1e-9)
+    assert ref.xy[0, 0] > 5.05
+    assert ref.xy[0, 1] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_sample_keypoints_reports_raw_softmax_scores():
@@ -167,10 +169,9 @@ def test_sample_keypoints_reports_raw_softmax_scores():
     for mode in ("train", "inference"):
         kps = sample_keypoints(z, cfg, mode)
         assert 0 < len(kps) <= 6
-        scores = kps.scores()
-        assert np.all(np.diff(scores) <= 0)
-        for kp in kps.keypoints:
-            assert kp.score == pytest.approx(p[int(kp.y), int(kp.x)], rel=1e-12)
+        assert np.all(np.diff(kps.scores) <= 0)
+        for (x, y), score in zip(kps.xy, kps.scores):
+            assert score == pytest.approx(p[int(y), int(x)], rel=1e-12)
 
 
 def test_sample_keypoints_selects_nms_survivors():
@@ -180,8 +181,8 @@ def test_sample_keypoints_selects_nms_survivors():
         cfg = SamplerConfig(k=8)
         kps = sample_keypoints(z, cfg, "inference")
         surviving = nms_oracle(softmax_2d(z).probs, 3)
-        for kp in kps.keypoints:
-            assert surviving[int(kp.y), int(kp.x)] > 0
+        for x, y in kps.xy:
+            assert surviving[int(y), int(x)] > 0
 
 
 def test_sample_keypoints_two_cluster_coverage():
@@ -198,8 +199,8 @@ def test_sample_keypoints_two_cluster_coverage():
     z[26, 26] = 5.5
     on = SamplerConfig(k=4, use_kde=True, kde_sigma_frac=0.15)
     off = SamplerConfig(k=4, use_kde=False)
-    got_on = sample_keypoints(z, on, "train").xy()
-    got_off = sample_keypoints(z, off, "train").xy()
+    got_on = sample_keypoints(z, on, "train").xy
+    got_off = sample_keypoints(z, off, "train").xy
     isolated_on = np.sum(np.hypot(got_on[:, 0] - 26, got_on[:, 1] - 26) < 3)
     isolated_off = np.sum(np.hypot(got_off[:, 0] - 26, got_off[:, 1] - 26) < 3)
     assert isolated_on >= 1
@@ -214,10 +215,10 @@ def test_sample_keypoints_inference_ignores_kde_and_can_refine():
     no_kde = SamplerConfig(k=5, use_kde=False)
     a = sample_keypoints(z, plain, "inference")
     b = sample_keypoints(z, no_kde, "inference")
-    np.testing.assert_array_equal(a.xy(), b.xy())  # kde has no effect here
+    np.testing.assert_array_equal(a.xy, b.xy)  # kde has no effect here
     c = sample_keypoints(z, refined, "inference")
-    assert np.any(c.xy() != a.xy())  # refinement moved something
-    np.testing.assert_array_equal(np.round(c.xy()), a.xy())
+    assert np.any(c.xy != a.xy)  # refinement moved something
+    np.testing.assert_array_equal(np.round(c.xy), a.xy)
 
 
 def test_sample_keypoints_rejects_bad_mode():
@@ -236,18 +237,22 @@ def test_sampler_config_validation():
 
 def test_keypoint_set_validation():
     with pytest.raises(InvalidInputError):
-        KeypointSet((Keypoint(8.0, 0.0, 1.0),), (8, 8))  # x out of range
+        KeypointSet([[8.0, 0.0]], [1.0], (8, 8))  # x out of range
     with pytest.raises(InvalidInputError):
-        KeypointSet((Keypoint(0.0, 0.0, 0.1), Keypoint(1.0, 0.0, 0.2)), (8, 8))
+        KeypointSet([[0.0, 0.0], [1.0, 0.0]], [0.1, 0.2], (8, 8))
+    with pytest.raises(InvalidInputError):
+        KeypointSet([[0.0, 0.0]], [0.5, 0.1], (8, 8))  # two scores, one point
+    kps = KeypointSet([[1.0, 2.0]], [0.5], (8, 8))
+    assert not (kps.xy.flags.writeable or kps.scores.flags.writeable)
 
 
 def test_keypoints_csv_round_trip(tmp_path):
-    kps = KeypointSet((Keypoint(3.25, 7.0, 0.5), Keypoint(0.0, 0.0, 0.25)), (9, 9))
+    kps = KeypointSet([[3.25, 7.0], [0.0, 0.0]], [0.5, 0.25], (9, 9))
     p = tmp_path / "kps.csv"
     write_keypoints_csv(p, kps)
     back = read_keypoints_csv(p, (9, 9))
-    np.testing.assert_array_equal(back.xy(), kps.xy())
-    np.testing.assert_array_equal(back.scores(), kps.scores())
+    np.testing.assert_array_equal(back.xy, kps.xy)
+    np.testing.assert_array_equal(back.scores, kps.scores)
     assert p.read_text().splitlines()[0] == "x,y,score"
 
 
@@ -255,7 +260,7 @@ def test_keypoints_csv_ignores_extra_columns(tmp_path):
     p = tmp_path / "gt.csv"
     p.write_text("x,y,score,polarity\n2.000000,3.000000,1.000000,light\n")
     back = read_keypoints_csv(p, (8, 8))
-    assert len(back) == 1 and back.keypoints[0].x == 2.0
+    assert len(back) == 1 and back.xy[0, 0] == 2.0
 
 
 def test_keypoints_csv_rejects_missing_header(tmp_path):
@@ -263,3 +268,36 @@ def test_keypoints_csv_rejects_missing_header(tmp_path):
     p.write_text("1,2,3\n")
     with pytest.raises(InvalidInputError):
         read_keypoints_csv(p, (8, 8))
+
+
+@st.composite
+def keypoint_sets(draw):
+    """Valid sets, N = 0 included, whose values print exactly at six decimals."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rows = draw(st.lists(st.tuples(st.integers(0, 4 * (w - 1)), st.integers(0, 4 * (h - 1)),
+                                   st.integers(-64, 64)), max_size=12))
+    v = np.array(sorted(rows, key=lambda r: -r[2]), dtype=np.float64).reshape(-1, 3)
+    return KeypointSet(v[:, :2] / 4, v[:, 2] / 64, (h, w))
+
+
+@settings(deadline=None)
+@given(kps=keypoint_sets())
+def test_keypoints_csv_round_trips_any_set(tmp_path_factory, kps):
+    p = tmp_path_factory.mktemp("csv") / "kps.csv"
+    write_keypoints_csv(p, kps)
+    back = read_keypoints_csv(p, kps.source_shape)
+    np.testing.assert_array_equal(back.xy, kps.xy)
+    np.testing.assert_array_equal(back.scores, kps.scores)
+
+
+@settings(deadline=None)
+@given(kps=keypoint_sets(), data=st.data())
+def test_cut_keypoints_csv_parses_or_raises_dadkit_error(tmp_path_factory, kps, data):
+    p = tmp_path_factory.mktemp("csv") / "kps.csv"
+    write_keypoints_csv(p, kps)
+    text = p.read_bytes()
+    p.write_bytes(text[:data.draw(st.integers(0, len(text)))])
+    try:
+        read_keypoints_csv(p, kps.source_shape)
+    except DadkitError:
+        pass

@@ -5,13 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dadkit.errors import (DegenerateTransferError, InvalidInputError,
-                           InvalidParameterError, PlacementError)
+from dadkit.errors import (DadkitError, DegenerateTransferError,
+                           InvalidInputError, InvalidParameterError,
+                           PlacementError)
 from dadkit.geometry import (HomographyTransfer, covisibility_mask,
                              transfer_points)
-from dadkit.sampler import Keypoint, KeypointSet
-from dadkit.synth import (HomographyMagnitude, SceneConfig,
+from dadkit.sampler import KeypointSet
+from dadkit.synth import (POLARITIES, HomographyMagnitude, SceneConfig,
                           check_pair_consistency, classify_polarity,
                           config_meta, expected_strategy_reward,
                           gen_scene_pair, gen_toy_pair, generate_dataset,
@@ -22,7 +25,7 @@ from dadkit.synth import (HomographyMagnitude, SceneConfig,
 
 
 def kset(points, shape):
-    return KeypointSet(tuple(Keypoint(float(x), float(y), 1.0) for x, y in points), shape)
+    return KeypointSet(points, np.ones(len(points)), shape)
 
 
 def pairwise_min_dist(xy: np.ndarray) -> float:
@@ -45,7 +48,7 @@ def test_toy_pair_layout_and_labels():
         np.testing.assert_array_equal(pair.transfer.h, np.eye(3))
         for img, gt in ((pair.image_a, pair.gt_keypoints_a),
                         (pair.image_b, pair.gt_keypoints_b)):
-            xy = gt.xy()
+            xy = gt.xy
             assert np.all(xy == np.round(xy))  # dots live on pixel centers
             assert pairwise_min_dist(xy) >= cfg.min_separation
             assert xy.min() >= cfg.margin
@@ -63,10 +66,10 @@ def test_scene_pair_geometry_is_self_consistent():
         check_pair_consistency(pair)
         assert pair.kind == "scene"
         assert 0.0 <= pair.image_a.min() and pair.image_a.max() <= 1.0
-        assert pairwise_min_dist(pair.gt_keypoints_a.xy()) >= cfg.min_separation
-        moved, valid = transfer_points(pair.transfer, pair.gt_keypoints_a.xy())
+        assert pairwise_min_dist(pair.gt_keypoints_a.xy) >= cfg.min_separation
+        moved, valid = transfer_points(pair.transfer, pair.gt_keypoints_a.xy)
         inside = valid & np.all((moved >= 0) & (moved <= 47), axis=1)
-        np.testing.assert_allclose(moved[inside], pair.gt_keypoints_b.xy(), atol=1e-9)
+        np.testing.assert_allclose(moved[inside], pair.gt_keypoints_b.xy, atol=1e-9)
         expect_mask = covisibility_mask(pair.transfer, pair.shape, pair.shape)
         np.testing.assert_array_equal(pair.mask_a.bits, expect_mask.bits)
 
@@ -168,47 +171,47 @@ def toy_pair_fixture(seed=0, num_light=3, num_dark=2):
 def test_toy_matches_identity_offsets_score_zero():
     pair = toy_pair_fixture()
     shift = np.array([1.0, 0.5])
-    ka = kset(pair.gt_keypoints_a.xy() + shift, pair.shape)
-    kb = kset(pair.gt_keypoints_b.xy() + shift, pair.shape)
+    ka = kset(pair.gt_keypoints_a.xy + shift, pair.shape)
+    kb = kset(pair.gt_keypoints_b.xy + shift, pair.shape)
     mab, mba = toy_matches(ka, kb, pair)
     assert len(mab) == len(pair.gt_keypoints_a)
-    assert mab.pairs == mba.pairs
-    assert max(d for _, _, d in mab.pairs) < 1e-9
+    assert mab.ia.tolist() == mba.ia.tolist() and mab.ib.tolist() == mba.ib.tolist()
+    assert mab.dist.max() < 1e-9
 
 
 def test_toy_matches_cap_one_per_identity():
     pair = toy_pair_fixture()
-    ga = pair.gt_keypoints_a.xy()
+    ga = pair.gt_keypoints_a.xy
     doubled = np.concatenate([ga, ga + np.array([1.0, 0.0])])
     ka = kset(doubled, pair.shape)
-    kb = kset(pair.gt_keypoints_b.xy(), pair.shape)
+    kb = kset(pair.gt_keypoints_b.xy, pair.shape)
     mab, _ = toy_matches(ka, kb, pair)
     assert len(mab) == len(ga)  # extra selections cannot inflate the count
-    assert len({ib for _, ib, _ in mab.pairs}) == len(ga)
+    assert len(set(mab.ib.tolist())) == len(ga)
 
 
 def test_toy_matches_requires_both_sides():
     pair = toy_pair_fixture(num_light=3, num_dark=2)
     light = [i for i, p in enumerate(pair.polarity_a) if p == "light"]
-    ka = kset(pair.gt_keypoints_a.xy(), pair.shape)
-    kb = kset(pair.gt_keypoints_b.xy()[light], pair.shape)
+    ka = kset(pair.gt_keypoints_a.xy, pair.shape)
+    kb = kset(pair.gt_keypoints_b.xy[light], pair.shape)
     mab, _ = toy_matches(ka, kb, pair)
     assert len(mab) == len(light)
 
 
 def test_toy_matches_assign_radius_excludes_strays():
     pair = toy_pair_fixture()
-    far = pair.gt_keypoints_a.xy() + np.array([5.0, 5.0])  # beyond radius 4
+    far = pair.gt_keypoints_a.xy + np.array([5.0, 5.0])  # beyond radius 4
     ka = kset(far, pair.shape)
-    kb = kset(pair.gt_keypoints_b.xy(), pair.shape)
+    kb = kset(pair.gt_keypoints_b.xy, pair.shape)
     mab, mba = toy_matches(ka, kb, pair, assign_radius=4.0)
     assert len(mab) == 0 and len(mba) == 0
 
 
 def test_toy_matches_match_threshold_prunes_bad_offsets():
     pair = toy_pair_fixture()
-    ka = kset(pair.gt_keypoints_a.xy() + np.array([2.0, 0.0]), pair.shape)
-    kb = kset(pair.gt_keypoints_b.xy() - np.array([2.0, 0.0]), pair.shape)
+    ka = kset(pair.gt_keypoints_a.xy + np.array([2.0, 0.0]), pair.shape)
+    kb = kset(pair.gt_keypoints_b.xy - np.array([2.0, 0.0]), pair.shape)
     mab, _ = toy_matches(ka, kb, pair, match_threshold=1.0)  # offsets differ by 4
     assert len(mab) == 0
     mab, _ = toy_matches(ka, kb, pair, match_threshold=np.inf)
@@ -224,11 +227,11 @@ def test_toy_matches_rejects_scene_pairs():
 
 def test_toy_pair_hits_counts_identities_seen_twice():
     pair = toy_pair_fixture(num_light=3, num_dark=2)
-    full_a = kset(pair.gt_keypoints_a.xy(), pair.shape)
-    full_b = kset(pair.gt_keypoints_b.xy(), pair.shape)
+    full_a = kset(pair.gt_keypoints_a.xy, pair.shape)
+    full_b = kset(pair.gt_keypoints_b.xy, pair.shape)
     assert toy_pair_hits(pair, full_a, full_b) == 5
     light = [i for i, p in enumerate(pair.polarity_b) if p == "light"]
-    only_light_b = kset(pair.gt_keypoints_b.xy()[light], pair.shape)
+    only_light_b = kset(pair.gt_keypoints_b.xy[light], pair.shape)
     assert toy_pair_hits(pair, full_a, only_light_b) == 3
     assert toy_pair_hits(pair, kset([], pair.shape), full_b) == 0
 
@@ -313,10 +316,45 @@ def test_gt_csv_round_trip(tmp_path):
     write_gt_csv(p, kps, ("light", "dark"))
     back, pol = read_gt_csv(p, shape)
     assert pol == ("light", "dark")
-    np.testing.assert_allclose(back.xy(), kps.xy(), atol=1e-6)
+    np.testing.assert_allclose(back.xy, kps.xy, atol=1e-6)
     assert back.source_shape == shape
     with pytest.raises(InvalidInputError):
         write_gt_csv(p, kps, ("light",))
+
+
+@st.composite
+def gt_sets(draw):
+    """Labelled sets, N = 0 included, at quarter-pixel positions (exact in the CSV)."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rows = draw(st.lists(st.tuples(st.integers(0, 4 * (w - 1)), st.integers(0, 4 * (h - 1)),
+                                   st.sampled_from(POLARITIES)), max_size=12))
+    xy = np.array([r[:2] for r in rows], dtype=np.float64).reshape(-1, 2) / 4
+    return KeypointSet(xy, np.ones(len(rows)), (h, w)), tuple(r[2] for r in rows)
+
+
+@settings(deadline=None)
+@given(gt=gt_sets())
+def test_gt_csv_round_trips_any_set(tmp_path_factory, gt):
+    p = tmp_path_factory.mktemp("csv") / "gt.csv"
+    kps, pol = gt
+    write_gt_csv(p, kps, pol)
+    back, back_pol = read_gt_csv(p, kps.source_shape)
+    np.testing.assert_array_equal(back.xy, kps.xy)
+    np.testing.assert_array_equal(back.scores, kps.scores)
+    assert back_pol == pol
+
+
+@settings(deadline=None)
+@given(gt=gt_sets(), data=st.data())
+def test_cut_gt_csv_parses_or_raises_dadkit_error(tmp_path_factory, gt, data):
+    p = tmp_path_factory.mktemp("csv") / "gt.csv"
+    write_gt_csv(p, *gt)
+    text = p.read_bytes()
+    p.write_bytes(text[:data.draw(st.integers(0, len(text)))])
+    try:
+        read_gt_csv(p, gt[0].source_shape)
+    except DadkitError:
+        pass
 
 
 def test_read_meta_skips_blank_and_junk_lines(tmp_path):
@@ -347,7 +385,7 @@ def test_save_load_pair_round_trip(tmp_path):
     np.testing.assert_allclose(back.transfer.h, pair.transfer.h, rtol=0, atol=0)
     np.testing.assert_array_equal(back.mask_a.bits, pair.mask_a.bits)
     np.testing.assert_array_equal(back.mask_b.bits, pair.mask_b.bits)
-    np.testing.assert_allclose(back.gt_keypoints_a.xy(), pair.gt_keypoints_a.xy(), atol=1e-6)
+    np.testing.assert_allclose(back.gt_keypoints_a.xy, pair.gt_keypoints_a.xy, atol=1e-6)
     assert back.polarity_b == pair.polarity_b
     check_pair_consistency(back, tol=1e-5)
 
