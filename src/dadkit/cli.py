@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import write_dadf
+from .core import _read_text, write_dadf
 from .distill import DistillConfig, MergeConfig, train_distilled
-from .errors import ConfigError, DadkitError, InvalidParameterError
+from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
 from .evaluate import EvalConfig, evaluate_detections, write_report
 from .gradcheck import FAMILIES, run_gradcheck
 from .model import (ArchConfig, TrainConfig, _ordered_map, forward, load_weights,
@@ -213,9 +213,11 @@ GRADCHECK_KEYS = {
 
 def _read_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
+        text = _read_text(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except InvalidInputError as e:
+        raise ConfigError(str(e)) from None
     raw: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -480,12 +482,18 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     res = run_gradcheck(instances=cfg["instances"], seed=cfg["seed"],
                         step=cfg["step"], tolerance=cfg["tolerance"])
     for fam in FAMILIES:
-        print(f"{fam}: max rel error {res.family_errors[fam]:.3e}")
+        print(f"{fam}: max rel error {res.family_errors[fam]:.3e}, "
+              f"normwise margin {res.family_margins[fam]:.3e}")
+    print(f"smallest gradient scale {res.min_grad_scale:.3e}; "
+          f"{res.zero_grad_redraws} zero-gradient instance(s) redrawn")
     print(f"overall: {res.max_rel_error:.3e} over {res.instances} instance(s), "
           f"tolerance {res.tolerance:g}: {'PASS' if res.passed else 'FAIL'}")
     if cfg["out"] is not None:
         lines = [f"{fam}={res.family_errors[fam]:.9g}" for fam in FAMILIES]
+        lines += [f"{fam}_margin={res.family_margins[fam]:.9g}" for fam in FAMILIES]
         lines += [f"max={res.max_rel_error:.9g}", f"instances={res.instances}",
+                  f"min_grad_scale={res.min_grad_scale:.9g}",
+                  f"zero_grad_redraws={res.zero_grad_redraws}",
                   f"tolerance={res.tolerance:.9g}", f"passed={int(res.passed)}"]
         Path(cfg["out"]).write_text("\n".join(lines) + "\n")
     return 0 if res.passed else 2

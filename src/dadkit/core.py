@@ -17,6 +17,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -238,6 +239,14 @@ def _read_exact(f, n: int, path) -> bytes:
     if n > os.fstat(f.fileno()).st_size - f.tell():
         raise InvalidInputError(f"{path}: truncated file, expected {n} more bytes")
     return f.read(n)
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; InvalidInputError naming it if it does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidInputError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def read_dadf(path) -> np.ndarray:

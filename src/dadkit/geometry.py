@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Mask
+from .core import Mask, _read_text
 from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
 from .sampler import KeypointSet
 
@@ -175,7 +175,7 @@ def write_homography(path, t: HomographyTransfer) -> None:
 
 def read_homography(path) -> HomographyTransfer:
     try:
-        vals = [float(v) for v in Path(path).read_text().split()]
+        vals = [float(v) for v in _read_text(path).split()]
     except ValueError:
         raise InvalidInputError(f"{path}: non-numeric homography entry") from None
     if len(vals) != 9:

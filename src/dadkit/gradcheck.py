@@ -6,13 +6,20 @@ compares backward() against central finite differences for four losses:
 the reinforcement term, the coverage regularizer, the distillation KL, and
 the full training objective.  Instances whose rectifier pre-activations
 come within ten FD steps of zero are re-drawn, since a kink between the
-two FD evaluations would invalidate the comparison; everything else about
-the instance is kept random.
+two FD evaluations would invalidate the comparison, and so are instances in
+which some family's analytic gradient is identically zero, since they test
+nothing; everything else about the instance is kept random.
+
+The pass rule uses an elementwise relative error whose small absolute floor
+hides round-off.  Alongside it the audit reports each family's normwise
+margin, max|a - f| / max(|a|, |f|) with both maxima taken over every kernel
+and bias entry of the instance, which shows how far inside the tolerance
+the gradients really are, and the smallest such gradient scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +50,9 @@ class GradCheckResult:
     family_errors: dict[str, float]
     instances: int
     tolerance: float
+    family_margins: dict[str, float] = field(default_factory=dict)
+    min_grad_scale: float = np.inf
+    zero_grad_redraws: int = 0
 
     @property
     def passed(self) -> bool:
@@ -91,6 +101,20 @@ def max_rel_error(analytic, fd, abs_floor: float = 1e-8) -> float:
             if rel.size:
                 worst = max(worst, float(rel.max()))
     return worst
+
+
+def normwise_margin(analytic, fd) -> tuple[float, float]:
+    """(max|a-f| / max(|a|,|f|) over the whole gradient, that scale)."""
+    diff = scale = 0.0
+    for a, f in zip(analytic, fd):
+        for aa, ff in ((a.kernel, f.kernel), (a.bias, f.bias)):
+            diff = max(diff, float(np.abs(aa - ff).max()))
+            scale = max(scale, float(np.abs(aa).max()), float(np.abs(ff).max()))
+    return (diff / scale if scale > 0 else 0.0), scale
+
+
+def _all_zero(grads) -> bool:
+    return not any(g.kernel.any() or g.bias.any() for g in grads)
 
 
 def _min_abs_preact(caches) -> float:
@@ -201,6 +225,9 @@ def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
     if instances < 1 or step <= 0 or tolerance <= 0:
         raise InvalidParameterError("bad gradcheck parameters")
     family_errors = {f: 0.0 for f in FAMILIES}
+    family_margins = {f: 0.0 for f in FAMILIES}
+    min_scale = np.inf
+    redraws = 0
     done = 0
     attempt = 0
     while done < instances:
@@ -210,14 +237,24 @@ def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
         inst = _build_instance(np.random.default_rng([seed, attempt]), step)
         if inst is None:
             continue
-        for family, (analytic, loss_fn) in _analytic_and_loss_fns(inst).items():
+        checks = _analytic_and_loss_fns(inst)
+        if any(_all_zero(analytic) for analytic, _ in checks.values()):
+            redraws += 1
+            continue
+        for family, (analytic, loss_fn) in checks.items():
             fd = fd_param_grads(loss_fn, inst.params, step)
             err = max_rel_error(analytic, fd, abs_floor)
             family_errors[family] = max(family_errors[family], err)
+            margin, scale = normwise_margin(analytic, fd)
+            family_margins[family] = max(family_margins[family], margin)
+            min_scale = min(min_scale, scale)
         done += 1
     return GradCheckResult(
         max_rel_error=max(family_errors.values()),
         family_errors=family_errors,
         instances=instances,
         tolerance=tolerance,
+        family_margins=family_margins,
+        min_grad_scale=min_scale,
+        zero_grad_redraws=redraws,
     )

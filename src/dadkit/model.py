@@ -4,8 +4,13 @@ The network is a stack of same-padded convolution -> bias -> rectifier
 blocks followed by a linear 1x1 convolution that emits one logit per pixel.
 Convolutions reflect at borders (half-sample), matching the smoothing in
 :mod:`dadkit.core`, so a constant image produces an exactly constant
-scoremap.  Forward and backward are im2col matrix products; the gradients
-are exact and the test-suite checks them against central finite differences.
+scoremap.  Forward and backward are im2col matrix products over
+channel-major columns of shape (C*k*k, H*W): the forward multiplies the
+kernel matrix by the columns, the kernel gradient reuses the cached columns,
+and the input gradient is one product of the flipped kernel with the
+columns of the zero-padded output gradient.  The first layer's input gradient is never
+formed, since no parameter depends on it.  The gradients are exact and the
+test-suite checks them against central finite differences.
 The optimizer is adaptive moments with decoupled multiplicative weight decay.
 """
 
@@ -99,7 +104,11 @@ class OptState:
 
 @dataclass(frozen=True)
 class ActivationCache:
-    """Everything backward needs: params, per-layer im2col matrices, preacts."""
+    """Everything backward needs: params, per-layer columns, preacts.
+
+    cols[i] is layer i's channel-major im2col matrix, (C_in*k*k, H*W), and
+    preacts[i] the pre-activation (C_out, H, W) of each rectified layer.
+    """
 
     params: DetectorParams
     image_shape: tuple[int, int]
@@ -127,10 +136,11 @@ def init_params(cfg: ArchConfig) -> DetectorParams:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Channel-major columns (C*kh*kw, H*W) of a padded (C, H+kh-1, W+kw-1) stack."""
     c, hp, wp = xp.shape
     v = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C, H, W, kh, kw)
     h, w = hp - kh + 1, wp - kw + 1
-    return v.transpose(1, 2, 0, 3, 4).reshape(h * w, c * kh * kw)
+    return v.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
 
 
 def _conv_same(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
@@ -138,9 +148,8 @@ def _conv_same(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]
     r = kh // 2
     xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="symmetric") if r else x
     cols = _im2col(xp, kh, kw)
-    y = cols @ layer.kernel.reshape(o, c * kh * kw).T + layer.bias
-    h, w = x.shape[1], x.shape[2]
-    return y.T.reshape(o, h, w), cols
+    y = layer.kernel.reshape(o, c * kh * kw) @ cols + layer.bias[:, None]
+    return y.reshape(o, x.shape[1], x.shape[2]), cols
 
 
 def _fold_axis(g: np.ndarray, r: int, axis: int) -> np.ndarray:
@@ -160,20 +169,22 @@ def _fold_axis(g: np.ndarray, r: int, axis: int) -> np.ndarray:
     return core
 
 
-def _conv_backward(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer):
+def _conv_backward(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer, want_input: bool):
+    """(kernel/bias gradients, input gradient or None) given dLoss/dOutput gy."""
     o, c, kh, kw = layer.kernel.shape
     _, h, w = gy.shape
-    gy_flat = gy.reshape(o, h * w).T
-    g_kernel = (gy_flat.T @ cols).reshape(o, c, kh, kw)
-    g_bias = gy_flat.sum(axis=0)
+    gy_flat = gy.reshape(o, h * w)
+    grads = ConvLayer((gy_flat @ cols.T).reshape(o, c, kh, kw), gy_flat.sum(axis=1))
+    if not want_input:
+        return grads, None
     # input gradient: full correlation of gy with the spatially flipped kernel
     r = kh // 2
     gp = np.pad(gy, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
     wt = np.flip(layer.kernel, axis=(2, 3)).transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-    g_xp = (_im2col(gp, kh, kw) @ wt.T).T.reshape(c, h + 2 * r, w + 2 * r)
+    g_xp = (wt @ _im2col(gp, kh, kw)).reshape(c, h + 2 * r, w + 2 * r)
     if r:
         g_xp = _fold_axis(_fold_axis(g_xp, r, 2), r, 1)
-    return ConvLayer(g_kernel, g_bias), g_xp
+    return grads, g_xp
 
 
 def forward(params: DetectorParams, image) -> tuple[ScoreMap, ActivationCache]:
@@ -210,7 +221,7 @@ def backward(cache: ActivationCache, grad_scoremap) -> tuple[ConvLayer, ...]:
     grads: list[ConvLayer | None] = [None] * len(layers)
     gt = g[None]
     for li in reversed(range(len(layers))):
-        grads[li], g_x = _conv_backward(gt, cache.cols[li], layers[li])
+        grads[li], g_x = _conv_backward(gt, cache.cols[li], layers[li], want_input=li > 0)
         if li > 0:
             gt = g_x * (cache.preacts[li - 1] > 0)
     return tuple(grads)  # type: ignore[arg-type]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ProbMap, _logits_of, gaussian_blur, shifted, softmax_2d
+from .core import ProbMap, _logits_of, _read_text, gaussian_blur, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 
 DENSITY_FLOOR = 1e-12
@@ -208,7 +208,7 @@ def write_keypoints_csv(path, kps: KeypointSet) -> None:
 
 def _read_points_csv(path, source_shape) -> tuple[KeypointSet, list[list[str]]]:
     """Parse 'x,y,score[,...]' rows; returns the set and each row's extra cells."""
-    lines = Path(path).read_text().strip().splitlines()
+    lines = _read_text(path).strip().splitlines()
     if not lines or not lines[0].startswith("x,y,score"):
         raise InvalidInputError(f"{path}: missing keypoint CSV header")
     vals, extra = [], []
@@ -221,7 +221,10 @@ def _read_points_csv(path, source_shape) -> tuple[KeypointSet, list[list[str]]]:
         vals.append((x, y, score))
         extra.append(cells[3:])
     v = np.array(vals, dtype=np.float64).reshape(-1, 3)
-    return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), extra
+    try:
+        return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), extra
+    except InvalidInputError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
 
 
 def read_keypoints_csv(path, source_shape) -> KeypointSet:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Mask
+from .core import Mask, _read_text
 from .errors import (
     DegenerateTransferError,
     InvalidInputError,
@@ -636,7 +636,7 @@ def _write_meta(path, entries: dict) -> None:
 
 def read_meta(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or "=" not in line:
             continue

@@ -199,9 +199,19 @@ def test_eval_source_selection_errors(workspace, tmp_path):
 
 # A dataset file replaced by a corrupt one, for the cases that load a dataset.
 _CORRUPT_DATASET_FILES = {
-    "gt_non_numeric": ("gt_b.csv", "x,y,score,polarity\n1,zz,1,light\n"),
-    "h_non_numeric": ("h.txt", "1 0 0\n0 x 0\n0 0 1\n"),
-    "meta_seed_non_integer": ("meta.txt", "kind=toy\nseed=3.5\n"),
+    "gt_non_numeric": ("gt_b.csv", b"x,y,score,polarity\n1,zz,1,light\n"),
+    "h_non_numeric": ("h.txt", b"1 0 0\n0 x 0\n0 0 1\n"),
+    "meta_seed_non_integer": ("meta.txt", b"kind=toy\nseed=3.5\n"),
+    "meta_not_utf8": ("meta.txt", b"kind=toy\nseed=\xff\n"),
+}
+
+
+# A detection CSV replaced by a corrupt one, for `eval --detections`.
+_CORRUPT_DETECTIONS = {
+    "csv_non_numeric": b"x,y,score\n1.0,two,0.5\n",
+    "csv_outside_image": b"x,y,score\n99.0,2.0,0.5\n",
+    "csv_scores_out_of_order": b"x,y,score\n1.0,2.0,0.5\n3.0,4.0,0.9\n",
+    "csv_not_utf8": b"x,y,score\n1.0,2.0,0.5\xff\n",
 }
 
 
@@ -218,11 +228,11 @@ def _bad_input_case(case, ws, tmp):
     detect = ["detect", "--weights", str(ws["weights"]), "--out", str(tmp / "out")]
     bad = tmp / "bad"
     if case in _CORRUPT_DATASET_FILES:
-        name, text = _CORRUPT_DATASET_FILES[case]
+        name, blob = _CORRUPT_DATASET_FILES[case]
         shutil.copytree(ws["data"], tmp / "data")
         _write_detections(tmp / "dets")
         bad = tmp / "data" / "pair_000001" / name
-        bad.write_text(text)
+        bad.write_bytes(blob)
         return ["eval", "--data", str(tmp / "data"), "--detections", str(tmp / "dets"),
                 "--out", str(tmp / "out")], bad
     if case == "dadw_truncated":
@@ -235,12 +245,15 @@ def _bad_input_case(case, ws, tmp):
     if case == "pgm_header_truncated":
         bad.write_bytes(b"P5\n32 ")
         return detect + ["--image", str(bad)], bad
-    if case == "csv_non_numeric":
+    if case in _CORRUPT_DETECTIONS:
         _write_detections(bad)
         bad = bad / "pair_000001" / "b.csv"
-        bad.write_text("x,y,score\n1.0,two,0.5\n")
+        bad.write_bytes(_CORRUPT_DETECTIONS[case])
         return ["eval", "--data", str(ws["data"]), "--detections", str(tmp / "bad"),
                 "--out", str(tmp / "out")], bad
+    if case == "config_not_utf8":
+        bad.write_bytes(b"topk=3\n\xff\n")
+        return detect + ["--image", str(img), "--config", str(bad)], bad
     if case == "detect_threads_0":
         return detect + ["--data", str(ws["data"]), "--threads", "0"], None
     assert case == "eval_threads_0"
@@ -252,6 +265,8 @@ def _bad_input_case(case, ws, tmp):
     ("dadw_truncated", 2), ("pgm_payload_truncated", 2), ("pgm_header_truncated", 2),
     ("csv_non_numeric", 2), ("detect_threads_0", 1), ("eval_threads_0", 1),
     ("gt_non_numeric", 2), ("h_non_numeric", 2), ("meta_seed_non_integer", 2),
+    ("csv_outside_image", 2), ("csv_scores_out_of_order", 2), ("csv_not_utf8", 2),
+    ("meta_not_utf8", 2), ("config_not_utf8", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

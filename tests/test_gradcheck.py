@@ -5,7 +5,7 @@ import pytest
 
 from dadkit.errors import InvalidParameterError
 from dadkit.gradcheck import (FAMILIES, GradCheckResult, fd_param_grads,
-                              max_rel_error, run_gradcheck)
+                              max_rel_error, normwise_margin, run_gradcheck)
 from dadkit.model import ArchConfig, ConvLayer, forward, init_params
 
 
@@ -16,6 +16,15 @@ def test_run_gradcheck_small_suite_passes():
     assert set(result.family_errors) == set(FAMILIES)
     assert result.max_rel_error == max(result.family_errors.values())
     assert result.max_rel_error < 1e-3
+    # the real margin shows through the floor of the pass rule
+    assert set(result.family_margins) == set(FAMILIES)
+    assert all(0.0 < m < 1e-6 for m in result.family_margins.values())
+    assert 0.0 < result.min_grad_scale < np.inf
+
+
+def test_run_gradcheck_redraws_zero_gradient_instances():
+    # at seed 0, some of the first instances have an all-zero rl gradient
+    assert run_gradcheck(instances=10, seed=0).zero_grad_redraws > 0
 
 
 def test_run_gradcheck_deterministic():
@@ -51,6 +60,15 @@ def test_max_rel_error_abs_floor_ignores_noise():
     f = (ConvLayer(np.array([[[[1.0 + 5e-9]]]]), np.array([3e-9])),)
     assert max_rel_error(a, f, abs_floor=1e-8) == 0.0
     assert max_rel_error(a, f, abs_floor=1e-10) > 0.0
+
+
+def test_normwise_margin_is_taken_over_the_whole_gradient():
+    a = (ConvLayer(np.array([[[[2.0, -4.0]]]]), np.array([1e-17])),)
+    f = (ConvLayer(np.array([[[[2.0, -4.0 + 4e-9]]]]), np.array([0.0])),)
+    margin, scale = normwise_margin(a, f)
+    assert scale == 4.0
+    # the round-off bias, 100% off elementwise, is measured against scale 4
+    assert margin == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_gradcheck_result_pass_threshold():

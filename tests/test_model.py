@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.model import (ArchConfig, ConvLayer, DetectorParams, OptState,
-                          TrainConfig, backward, forward, init_params,
+                          TrainConfig, _conv_backward, _conv_same, backward,
+                          forward, init_params,
                           load_weights, optimizer_step, save_weights,
                           train_loop, write_loss_csv)
 from dadkit.synth import SceneConfig, generate_pairs
@@ -117,6 +118,43 @@ def test_backward_matches_parameter_finite_differences():
                 assert grads[li].bias[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
     assert checked == 3
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("shape", [(9, 13), (17, 12)])
+def test_conv_input_gradient_is_the_adjoint(k, shape):
+    # <conv(x), g> = <x, conv^T(g)> for the bias-free, reflect-padded conv
+    rng = np.random.default_rng(100 * k + shape[0])
+    layer = ConvLayer(rng.normal(size=(4, 3, k, k)), np.zeros(4))
+    x = rng.normal(size=(3, *shape))
+    g = rng.normal(size=(4, *shape))
+    y, cols = _conv_same(x, layer)
+    grads, gx = _conv_backward(g, cols, layer, want_input=True)
+    assert gx.shape == x.shape
+    lhs, rhs = float((y * g).sum()), float((x * gx).sum())
+    assert abs(lhs - rhs) <= 1e-12 * float(np.abs(y * g).sum())
+    assert _conv_backward(g, cols, layer, want_input=False)[1] is None
+    assert grads.bias == pytest.approx(g.sum(axis=(1, 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (17, 12)])
+def test_conv_kernel_gradient_matches_finite_differences(shape):
+    rng = np.random.default_rng(shape[1])
+    layer = ConvLayer(rng.normal(size=(2, 3, 5, 5)), rng.normal(size=2))
+    x = rng.normal(size=(3, *shape))
+    g = rng.normal(size=(2, *shape))
+    grads, _ = _conv_backward(g, _conv_same(x, layer)[1], layer, want_input=False)
+    step = 1e-5
+    fd = np.zeros_like(layer.kernel)
+    for idx in range(layer.kernel.size):
+        loss = []
+        for delta in (step, -step):
+            kernel = layer.kernel.copy()
+            kernel.ravel()[idx] += delta
+            loss.append(float((_conv_same(x, ConvLayer(kernel, layer.bias))[0] * g).sum()))
+        fd.ravel()[idx] = (loss[0] - loss[1]) / (2 * step)
+    np.testing.assert_allclose(grads.kernel, fd, rtol=1e-6,
+                               atol=1e-8 * float(np.abs(fd).max()))
 
 
 def test_backward_bias_gradient_is_spatial_sum_on_head():
