@@ -14,7 +14,7 @@ from .core import (GRID_MAGIC, GRID_VERSION, KL_FLOOR, LogProbMap, Mask,
                    kl_divergence, masked_log_softmax, read_dadf, shifted,
                    softmax_2d, write_dadf)
 from .distill import (MERGE_EXPONENTS, DistillConfig, KeypointFunction,
-                      MergeConfig, check_partner_merge, distill_loss_and_grad,
+                      check_partner_merge, distill_loss_and_grad,
                       distill_target, generalized_mean, local_maxima,
                       make_bump, train_distilled)
 from .errors import (ConfigError, DadkitError, DegenerateInputError,
@@ -29,7 +29,7 @@ from .geometry import (HomographyTransfer, MatchSet, apply_transfer, covisible,
                        covisibility_mask, match_mutual_nn, read_homography,
                        transfer_points, write_homography)
 from .gradcheck import GradCheckResult, fd_param_grads, max_rel_error, run_gradcheck
-from .model import (ArchConfig, ConvLayer, DetectorParams, OptState,
+from .model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
                     TrainConfig, backward, forward, init_params, load_weights,
                     optimizer_step, save_weights, train_loop, write_loss_csv)
 from .objective import (LossReport, RewardConfig, normalize_rewards,

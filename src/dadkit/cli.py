@@ -21,12 +21,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import _read_text, write_dadf
-from .distill import DistillConfig, MergeConfig, train_distilled
+from .distill import DistillConfig, train_distilled
 from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
 from .evaluate import EvalConfig, evaluate_detections, write_report
 from .gradcheck import FAMILIES, run_gradcheck
-from .model import (ArchConfig, TrainConfig, _ordered_map, forward, load_weights,
-                    save_weights, train_loop, write_loss_csv)
+from .model import (AdamW, ArchConfig, TrainConfig, _ordered_map, forward,
+                    load_weights, save_weights, train_loop, write_loss_csv)
 from .objective import RewardConfig
 from .sampler import (SamplerConfig, read_keypoints_csv, sample_keypoints,
                       write_keypoints_csv)
@@ -48,7 +48,10 @@ def _cast_int(s: str) -> int:
 
 
 def _cast_float(s: str) -> float:
-    return float(s.strip())  # accepts "inf"
+    v = float(s.strip())  # accepts "inf"
+    if math.isnan(v):
+        raise ValueError("not a number")
+    return v
 
 
 def _cast_bool(s: str) -> bool:
@@ -109,16 +112,16 @@ _SCENE_KEYS = {
 }
 
 _ARCH_KEYS = {
-    "widths": KeySpec(_cast_ints, (8, 16, 16), "conv channel widths, comma separated"),
-    "kernel_size": KeySpec(_cast_int, 5, "odd conv kernel side"),
+    "widths": KeySpec(_cast_ints, ArchConfig.channel_widths, "conv channel widths, comma separated"),
+    "kernel_size": KeySpec(_cast_int, ArchConfig.kernel_size, "odd conv kernel side"),
 }
 
 _OPT_KEYS = {
-    "lr": KeySpec(_cast_float, 1e-3, "learning rate"),
-    "beta1": KeySpec(_cast_float, 0.9, "first-moment decay"),
-    "beta2": KeySpec(_cast_float, 0.999, "second-moment decay"),
-    "eps_opt": KeySpec(_cast_float, 1e-8, "optimizer denominator floor"),
-    "weight_decay": KeySpec(_cast_float, 1e-4, "decoupled weight decay"),
+    "lr": KeySpec(_cast_float, AdamW.lr, "learning rate"),
+    "beta1": KeySpec(_cast_float, AdamW.beta1, "first-moment decay"),
+    "beta2": KeySpec(_cast_float, AdamW.beta2, "second-moment decay"),
+    "eps_opt": KeySpec(_cast_float, AdamW.eps, "optimizer denominator floor"),
+    "weight_decay": KeySpec(_cast_float, AdamW.weight_decay, "decoupled weight decay"),
 }
 
 
@@ -214,8 +217,8 @@ GRADCHECK_KEYS = {
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         text = _read_text(path)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
     except InvalidInputError as e:
         raise ConfigError(str(e)) from None
     raw: dict[str, str] = {}
@@ -278,6 +281,11 @@ def _build_scene_config(cfg: dict) -> SceneConfig:
     if hm_kw:
         kw["homography_magnitude"] = replace(m, **hm_kw)
     return replace(base, **kw)
+
+
+def _build_opt(cfg: dict) -> AdamW:
+    return AdamW(lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["eps_opt"],
+                 weight_decay=cfg["weight_decay"])
 
 
 def _build_sampler_config(cfg: dict) -> SamplerConfig:
@@ -344,7 +352,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(TRAIN_KEYS, args)
     pairs = load_dataset(cfg["data"])
-    arch = ArchConfig(tuple(cfg["widths"]), cfg["kernel_size"], seed=cfg["seed"])
+    arch = ArchConfig(cfg["widths"], cfg["kernel_size"], seed=cfg["seed"])
     sampler = SamplerConfig(k=cfg["topk"], nms_window=cfg["nms_window"],
                             use_kde=cfg["use_kde"], kde_sigma_frac=cfg["kde_sigma_frac"])
     reward = RewardConfig(tau_r=cfg["tau_r"], eps=cfg["reward_eps"],
@@ -353,9 +361,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         arch=arch, sampler=sampler, reward=reward,
         reg_sigma_frac=cfg["reg_sigma_frac"], reg_weight=cfg["reg_weight"],
         match_threshold=cfg["match_threshold"], assign_radius=cfg["assign_radius"],
-        lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"],
-        eps_opt=cfg["eps_opt"], weight_decay=cfg["weight_decay"],
-        epochs=cfg["epochs"], threads=cfg["threads"],
+        opt=_build_opt(cfg), epochs=cfg["epochs"], threads=cfg["threads"],
     )
     params, reports = train_loop(pairs, tc)
     outd = Path(cfg["out"])
@@ -375,14 +381,11 @@ def cmd_distill(args: argparse.Namespace) -> int:
     cfg = resolve_config(DISTILL_KEYS, args)
     light = load_weights(cfg["light"])
     dark = load_weights(cfg["dark"])
-    arch = ArchConfig(tuple(cfg["widths"]), cfg["kernel_size"], seed=cfg["seed"])
     dc = DistillConfig(
-        scene=_build_scene_config(cfg),
-        merge=MergeConfig(r={"1": 1, "2": 2, "inf": math.inf}[cfg["r"]]),
-        arch=arch, kind="toy" if cfg["mode"] == "toy" else "scene",
-        num_pairs=cfg["num_pairs"], seed=cfg["seed"],
-        lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"],
-        eps_opt=cfg["eps_opt"], weight_decay=cfg["weight_decay"],
+        scene=_build_scene_config(cfg), r=float(cfg["r"]),
+        arch=ArchConfig(cfg["widths"], cfg["kernel_size"], seed=cfg["seed"]),
+        kind="toy" if cfg["mode"] == "toy" else "scene",
+        num_pairs=cfg["num_pairs"], seed=cfg["seed"], opt=_build_opt(cfg),
     )
     student, losses = train_distilled(light, dark, dc)
     outd = Path(cfg["out"])

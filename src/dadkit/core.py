@@ -69,7 +69,6 @@ class ProbMap:
     """Probability distribution over the pixel grid."""
 
     probs: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         a = _as_grid(self.probs, "probs")
@@ -77,7 +76,7 @@ class ProbMap:
             raise InvalidInputError("probabilities contain NaN/Inf")
         if np.any(a < 0):
             raise InvalidInputError("probabilities must be nonnegative")
-        if self.normalized and abs(float(a.sum()) - 1.0) > 1e-9:
+        if abs(float(a.sum()) - 1.0) > 1e-9:
             raise InvalidInputError(f"probabilities sum to {a.sum()!r}, expected 1")
         object.__setattr__(self, "probs", a)
 

@@ -21,6 +21,7 @@ from scipy import ndimage
 from .core import ProbMap, _probs_of, kl_divergence, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 from .model import (
+    AdamW,
     ArchConfig,
     DetectorParams,
     OptState,
@@ -34,21 +35,14 @@ from .synth import SceneConfig, pair_generator, pair_rng
 MERGE_EXPONENTS = (1, 2, math.inf)
 
 
-@dataclass(frozen=True)
-class MergeConfig:
-    """Exponent of the generalized mean used to fuse two probability maps."""
-
-    r: float = math.inf
-
-    def __post_init__(self):
-        if self.r not in MERGE_EXPONENTS:
-            raise InvalidParameterError(f"r must be one of {MERGE_EXPONENTS}, got {self.r}")
+def _check_exponent(r) -> None:
+    if r not in MERGE_EXPONENTS:
+        raise InvalidParameterError(f"r must be one of {MERGE_EXPONENTS}, got {r}")
 
 
 def generalized_mean(a, b, r) -> np.ndarray:
     """Pointwise M_r(a, b) = ((a^r + b^r)/2)^(1/r); r = inf is the maximum."""
-    if r not in MERGE_EXPONENTS:
-        raise InvalidParameterError(f"r must be one of {MERGE_EXPONENTS}, got {r}")
+    _check_exponent(r)
     pa = _probs_of(a, "a")
     pb = _probs_of(b, "b")
     if pa.shape != pb.shape:
@@ -215,21 +209,18 @@ def check_partner_merge(f: KeypointFunction, g: KeypointFunction) -> str:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Student training setup: data source, merge exponent, optimizer."""
+    """Student training setup: data source, merge exponent r, optimizer."""
 
     scene: SceneConfig = field(default_factory=SceneConfig.scenes)
-    merge: MergeConfig = field(default_factory=MergeConfig)
+    r: float = math.inf
     arch: ArchConfig = field(default_factory=ArchConfig)
     kind: str = "scene"
     num_pairs: int = 400
     seed: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
-    weight_decay: float = 1e-4
+    opt: AdamW = field(default_factory=AdamW)
 
     def __post_init__(self):
+        _check_exponent(self.r)
         pair_generator(self.kind)  # rejects an unknown kind
         if self.num_pairs < 1:
             raise InvalidParameterError("num_pairs must be >= 1")
@@ -244,8 +235,7 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
     the config.  Returns the student and the per-image loss trace.
     """
     student = init_params(cfg.arch)
-    state = OptState.init(student, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_opt,
-                          cfg.weight_decay)
+    state = OptState.init(student, cfg.opt)
     gen = pair_generator(cfg.kind)
     losses: list[float] = []
     for i in range(cfg.num_pairs):
@@ -253,8 +243,7 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
         for image in (pair.image_a, pair.image_b):
             s_light, _ = forward(light, image)
             s_dark, _ = forward(dark, image)
-            target = distill_target(softmax_2d(s_light), softmax_2d(s_dark),
-                                    cfg.merge.r)
+            target = distill_target(softmax_2d(s_light), softmax_2d(s_dark), cfg.r)
             s, cache = forward(student, image)
             loss, grad = distill_loss_and_grad(target, s)
             student, state = optimizer_step(student, backward(cache, grad), state)

@@ -11,7 +11,8 @@ and the input gradient is one product of the flipped kernel with the
 columns of the zero-padded output gradient.  The first layer's input gradient is never
 formed, since no parameter depends on it.  The gradients are exact and the
 test-suite checks them against central finite differences.
-The optimizer is adaptive moments with decoupled multiplicative weight decay.
+The optimizer, :class:`AdamW`, is adaptive moments with decoupled multiplicative
+weight decay; training and distillation both take their settings from it.
 """
 
 from __future__ import annotations
@@ -71,17 +72,14 @@ class DetectorParams:
 
 
 @dataclass(frozen=True)
-class OptState:
-    """Adaptive-moment optimizer state and hyperparameters."""
+class AdamW:
+    """Adaptive-moment optimizer settings with decoupled weight decay."""
 
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    weight_decay: float
-    step_count: int
-    m: tuple[ConvLayer, ...]
-    v: tuple[ConvLayer, ...]
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    weight_decay: float = 1e-4
 
     def __post_init__(self):
         if not (self.lr > 0):
@@ -90,16 +88,25 @@ class OptState:
             raise InvalidParameterError("betas must be in [0, 1)")
         if not (self.eps > 0):
             raise InvalidParameterError("eps must be positive")
-        if self.weight_decay < 0:
+        if not (self.weight_decay >= 0):
             raise InvalidParameterError("weight_decay must be >= 0")
 
+
+@dataclass(frozen=True)
+class OptState:
+    """Optimizer settings, step count and per-layer moment estimates."""
+
+    opt: AdamW
+    step_count: int
+    m: tuple[ConvLayer, ...]
+    v: tuple[ConvLayer, ...]
+
     @classmethod
-    def init(cls, params: DetectorParams, lr=1e-3, beta1=0.9, beta2=0.999,
-             eps=1e-8, weight_decay=1e-4) -> "OptState":
+    def init(cls, params: DetectorParams, opt: AdamW = AdamW()) -> "OptState":
         zeros = tuple(
             ConvLayer(np.zeros_like(l.kernel), np.zeros_like(l.bias)) for l in params.layers
         )
-        return cls(lr, beta1, beta2, eps, weight_decay, 0, zeros, zeros)
+        return cls(opt, 0, zeros, zeros)
 
 
 @dataclass(frozen=True)
@@ -116,22 +123,22 @@ class ActivationCache:
     preacts: tuple[np.ndarray, ...]
 
 
+def _layer_shapes(arch: ArchConfig) -> list[tuple[tuple[int, ...], tuple[int]]]:
+    """(kernel shape, bias shape) of every layer of the stack, the 1x1 head last."""
+    widths = (1, *arch.channel_widths)
+    k = arch.kernel_size
+    shapes = [((o, i, k, k), (o,)) for i, o in zip(widths, widths[1:])]
+    return shapes + [((1, widths[-1], 1, 1), (1,))]
+
+
 def init_params(cfg: ArchConfig) -> DetectorParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) kernels, zero biases, seeded."""
     rng = np.random.default_rng(cfg.seed)
-    widths = (1, *cfg.channel_widths)
-    k = cfg.kernel_size
     layers = []
-    for i in range(len(cfg.channel_widths)):
-        fan_in = widths[i] * k * k
-        fan_out = widths[i + 1] * k * k
-        a = math.sqrt(6.0 / (fan_in + fan_out))
-        layers.append(ConvLayer(
-            rng.uniform(-a, a, (widths[i + 1], widths[i], k, k)),
-            np.zeros(widths[i + 1]),
-        ))
-    a = math.sqrt(6.0 / (widths[-1] + 1))
-    layers.append(ConvLayer(rng.uniform(-a, a, (1, widths[-1], 1, 1)), np.zeros(1)))
+    for kshape, bshape in _layer_shapes(cfg):
+        o, i, kh, kw = kshape
+        a = math.sqrt(6.0 / (i * kh * kw + o * kh * kw))
+        layers.append(ConvLayer(rng.uniform(-a, a, kshape), np.zeros(bshape)))
     return DetectorParams(tuple(layers), cfg)
 
 
@@ -231,17 +238,18 @@ def optimizer_step(params: DetectorParams, grads, state: OptState):
     """One decoupled-weight-decay adaptive-moment update; functional."""
     if len(grads) != len(params.layers):
         raise InvalidInputError("gradient/parameter layer count mismatch")
+    opt = state.opt
     t = state.step_count + 1
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    shrink = 1.0 - state.lr * state.weight_decay
+    bc1 = 1.0 - opt.beta1 ** t
+    bc2 = 1.0 - opt.beta2 ** t
+    shrink = 1.0 - opt.lr * opt.weight_decay
 
     def upd(p, g, m, v):
         if p.shape != g.shape:
             raise InvalidInputError("gradient/parameter shape mismatch")
-        m2 = state.beta1 * m + (1.0 - state.beta1) * g
-        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
-        step = state.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + state.eps)
+        m2 = opt.beta1 * m + (1.0 - opt.beta1) * g
+        v2 = opt.beta2 * v + (1.0 - opt.beta2) * g * g
+        step = opt.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + opt.eps)
         return p * shrink - step, m2, v2
 
     new_layers, new_m, new_v = [], [], []
@@ -283,14 +291,16 @@ def load_weights(path) -> DetectorParams:
             (blen,) = struct.unpack("<I", _read_exact(f, 4, path))
             bias = np.frombuffer(_read_exact(f, 4 * blen, path), dtype="<f4")
             layers.append(ConvLayer(kernel.astype(np.float64), bias.astype(np.float64)))
-    if n_layers < 2 or layers[-1].kernel.shape[0] != 1 or layers[-1].kernel.shape[2:] != (1, 1):
-        raise InvalidInputError("weights file does not end in a 1x1 single-channel head")
-    widths = tuple(l.kernel.shape[0] for l in layers[:-1])
-    arch = ArchConfig(widths, layers[0].kernel.shape[2], seed=0)
-    for i, layer in enumerate(layers):
-        expect_in = 1 if i == 0 else widths[i - 1]
-        if i < len(widths) and layer.kernel.shape[1] != expect_in:
-            raise InvalidInputError("inconsistent layer widths in weights file")
+    if n_layers < 2:
+        raise InvalidInputError(f"{path}: need at least one conv layer and a head")
+    try:
+        arch = ArchConfig(tuple(l.kernel.shape[0] for l in layers[:-1]),
+                          layers[0].kernel.shape[2], seed=0)
+    except InvalidParameterError as e:
+        raise InvalidInputError(f"{path}: {e}") from None
+    if [(l.kernel.shape, l.bias.shape) for l in layers] != _layer_shapes(arch):
+        raise InvalidInputError(f"{path}: layer shapes do not match widths "
+                                f"{arch.channel_widths}, kernel size {arch.kernel_size}, 1x1 head")
     return DetectorParams(tuple(layers), arch)
 
 
@@ -305,18 +315,14 @@ class TrainConfig:
     reg_weight: float = 1.0
     match_threshold: float = np.inf
     assign_radius: float = 4.0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
-    weight_decay: float = 1e-4
+    opt: AdamW = field(default_factory=AdamW)
     epochs: int = 1
     threads: int = 1
 
     def __post_init__(self):
         if not (self.reg_sigma_frac > 0):
             raise InvalidParameterError("reg_sigma_frac must be positive")
-        if self.reg_weight < 0:
+        if not (self.reg_weight >= 0):
             raise InvalidParameterError("reg_weight must be >= 0")
         if not (self.match_threshold > 0):
             raise InvalidParameterError("match_threshold must be positive")
@@ -329,14 +335,6 @@ class TrainConfig:
     def for_toy(cls, seed: int = 0) -> "TrainConfig":
         """Defaults tuned for the 10+10 dot toy task, budget 10."""
         return cls(arch=ArchConfig(seed=seed))
-
-    @classmethod
-    def for_scenes(cls, seed: int = 0, k: int = 32, tau_r: float = 2.0) -> "TrainConfig":
-        return cls(
-            arch=ArchConfig(seed=seed),
-            sampler=SamplerConfig(k=k),
-            reward=RewardConfig(tau_r=tau_r),
-        )
 
 
 def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
@@ -382,8 +380,7 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
     reduces them in pair order before a single step (batched updates).
     """
     params = init_params(cfg.arch)
-    state = OptState.init(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_opt,
-                          cfg.weight_decay)
+    state = OptState.init(params, cfg.opt)
     pairs = list(data)
     reports: list[LossReport] = []
     step = 0

@@ -17,7 +17,6 @@ from dadkit.cli import main
 from dadkit.core import gaussian_blur, softmax_2d
 from dadkit.distill import (
     DistillConfig,
-    MergeConfig,
     check_partner_merge,
     local_maxima,
     make_bump,
@@ -399,7 +398,7 @@ def test_acceptance_light_dark_distillation():
     teachers_ok = (rl["light"] >= 0.8 and rl["dark"] <= 0.2
                    and rd["dark"] >= 0.8 and rd["light"] <= 0.2)
 
-    dcfg = DistillConfig(scene=SceneConfig.scenes(), merge=MergeConfig(r=math.inf),
+    dcfg = DistillConfig(scene=SceneConfig.scenes(), r=math.inf,
                          arch=ArchConfig(seed=2), kind="scene", num_pairs=400, seed=7)
     student, _ = train_distilled(light, dark, dcfg)
     rs = _mean_polarity_recall(student, held, k=16)  # matched budget: 2 teachers x k=8

@@ -4,9 +4,11 @@ import hashlib
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dadkit.cli import main
+from dadkit.model import ArchConfig, ConvLayer, DetectorParams, save_weights
 from dadkit.synth import read_meta
 
 
@@ -251,8 +253,17 @@ def _bad_input_case(case, ws, tmp):
         bad.write_bytes(_CORRUPT_DETECTIONS[case])
         return ["eval", "--data", str(ws["data"]), "--detections", str(tmp / "bad"),
                 "--out", str(tmp / "out")], bad
+    if case == "dadw_bias_length":
+        save_weights(bad, DetectorParams((ConvLayer(np.zeros((4, 1, 3, 3)), np.zeros(3)),
+                                          ConvLayer(np.zeros((1, 4, 1, 1)), np.zeros(1))),
+                                         ArchConfig()))
+        return ["detect", "--weights", str(bad), "--image", str(img),
+                "--out", str(tmp / "k.csv")], bad
     if case == "config_not_utf8":
         bad.write_bytes(b"topk=3\n\xff\n")
+        return detect + ["--image", str(img), "--config", str(bad)], bad
+    if case == "config_is_directory":
+        bad.mkdir()
         return detect + ["--image", str(img), "--config", str(bad)], bad
     if case == "detect_threads_0":
         return detect + ["--data", str(ws["data"]), "--threads", "0"], None
@@ -266,7 +277,8 @@ def _bad_input_case(case, ws, tmp):
     ("csv_non_numeric", 2), ("detect_threads_0", 1), ("eval_threads_0", 1),
     ("gt_non_numeric", 2), ("h_non_numeric", 2), ("meta_seed_non_integer", 2),
     ("csv_outside_image", 2), ("csv_scores_out_of_order", 2), ("csv_not_utf8", 2),
-    ("meta_not_utf8", 2), ("config_not_utf8", 1),
+    ("meta_not_utf8", 2), ("config_not_utf8", 1), ("dadw_bias_length", 2),
+    ("config_is_directory", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
@@ -274,6 +286,45 @@ def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("dadkit: ")
     assert str(bad) in err[0] if bad else "threads" in err[0]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("synth", "margin"), ("synth", "noise_sigma"), ("train", "reg_weight"),
+])
+def test_nan_value_exits_1_naming_the_key(workspace, tmp_path, capsys, command, key):
+    argv = [command, "--out", str(tmp_path / "out"), "--" + key.replace("_", "-"), "nan"]
+    if command == "synth":
+        argv += ["--mode", "scenes", "--num-pairs", "1"]
+    else:
+        argv += ["--data", str(workspace["data"]), "--widths", "4", "--kernel-size", "3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"bad value for key '{key}'" in err[0]
+
+
+def test_optimizer_and_merge_keys_reach_the_trainers(workspace, tmp_path):
+    small = ["--widths", "4", "--kernel-size", "3"]
+    light = workspace["weights"]
+    dark = tmp_path / "dark"
+    assert main(["train", "--data", str(workspace["data"]), "--out", str(dark),
+                 "--seed", "1", "--topk", "4"] + small) == 0
+    train = ["train", "--data", str(workspace["data"]), "--topk", "4"] + small
+    distill = ["distill", "--light", str(light), "--dark", str(dark / "weights.dadw"),
+               "--mode", "toy", "--size", "32", "--num-light", "2", "--num-dark", "2",
+               "--num-pairs", "2"] + small
+    opt_flags = [("--lr", "0.01"), ("--beta1", "0.5"), ("--beta2", "0.9"),
+                 ("--eps-opt", "0.01"), ("--weight-decay", "0.5")]
+    ignored = []
+    for argv, weights, flags in ((train, "weights.dadw", opt_flags),
+                                 (distill, "student.dadw", opt_flags + [("--r", "1")])):
+        def run(*flag):
+            out = tmp_path / f"{argv[0]}{''.join(flag)}"
+            assert main(argv + ["--out", str(out), *flag]) == 0
+            return (out / weights).read_bytes()
+
+        default = run()
+        ignored += [f"{argv[0]} {flag}" for flag in flags if run(*flag) == default]
+    assert not ignored
 
 
 def test_gradcheck_command(tmp_path, capsys):

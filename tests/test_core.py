@@ -286,8 +286,6 @@ def test_probmap_validation():
     bad[0, 0] = -bad[0, 0]
     with pytest.raises(InvalidInputError):
         ProbMap(np.abs(bad) * 0 + bad)
-    unnormalized = ProbMap(np.full((8, 8), 0.1), normalized=False)
-    assert unnormalized.shape == (8, 8)
 
 
 def test_mask_count_and_full():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dadkit.core import ProbMap, kl_divergence, softmax_2d
-from dadkit.distill import (DistillConfig, KeypointFunction, MergeConfig,
+from dadkit.distill import (DistillConfig, KeypointFunction,
                             check_partner_merge, distill_loss_and_grad,
                             distill_target, generalized_mean, local_maxima,
                             make_bump, train_distilled)
@@ -60,7 +60,7 @@ def test_generalized_mean_validation():
     with pytest.raises(InvalidInputError):
         generalized_mean(a, np.full((4, 4), -0.1), 1)
     with pytest.raises(InvalidParameterError):
-        MergeConfig(r=0.5)
+        DistillConfig(r=0.5)
 
 
 def test_distill_target_renormalizes():

@@ -1,5 +1,6 @@
 """Conv stack forward/backward against loop-level oracles and parameter FD."""
 
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadkit.errors import InvalidInputError, InvalidParameterError
-from dadkit.model import (ArchConfig, ConvLayer, DetectorParams, OptState,
+from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
                           TrainConfig, _conv_backward, _conv_same, backward,
                           forward, init_params,
                           load_weights, optimizer_step, save_weights,
@@ -207,8 +208,8 @@ def test_arch_config_validation_and_receptive_field():
 
 def test_optimizer_step_matches_manual_formula():
     params = init_params(ArchConfig((2,), 3, seed=0))
-    state = OptState.init(params, lr=0.01, beta1=0.9, beta2=0.99,
-                          eps=1e-8, weight_decay=0.1)
+    state = OptState.init(params, AdamW(lr=0.01, beta1=0.9, beta2=0.99,
+                                        eps=1e-8, weight_decay=0.1))
     rng = np.random.default_rng(0)
     grads = tuple(ConvLayer(rng.normal(size=l.kernel.shape),
                             rng.normal(size=l.bias.shape)) for l in params.layers)
@@ -227,7 +228,7 @@ def test_optimizer_step_matches_manual_formula():
 
 def test_optimizer_zero_gradient_only_decays():
     params = init_params(ArchConfig((2,), 3, seed=1))
-    state = OptState.init(params, lr=0.1, weight_decay=0.5)
+    state = OptState.init(params, AdamW(lr=0.1, weight_decay=0.5))
     zeros = tuple(ConvLayer(np.zeros_like(l.kernel), np.zeros_like(l.bias))
                   for l in params.layers)
     new, _ = optimizer_step(params, zeros, state)
@@ -238,9 +239,9 @@ def test_optimizer_zero_gradient_only_decays():
 def test_optimizer_state_validation():
     params = init_params(ArchConfig((2,), 3, seed=0))
     with pytest.raises(InvalidParameterError):
-        OptState.init(params, lr=0.0)
+        AdamW(lr=0.0)
     with pytest.raises(InvalidParameterError):
-        OptState.init(params, beta1=1.0)
+        AdamW(beta1=1.0)
     state = OptState.init(params)
     with pytest.raises(InvalidInputError):
         optimizer_step(params, (), state)
@@ -260,6 +261,12 @@ def test_weights_round_trip_is_a_fixpoint(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def write_stack(path, layers) -> None:
+    """A weights file whose layers have the given kernel shapes and bias lengths."""
+    save_weights(path, DetectorParams(
+        tuple(ConvLayer(np.zeros(k), np.zeros(b)) for k, b in layers), ArchConfig()))
+
+
 def test_load_weights_validates_structure(tmp_path):
     p = tmp_path / "w.dadw"
     p.write_bytes(b"XXXX")
@@ -275,6 +282,17 @@ def test_load_weights_validates_structure(tmp_path):
     p.write_bytes(b"DADW" + struct.pack("<II", 1, 2) + struct.pack("<IIII", *[2**32 - 1] * 4))
     with pytest.raises(InvalidInputError):
         load_weights(p)
+    # stacks that parse but that forward could not run, or would misdescribe
+    head4 = ((1, 4, 1, 1), 1)
+    for layers in ([((4, 1, 5, 3), 4), head4],                  # non-square kernel
+                   [((4, 1, 3, 3), 3), head4],                  # bias shorter than outputs
+                   [((4, 1, 3, 3), 4), ((1, 7, 1, 1), 1)],      # head inputs != last width
+                   [((4, 1, 4, 4), 4), head4],                  # even kernel
+                   [((0, 1, 3, 3), 0), ((1, 0, 1, 1), 1)],      # zero-width layer
+                   [((4, 1, 5, 5), 4), ((4, 4, 7, 7), 4), head4]):  # mixed kernel sizes
+        write_stack(p, layers)
+        with pytest.raises(InvalidInputError, match=re.escape(str(p))):
+            load_weights(p)
 
 
 @settings(deadline=None, max_examples=50)
