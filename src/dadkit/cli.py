@@ -11,9 +11,10 @@ its artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -21,17 +22,17 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import _read_text, write_dadf
-from .distill import DistillConfig, train_distilled
+from .distill import MERGE_EXPONENTS, DistillConfig, train_distilled
 from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
 from .evaluate import EvalConfig, evaluate_detections, write_report
 from .gradcheck import FAMILIES, run_gradcheck
-from .model import (AdamW, ArchConfig, TrainConfig, _ordered_map, forward,
-                    load_weights, save_weights, train_loop, write_loss_csv)
+from .model import (AdamW, ArchConfig, TrainConfig, forward, load_weights, save_weights,
+                    train_loop, write_loss_csv)
 from .objective import RewardConfig
 from .sampler import (SamplerConfig, read_keypoints_csv, sample_keypoints,
                       write_keypoints_csv)
-from .synth import (SceneConfig, config_meta, generate_dataset, load_dataset,
-                    pair_dirs, read_pgm, write_pgm)
+from .synth import (HM_KEYS, SceneConfig, config_meta, generate_dataset, load_dataset,
+                    magnitude_from_items, magnitude_items, pair_dirs, read_pgm, write_pgm)
 
 
 REQUIRED = object()
@@ -91,6 +92,40 @@ def _choice(*options: str) -> Callable[[str], str]:
     return cast
 
 
+def _cast_count(s: str) -> int:
+    v = _cast_int(s)
+    if v < 1:
+        raise ValueError(f"must be >= 1, got {v}")
+    return v
+
+
+# A library-backed key is named after its field, defaults to the field's
+# default, and sets the field in `_build`.  These keys are named otherwise:
+_RENAMED = {
+    ArchConfig: {"channel_widths": "widths"},
+    AdamW: {"eps": "eps_opt"},
+    RewardConfig: {"eps": "reward_eps"},
+    SamplerConfig: {"k": "topk"},
+    TrainConfig: {"batch": "threads"},
+}
+
+
+def _build(base, cfg: dict, **fixed):
+    """`base` with each field whose key has a value (not None) in cfg set to it.
+
+    A field holding a config is built the same way from its own value;
+    `fixed` fields are taken as given.
+    """
+    kw = {}
+    for f in fields(base):
+        value, key = getattr(base, f.name), _RENAMED.get(type(base), {}).get(f.name, f.name)
+        if is_dataclass(value) and f.name not in fixed:
+            kw[f.name] = _build(value, cfg)
+        elif cfg.get(key) is not None:
+            kw[f.name] = cfg[key]
+    return replace(base, **{**kw, **fixed})
+
+
 # Scene keys default to None = "inherit from the selected mode's base config".
 _SCENE_KEYS = {
     "mode": KeySpec(_choice("toy", "scenes"), "toy", "generator family: toy dots or textured scenes"),
@@ -104,11 +139,10 @@ _SCENE_KEYS = {
     "min_separation": KeySpec(_cast_float, None, "minimum center distance in pixels"),
     "margin": KeySpec(_cast_float, None, "keep-out border for centers"),
     "noise_sigma": KeySpec(_cast_float, None, "texture amplitude"),
-    "hm_perspective_jitter": KeySpec(_cast_float, None, "homography perspective term scale"),
-    "hm_max_translation": KeySpec(_cast_float, None, "homography translation, fraction of size"),
-    "hm_scale_lo": KeySpec(_cast_float, None, "homography scale range low end"),
-    "hm_scale_hi": KeySpec(_cast_float, None, "homography scale range high end"),
-    "hm_max_rotation_deg": KeySpec(_cast_float, None, "homography in-plane rotation bound"),
+    **{key: KeySpec(_cast_float, None, help) for key, help in zip(HM_KEYS, (
+        "homography perspective term scale", "homography translation, fraction of size",
+        "homography scale range low end", "homography scale range high end",
+        "homography in-plane rotation bound"))},
 }
 
 _ARCH_KEYS = {
@@ -125,40 +159,50 @@ _OPT_KEYS = {
 }
 
 
-def _sampler_keys(topk_default: int) -> dict[str, KeySpec]:
+def _sampler_keys(base: SamplerConfig) -> dict[str, KeySpec]:
     return {
-        "topk": KeySpec(_cast_int, topk_default, "keypoint budget per image"),
-        "nms_window": KeySpec(_cast_int, 3, "odd suppression window side"),
-        "use_kde": KeySpec(_cast_bool, True, "density balancing during training-mode sampling"),
-        "kde_sigma_frac": KeySpec(_cast_float, 0.02, "density bandwidth, fraction of min side"),
-        "subpixel": KeySpec(_cast_bool, False, "refine inference keypoints to subpixel"),
-        "subpixel_temp": KeySpec(_cast_float, 0.5, "refinement softmax temperature"),
-        "subpixel_window": KeySpec(_cast_int, 3, "odd refinement window side"),
+        "topk": KeySpec(_cast_int, base.k, "keypoint budget per image"),
+        "nms_window": KeySpec(_cast_int, base.nms_window, "odd suppression window side"),
+        "use_kde": KeySpec(_cast_bool, base.use_kde, "density balancing during training-mode sampling"),
+        "kde_sigma_frac": KeySpec(_cast_float, base.kde_sigma_frac,
+                                  "density bandwidth, fraction of min side"),
+        "subpixel": KeySpec(_cast_bool, base.subpixel, "refine inference keypoints to subpixel"),
+        "subpixel_temp": KeySpec(_cast_float, base.subpixel_temp, "refinement softmax temperature"),
+        "subpixel_window": KeySpec(_cast_int, base.subpixel_window, "odd refinement window side"),
     }
 
+
+# Only train uses `threads`, as its batch size.  The other commands accept it,
+# so that existing command lines keep working, and run sequentially.
+_THREADS = KeySpec(_cast_count, 1, "accepted for compatibility (>= 1); runs sequentially")
 
 SYNTH_KEYS = {
     "out": KeySpec(_cast_str, REQUIRED, "dataset directory to create"),
     "num_pairs": KeySpec(_cast_int, 100, "pairs to generate (0 = just the meta)"),
     "seed": KeySpec(_cast_int, 0, "stream seed; pair i draws from (seed, i)"),
-    "threads": KeySpec(_cast_int, 1, "accepted for uniformity; generation is sequential"),
+    "threads": _THREADS,
     **_SCENE_KEYS,
 }
 
 TRAIN_KEYS = {
     "data": KeySpec(_cast_str, REQUIRED, "dataset directory from synth"),
     "out": KeySpec(_cast_str, REQUIRED, "output directory for weights/loss/meta"),
-    "seed": KeySpec(_cast_int, 0, "weight initialization seed"),
-    "threads": KeySpec(_cast_int, 1, "per-pair gradient workers; >1 batches updates"),
-    "epochs": KeySpec(_cast_int, 1, "sweeps over the dataset"),
-    **{k: v for k, v in _sampler_keys(10).items() if not k.startswith("subpixel")},
-    "tau_r": KeySpec(_cast_float, 1.0, "reward radius in pixels"),
-    "reward_eps": KeySpec(_cast_float, 0.01, "reward normalization epsilon"),
-    "linear_decay": KeySpec(_cast_bool, False, "ramp reward down linearly inside the radius"),
-    "reg_sigma_frac": KeySpec(_cast_float, 0.02, "coverage blur width, fraction of min side"),
-    "reg_weight": KeySpec(_cast_float, 1.0, "coverage regularizer weight (0 disables)"),
-    "match_threshold": KeySpec(_cast_float, math.inf, "mutual-match distance cutoff in pixels"),
-    "assign_radius": KeySpec(_cast_float, 4.0, "toy identity assignment radius in pixels"),
+    "seed": KeySpec(_cast_int, ArchConfig.seed, "weight initialization seed"),
+    "threads": KeySpec(_cast_count, TrainConfig.batch, "batch size: pairs per optimizer step"),
+    "epochs": KeySpec(_cast_int, TrainConfig.epochs, "sweeps over the dataset"),
+    **{k: v for k, v in _sampler_keys(TrainConfig().sampler).items() if not k.startswith("subpixel")},
+    "tau_r": KeySpec(_cast_float, RewardConfig.tau_r, "reward radius in pixels"),
+    "reward_eps": KeySpec(_cast_float, RewardConfig.eps, "reward normalization epsilon"),
+    "linear_decay": KeySpec(_cast_bool, RewardConfig.linear_decay,
+                            "ramp reward down linearly inside the radius"),
+    "reg_sigma_frac": KeySpec(_cast_float, TrainConfig.reg_sigma_frac,
+                              "coverage blur width, fraction of min side"),
+    "reg_weight": KeySpec(_cast_float, TrainConfig.reg_weight,
+                          "coverage regularizer weight (0 disables)"),
+    "match_threshold": KeySpec(_cast_float, TrainConfig.match_threshold,
+                               "mutual-match distance cutoff in pixels"),
+    "assign_radius": KeySpec(_cast_float, TrainConfig.assign_radius,
+                             "toy identity assignment radius in pixels"),
     **_OPT_KEYS,
     **_ARCH_KEYS,
 }
@@ -167,10 +211,12 @@ DISTILL_KEYS = {
     "light": KeySpec(_cast_str, REQUIRED, "light-biased teacher weights file"),
     "dark": KeySpec(_cast_str, REQUIRED, "dark-biased teacher weights file"),
     "out": KeySpec(_cast_str, REQUIRED, "output directory for student/loss/meta"),
-    "seed": KeySpec(_cast_int, 0, "student init and data stream seed"),
-    "threads": KeySpec(_cast_int, 1, "accepted for uniformity; distillation is sequential"),
-    "r": KeySpec(_choice("1", "2", "inf"), "inf", "merge exponent for the teacher blend"),
-    "num_pairs": KeySpec(_cast_int, 400, "generated pairs (two steps each)"),
+    "seed": KeySpec(_cast_int, DistillConfig.seed, "student init and data stream seed"),
+    "threads": _THREADS,
+    # kept as text, so that meta.txt echoes it as given
+    "r": KeySpec(_choice(*(f"{r:g}" for r in MERGE_EXPONENTS)), f"{DistillConfig.r:g}",
+                 "merge exponent for the teacher blend"),
+    "num_pairs": KeySpec(_cast_int, DistillConfig.num_pairs, "generated pairs (two steps each)"),
     **_OPT_KEYS,
     **_ARCH_KEYS,
     **{**_SCENE_KEYS, "mode": KeySpec(_choice("toy", "scenes"), "scenes", "generator family for student data")},
@@ -182,8 +228,8 @@ DETECT_KEYS = {
     "data": KeySpec(_cast_str, None, "dataset directory (writes per-pair a.csv/b.csv under --out)"),
     "out": KeySpec(_cast_str, REQUIRED, "CSV path (with --image) or output directory (with --data)"),
     "mode": KeySpec(_choice("train", "inference"), "inference", "sampling mode"),
-    "threads": KeySpec(_cast_int, 1, "per-pair workers in --data mode"),
-    **_sampler_keys(512),
+    "threads": _THREADS,
+    **_sampler_keys(SamplerConfig()),
     "dump_scoremap": KeySpec(_cast_str, None, "also write the raw scoremap grid here (--image only)"),
     "overlay": KeySpec(_cast_str, None, "also write a keypoint-overlay PGM here (--image only)"),
 }
@@ -193,23 +239,28 @@ EVAL_KEYS = {
     "out": KeySpec(_cast_str, REQUIRED, "output directory for report.txt/per_pair.csv/meta"),
     "detections": KeySpec(_cast_str, None, "directory of per-pair a.csv/b.csv keypoints"),
     "weights": KeySpec(_cast_str, None, "detector weights to run instead of stored detections"),
-    "seed": KeySpec(_cast_int, 0, "robust-fit sampling seed"),
-    "threads": KeySpec(_cast_int, 1, "per-pair detection workers (with --weights)"),
+    "seed": KeySpec(_cast_int, EvalConfig.seed, "robust-fit sampling seed"),
+    "threads": _THREADS,
     "mode": KeySpec(_choice("train", "inference"), "inference", "sampling mode (with --weights)"),
-    **_sampler_keys(512),
-    "match_threshold": KeySpec(_cast_float, 2.0, "repeatability match radius in pixels"),
-    "ransac_threshold": KeySpec(_cast_float, 2.0, "robust-fit inlier radius in pixels"),
-    "ransac_iterations": KeySpec(_cast_int, 200, "robust-fit minimal samples"),
-    "auc_threshold": KeySpec(_cast_float, 3.0, "corner-error curve cutoff in pixels"),
-    "recall_radius": KeySpec(_cast_float, 2.0, "ground-truth recall radius in pixels"),
-    "hit_radius": KeySpec(_cast_float, 4.0, "toy identity hit radius in pixels"),
+    **_sampler_keys(SamplerConfig()),
+    "match_threshold": KeySpec(_cast_float, EvalConfig.match_threshold,
+                               "repeatability match radius in pixels"),
+    "ransac_threshold": KeySpec(_cast_float, EvalConfig.ransac_threshold,
+                                "robust-fit inlier radius in pixels"),
+    "ransac_iterations": KeySpec(_cast_int, EvalConfig.ransac_iterations, "robust-fit minimal samples"),
+    "auc_threshold": KeySpec(_cast_float, EvalConfig.auc_threshold,
+                             "corner-error curve cutoff in pixels"),
+    "recall_radius": KeySpec(_cast_float, EvalConfig.recall_radius,
+                             "ground-truth recall radius in pixels"),
+    "hit_radius": KeySpec(_cast_float, EvalConfig.hit_radius, "toy identity hit radius in pixels"),
 }
 
+_GRADCHECK = {name: p.default for name, p in inspect.signature(run_gradcheck).parameters.items()}
 GRADCHECK_KEYS = {
-    "instances": KeySpec(_cast_int, 50, "randomized instances to check"),
-    "seed": KeySpec(_cast_int, 0, "suite seed"),
-    "step": KeySpec(_cast_float, 1e-4, "central-difference step"),
-    "tolerance": KeySpec(_cast_float, 1e-3, "max relative error allowed"),
+    "instances": KeySpec(_cast_int, _GRADCHECK["instances"], "randomized instances to check"),
+    "seed": KeySpec(_cast_int, _GRADCHECK["seed"], "suite seed"),
+    "step": KeySpec(_cast_float, _GRADCHECK["step"], "central-difference step"),
+    "tolerance": KeySpec(_cast_float, _GRADCHECK["tolerance"], "max relative error allowed"),
     "out": KeySpec(_cast_str, None, "optional report file"),
 }
 
@@ -261,39 +312,9 @@ def resolve_config(table: dict[str, KeySpec], args: argparse.Namespace) -> dict:
 
 def _build_scene_config(cfg: dict) -> SceneConfig:
     base = SceneConfig.toy() if cfg["mode"] == "toy" else SceneConfig.scenes()
-    kw = {}
-    for key in ("size", "num_light", "num_dark", "shape_palette", "background_gray",
-                "rotation_aug", "negation_aug", "min_separation", "margin", "noise_sigma"):
-        if cfg[key] is not None:
-            kw[key] = cfg[key]
-    m = base.homography_magnitude
-    hm_kw = {}
-    if cfg["hm_perspective_jitter"] is not None:
-        hm_kw["perspective_jitter"] = cfg["hm_perspective_jitter"]
-    if cfg["hm_max_translation"] is not None:
-        hm_kw["max_translation"] = cfg["hm_max_translation"]
-    if cfg["hm_scale_lo"] is not None or cfg["hm_scale_hi"] is not None:
-        lo = cfg["hm_scale_lo"] if cfg["hm_scale_lo"] is not None else m.scale_range[0]
-        hi = cfg["hm_scale_hi"] if cfg["hm_scale_hi"] is not None else m.scale_range[1]
-        hm_kw["scale_range"] = (lo, hi)
-    if cfg["hm_max_rotation_deg"] is not None:
-        hm_kw["max_rotation_deg"] = cfg["hm_max_rotation_deg"]
-    if hm_kw:
-        kw["homography_magnitude"] = replace(m, **hm_kw)
-    return replace(base, **kw)
-
-
-def _build_opt(cfg: dict) -> AdamW:
-    return AdamW(lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["eps_opt"],
-                 weight_decay=cfg["weight_decay"])
-
-
-def _build_sampler_config(cfg: dict) -> SamplerConfig:
-    return SamplerConfig(
-        k=cfg["topk"], nms_window=cfg["nms_window"], use_kde=cfg["use_kde"],
-        kde_sigma_frac=cfg["kde_sigma_frac"], subpixel=cfg["subpixel"],
-        subpixel_temp=cfg["subpixel_temp"], subpixel_window=cfg["subpixel_window"],
-    )
+    hm = {**magnitude_items(base.homography_magnitude),
+          **{k: cfg[k] for k in HM_KEYS if cfg[k] is not None}}
+    return _build(base, cfg, homography_magnitude=magnitude_from_items(hm))
 
 
 def _echo_meta(path, command: str, cfg: dict, extra: dict | None = None) -> None:
@@ -333,11 +354,6 @@ def _detect_pair(params, scfg: SamplerConfig, mode: str, images) -> tuple:
     return tuple(sample_keypoints(forward(params, img)[0], scfg, mode) for img in images)
 
 
-def _check_threads(cfg: dict) -> None:
-    if cfg["threads"] < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {cfg['threads']}")
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = resolve_config(SYNTH_KEYS, args)
     scene = _build_scene_config(cfg)
@@ -352,17 +368,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(TRAIN_KEYS, args)
     pairs = load_dataset(cfg["data"])
-    arch = ArchConfig(cfg["widths"], cfg["kernel_size"], seed=cfg["seed"])
-    sampler = SamplerConfig(k=cfg["topk"], nms_window=cfg["nms_window"],
-                            use_kde=cfg["use_kde"], kde_sigma_frac=cfg["kde_sigma_frac"])
-    reward = RewardConfig(tau_r=cfg["tau_r"], eps=cfg["reward_eps"],
-                          linear_decay=cfg["linear_decay"])
-    tc = TrainConfig(
-        arch=arch, sampler=sampler, reward=reward,
-        reg_sigma_frac=cfg["reg_sigma_frac"], reg_weight=cfg["reg_weight"],
-        match_threshold=cfg["match_threshold"], assign_radius=cfg["assign_radius"],
-        opt=_build_opt(cfg), epochs=cfg["epochs"], threads=cfg["threads"],
-    )
+    tc = _build(TrainConfig(), cfg)
     params, reports = train_loop(pairs, tc)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
@@ -381,12 +387,8 @@ def cmd_distill(args: argparse.Namespace) -> int:
     cfg = resolve_config(DISTILL_KEYS, args)
     light = load_weights(cfg["light"])
     dark = load_weights(cfg["dark"])
-    dc = DistillConfig(
-        scene=_build_scene_config(cfg), r=float(cfg["r"]),
-        arch=ArchConfig(cfg["widths"], cfg["kernel_size"], seed=cfg["seed"]),
-        kind="toy" if cfg["mode"] == "toy" else "scene",
-        num_pairs=cfg["num_pairs"], seed=cfg["seed"], opt=_build_opt(cfg),
-    )
+    dc = _build(DistillConfig(), cfg, scene=_build_scene_config(cfg), r=float(cfg["r"]),
+                kind="toy" if cfg["mode"] == "toy" else "scene")
     student, losses = train_distilled(light, dark, dc)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
@@ -401,11 +403,10 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     cfg = resolve_config(DETECT_KEYS, args)
-    _check_threads(cfg)
     if (cfg["image"] is None) == (cfg["data"] is None):
         raise ConfigError("exactly one of keys 'image' and 'data' is required")
     params = load_weights(cfg["weights"])
-    scfg = _build_sampler_config(cfg)
+    scfg = _build(SamplerConfig(), cfg)
 
     if cfg["image"] is not None:
         img = read_pgm(cfg["image"])
@@ -428,8 +429,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not dirs:
         raise ConfigError(f"key 'data': no pair_* directories under {cfg['data']}")
     detect = partial(_detect_pair, params, scfg, cfg["mode"])
-    results = _ordered_map(lambda d: detect((read_pgm(d / "a.pgm"), read_pgm(d / "b.pgm"))),
-                           dirs, cfg["threads"])
+    results = [detect((read_pgm(d / "a.pgm"), read_pgm(d / "b.pgm"))) for d in dirs]
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
     total = 0
@@ -446,7 +446,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(EVAL_KEYS, args)
-    _check_threads(cfg)
     if (cfg["detections"] is None) == (cfg["weights"] is None):
         raise ConfigError("exactly one of keys 'detections' and 'weights' is required")
     pairs = load_dataset(cfg["data"])
@@ -461,15 +460,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             detections.append((ka, kb))
     else:
         detect = partial(_detect_pair, load_weights(cfg["weights"]),
-                         _build_sampler_config(cfg), cfg["mode"])
-        detections = _ordered_map(lambda p: detect((p.image_a, p.image_b)),
-                                  pairs, cfg["threads"])
+                         _build(SamplerConfig(), cfg), cfg["mode"])
+        detections = [detect((p.image_a, p.image_b)) for p in pairs]
 
-    ecfg = EvalConfig(
-        match_threshold=cfg["match_threshold"], ransac_threshold=cfg["ransac_threshold"],
-        ransac_iterations=cfg["ransac_iterations"], auc_threshold=cfg["auc_threshold"],
-        recall_radius=cfg["recall_radius"], hit_radius=cfg["hit_radius"], seed=cfg["seed"],
-    )
+    ecfg = _build(EvalConfig(), cfg)
     summary, rows = evaluate_detections(pairs, detections, ecfg)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)

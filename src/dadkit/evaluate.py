@@ -255,8 +255,8 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.match_threshold, self.ransac_threshold, self.auc_threshold,
-               self.recall_radius, self.hit_radius) <= 0:
+        if not all(t > 0 for t in (self.match_threshold, self.ransac_threshold,
+                                   self.auc_threshold, self.recall_radius, self.hit_radius)):
             raise InvalidParameterError("thresholds must be positive")
         if self.ransac_iterations < 1:
             raise InvalidParameterError("ransac_iterations must be >= 1")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -282,7 +281,7 @@ def load_weights(path) -> DetectorParams:
             raise InvalidInputError(f"{path}: bad weights magic")
         version, n_layers = struct.unpack("<II", _read_exact(f, 8, path))
         if version != WEIGHTS_VERSION:
-            raise InvalidInputError(f"unsupported weights version {version}")
+            raise InvalidInputError(f"{path}: unsupported weights version {version}")
         layers = []
         for _ in range(n_layers):
             shape = struct.unpack("<IIII", _read_exact(f, 16, path))
@@ -317,7 +316,7 @@ class TrainConfig:
     assign_radius: float = 4.0
     opt: AdamW = field(default_factory=AdamW)
     epochs: int = 1
-    threads: int = 1
+    batch: int = 1
 
     def __post_init__(self):
         if not (self.reg_sigma_frac > 0):
@@ -328,8 +327,8 @@ class TrainConfig:
             raise InvalidParameterError("match_threshold must be positive")
         if not (self.assign_radius > 0):
             raise InvalidParameterError("assign_radius must be positive")
-        if self.epochs < 1 or self.threads < 1:
-            raise InvalidParameterError("epochs and threads must be >= 1")
+        if self.epochs < 1 or self.batch < 1:
+            raise InvalidParameterError("epochs and batch must be >= 1")
 
     @classmethod
     def for_toy(cls, seed: int = 0) -> "TrainConfig":
@@ -375,34 +374,21 @@ def _sum_grads(grad_lists):
 def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]]:
     """Train a fresh detector over the pair stream; deterministic given cfg.
 
-    threads == 1 steps the optimizer once per pair.  threads > 1 evaluates
-    that many per-pair gradients against the same parameters concurrently and
-    reduces them in pair order before a single step (batched updates).
+    Each optimizer step takes the next `cfg.batch` pairs: their gradients,
+    all against the same parameters, are summed in pair order.  batch == 1
+    steps once per pair.
     """
     params = init_params(cfg.arch)
     state = OptState.init(params, cfg.opt)
     pairs = list(data)
     reports: list[LossReport] = []
-    step = 0
     for _ in range(cfg.epochs):
-        for at in range(0, len(pairs), cfg.threads):
-            batch = pairs[at:at + cfg.threads]
-            results = _ordered_map(lambda ip: _pair_grads(params, ip[1], cfg, step + ip[0]),
-                                   enumerate(batch), cfg.threads)
-            grads = _sum_grads([g for g, _ in results])
-            params, state = optimizer_step(params, grads, state)
+        for at in range(0, len(pairs), cfg.batch):
+            results = [_pair_grads(params, pair, cfg, len(reports) + i)
+                       for i, pair in enumerate(pairs[at:at + cfg.batch])]
+            params, state = optimizer_step(params, _sum_grads([g for g, _ in results]), state)
             reports.extend(r for _, r in results)
-            step += len(batch)
     return params, reports
-
-
-def _ordered_map(fn, items, threads: int) -> list:
-    """[fn(x) for x in items], run on up to `threads` worker threads."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # order preserved
 
 
 def write_loss_csv(path, reports) -> None:

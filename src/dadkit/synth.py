@@ -57,7 +57,8 @@ class HomographyMagnitude:
 
     def __post_init__(self):
         lo, hi = self.scale_range
-        if self.perspective_jitter < 0 or self.max_translation < 0 or self.max_rotation_deg < 0:
+        if not (self.perspective_jitter >= 0 and self.max_translation >= 0
+                and self.max_rotation_deg >= 0):
             raise InvalidParameterError("magnitude bounds must be >= 0")
         if not (0 < lo <= hi):
             raise InvalidParameterError(f"bad scale_range {self.scale_range}")
@@ -98,11 +99,11 @@ class SceneConfig:
         if self.negation_aug not in ("off", "rgb"):
             raise InvalidParameterError("negation_aug must be 'off' or 'rgb'")
         # centers must stay >= 2x the NMS window (3 px) apart
-        if self.min_separation < 6:
+        if not (self.min_separation >= 6):
             raise InvalidParameterError("min_separation must be >= 6")
-        if self.margin < 0 or 2 * self.margin >= self.size - 1:
+        if not (0 <= self.margin and 2 * self.margin < self.size - 1):
             raise InvalidParameterError("margin leaves no interior")
-        if self.noise_sigma < 0:
+        if not (self.noise_sigma >= 0):
             raise InvalidParameterError("noise_sigma must be >= 0")
 
     @classmethod
@@ -645,8 +646,23 @@ def read_meta(path) -> dict:
     return out
 
 
+# meta.txt and CLI names of a HomographyMagnitude's values, in field order
+# (scale_range gives two).
+HM_KEYS = ("hm_perspective_jitter", "hm_max_translation", "hm_scale_lo", "hm_scale_hi",
+           "hm_max_rotation_deg")
+
+
+def magnitude_items(m: HomographyMagnitude) -> dict:
+    return dict(zip(HM_KEYS, (m.perspective_jitter, m.max_translation, *m.scale_range,
+                              m.max_rotation_deg)))
+
+
+def magnitude_from_items(items: dict) -> HomographyMagnitude:
+    jitter, translation, lo, hi, rotation = (items[k] for k in HM_KEYS)
+    return HomographyMagnitude(jitter, translation, (lo, hi), rotation)
+
+
 def config_meta(cfg: SceneConfig) -> dict:
-    m = cfg.homography_magnitude
     return {
         "size": cfg.size,
         "num_light": cfg.num_light,
@@ -658,11 +674,7 @@ def config_meta(cfg: SceneConfig) -> dict:
         "min_separation": cfg.min_separation,
         "margin": cfg.margin,
         "noise_sigma": cfg.noise_sigma,
-        "hm_perspective_jitter": m.perspective_jitter,
-        "hm_max_translation": m.max_translation,
-        "hm_scale_lo": m.scale_range[0],
-        "hm_scale_hi": m.scale_range[1],
-        "hm_max_rotation_deg": m.max_rotation_deg,
+        **magnitude_items(cfg.homography_magnitude),
     }
 
 

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from dadkit.cli import main
-from dadkit.model import ArchConfig, ConvLayer, DetectorParams, save_weights
+from dadkit.distill import DistillConfig
+from dadkit.evaluate import EvalConfig
+from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, TrainConfig,
+                          save_weights)
+from dadkit.sampler import SamplerConfig
 from dadkit.synth import read_meta
 
 
@@ -265,6 +269,11 @@ def _bad_input_case(case, ws, tmp):
     if case == "config_is_directory":
         bad.mkdir()
         return detect + ["--image", str(img), "--config", str(bad)], bad
+    if case == "synth_threads_0":
+        return ["synth", "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], None
+    if case == "distill_threads_0":
+        return ["distill", "--light", str(ws["weights"]), "--dark", str(ws["weights"]),
+                "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], None
     if case == "detect_threads_0":
         return detect + ["--data", str(ws["data"]), "--threads", "0"], None
     assert case == "eval_threads_0"
@@ -278,7 +287,7 @@ def _bad_input_case(case, ws, tmp):
     ("gt_non_numeric", 2), ("h_non_numeric", 2), ("meta_seed_non_integer", 2),
     ("csv_outside_image", 2), ("csv_scores_out_of_order", 2), ("csv_not_utf8", 2),
     ("meta_not_utf8", 2), ("config_not_utf8", 1), ("dadw_bias_length", 2),
-    ("config_is_directory", 1),
+    ("config_is_directory", 1), ("synth_threads_0", 1), ("distill_threads_0", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
@@ -325,6 +334,37 @@ def test_optimizer_and_merge_keys_reach_the_trainers(workspace, tmp_path):
         default = run()
         ignored += [f"{argv[0]} {flag}" for flag in flags if run(*flag) == default]
     assert not ignored
+
+
+class _Stop(Exception):
+    """Raised by a stubbed library call to end a command once it has its config."""
+
+
+@pytest.mark.parametrize("command, call, expected", [
+    ("train", "train_loop", TrainConfig()),
+    ("distill", "train_distilled", DistillConfig()),
+    ("detect", "_detect_pair", SamplerConfig()),
+    ("eval", "_detect_pair", SamplerConfig()),
+    ("eval", "evaluate_detections", EvalConfig()),
+], ids=["train", "distill", "detect", "eval-sampler", "eval"])
+def test_commands_without_flags_build_the_library_defaults(workspace, tmp_path, monkeypatch,
+                                                           command, call, expected):
+    seen = []
+
+    def stop(*args):
+        seen.append(next(a for a in args if type(a) is type(expected)))
+        raise _Stop
+
+    monkeypatch.setattr(f"dadkit.cli.{call}", stop)
+    data, weights = str(workspace["data"]), str(workspace["weights"])
+    argv = {"train": ["--data", data], "distill": ["--light", weights, "--dark", weights],
+            "detect": ["--weights", weights, "--data", data],
+            "eval": ["--data", data, "--weights", weights]}[command]
+    with pytest.raises(_Stop):
+        main([command, *argv, "--out", str(tmp_path / "out")])
+    assert seen == [expected]
+    if command in ("train", "distill"):
+        assert seen[0].opt == AdamW()
 
 
 def test_gradcheck_command(tmp_path, capsys):

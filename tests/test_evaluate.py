@@ -307,3 +307,7 @@ def test_eval_config_validation():
         EvalConfig(match_threshold=0.0)
     with pytest.raises(InvalidParameterError):
         EvalConfig(ransac_iterations=0)
+    for field in ("match_threshold", "ransac_threshold", "auc_threshold", "recall_radius",
+                  "hit_radius"):
+        with pytest.raises(InvalidParameterError):
+            EvalConfig(**{field: math.nan})

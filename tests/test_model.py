@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
-                          TrainConfig, _conv_backward, _conv_same, backward,
+                          TrainConfig, _conv_backward, _conv_same, _pair_grads,
+                          _sum_grads, backward,
                           forward, init_params,
                           load_weights, optimizer_step, save_weights,
                           train_loop, write_loss_csv)
@@ -278,6 +279,10 @@ def test_load_weights_validates_structure(tmp_path):
     save_weights(p, headless)
     with pytest.raises(InvalidInputError):
         load_weights(p)
+    # an unknown format version is reported with the file's path
+    p.write_bytes(b"DADW" + struct.pack("<II", 2, 2))
+    with pytest.raises(InvalidInputError, match=re.escape(str(p))):
+        load_weights(p)
     # a corrupt layer shape claims far more bytes than the file holds
     p.write_bytes(b"DADW" + struct.pack("<II", 1, 2) + struct.pack("<IIII", *[2**32 - 1] * 4))
     with pytest.raises(InvalidInputError):
@@ -322,16 +327,20 @@ def test_train_loop_is_deterministic_and_reports_per_pair():
     assert any(r.num_matches > 0 for r in r1)
 
 
-def test_train_loop_threaded_is_deterministic():
+def test_train_loop_batch_steps_once_on_summed_pair_gradients():
     cfg = SceneConfig.toy(size=32, num_light=2, num_dark=2)
-    pairs = generate_pairs(cfg, 4, seed=1, kind="toy")
-    tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0), threads=2)
-    p1, r1 = train_loop(pairs, tc)
-    p2, r2 = train_loop(pairs, tc)
-    assert len(r1) == len(r2) == 4
-    for a, b in zip(p1.layers, p2.layers):
+    pairs = generate_pairs(cfg, 2, seed=1, kind="toy")
+    tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0), batch=2)
+    params, reports = train_loop(pairs, tc)
+    start = init_params(tc.arch)
+    results = [_pair_grads(start, pair, tc, step) for step, pair in enumerate(pairs)]
+    grads = _sum_grads([g for g, _ in results])
+    assert any(g.kernel.any() for g in grads)
+    expected, _ = optimizer_step(start, grads, OptState.init(start, tc.opt))
+    for a, b in zip(params.layers, expected.layers):
         np.testing.assert_array_equal(a.kernel, b.kernel)
-    assert [r.csv_row() for r in r1] == [r.csv_row() for r in r2]
+        np.testing.assert_array_equal(a.bias, b.bias)
+    assert [r.csv_row() for r in reports] == [r.csv_row() for _, r in results]
 
 
 def test_write_loss_csv(tmp_path):

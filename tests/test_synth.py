@@ -1,6 +1,7 @@
 """Pair generators, toy-task semantics, strategy rewards, and dataset IO."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,12 @@ def test_scene_config_validation():
         SceneConfig(background_gray=1.0)
     with pytest.raises(InvalidParameterError):
         HomographyMagnitude(scale_range=(0.0, 1.0))
+    for field in ("noise_sigma", "margin", "min_separation"):
+        with pytest.raises(InvalidParameterError):
+            replace(SceneConfig.scenes(), **{field: float("nan")})
+    for field in ("perspective_jitter", "max_translation", "max_rotation_deg"):
+        with pytest.raises(InvalidParameterError):
+            HomographyMagnitude(**{field: float("nan")})
 
 
 # homography sampling
