@@ -9,10 +9,9 @@ maximum of their probability maps.  Everything runs on numpy/scipy with
 hand-written gradients; a finite-difference audit ships alongside.
 """
 
-from .core import (GRID_MAGIC, GRID_VERSION, KL_FLOOR, LogProbMap, Mask,
-                   ProbMap, ScoreMap, gaussian_blur, gaussian_kernel_1d,
-                   kl_divergence, masked_log_softmax, read_dadf, shifted,
-                   softmax_2d, write_dadf)
+from .core import (KL_FLOOR, LogProbMap, Mask, ProbMap, ScoreMap, gaussian_blur,
+                   gaussian_kernel_1d, kl_divergence, masked_log_softmax, shifted,
+                   softmax_2d)
 from .distill import (MERGE_EXPONENTS, DistillConfig, KeypointFunction,
                       check_partner_merge, distill_loss_and_grad,
                       distill_target, generalized_mean, local_maxima,
@@ -23,28 +22,26 @@ from .errors import (ConfigError, DadkitError, DegenerateInputError,
                      InvalidParameterError, PlacementError)
 from .evaluate import (ErrorCurve, EvalConfig, auc, corner_epe,
                        detection_recall, dlt_homography, evaluate_detections,
-                       polarity_recall, ransac_homography, repeatability,
-                       write_report)
+                       polarity_recall, ransac_homography, repeatability)
+from .formats import (GRID_MAGIC, GRID_VERSION, generate_dataset, load_dataset, load_pair,
+                      read_dadf, read_gt_csv, read_homography, read_keypoints_csv, read_pgm,
+                      save_pair, write_dadf, write_gt_csv, write_homography,
+                      write_keypoints_csv, write_loss_csv, write_pgm, write_report)
 from .geometry import (HomographyTransfer, MatchSet, apply_transfer, covisible,
-                       covisibility_mask, match_mutual_nn, read_homography,
-                       transfer_points, write_homography)
+                       covisibility_mask, match_mutual_nn, transfer_points)
 from .gradcheck import GradCheckResult, fd_param_grads, max_rel_error, run_gradcheck
 from .model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
                     TrainConfig, backward, forward, init_params, load_weights,
-                    optimizer_step, save_weights, train_loop, write_loss_csv)
+                    optimizer_step, save_weights, train_loop)
 from .objective import (LossReport, RewardConfig, normalize_rewards,
                         raw_reward, reg_loss_and_grad, reward_threshold,
                         rl_loss_and_grad, total_loss_and_grad)
-from .sampler import (KeypointSet, SamplerConfig, kde_balance, nms,
-                      read_keypoints_csv, sample_keypoints, subpixel_refine,
-                      top_k, write_keypoints_csv)
-from .synth import (HomographyMagnitude, PairSample, SceneConfig,
-                    check_pair_consistency, classify_polarity,
-                    expected_strategy_reward, gen_scene_pair, gen_toy_pair,
-                    generate_dataset, generate_pairs, load_dataset, load_pair,
-                    pair_rng, read_gt_csv, read_pgm, sample_homography,
-                    save_pair, toy_matches, toy_pair_hits, write_gt_csv,
-                    write_pgm)
+from .sampler import (KeypointSet, SamplerConfig, kde_balance, nms, sample_keypoints,
+                      subpixel_refine, top_k)
+from .synth import (HomographyMagnitude, PairSample, SceneConfig, check_pair_consistency,
+                    classify_polarity, expected_strategy_reward, gen_scene_pair,
+                    gen_toy_pair, generate_pairs, pair_rng, sample_homography,
+                    toy_matches, toy_pair_hits)
 
 __version__ = "0.1.0"
 

@@ -21,18 +21,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import _read_text, write_dadf
 from .distill import MERGE_EXPONENTS, DistillConfig, train_distilled
-from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
-from .evaluate import EvalConfig, evaluate_detections, write_report
+from .errors import ConfigError, DadkitError, InvalidParameterError
+from .evaluate import EvalConfig, evaluate_detections
+from .formats import (generate_dataset, load_dataset, pair_dirs, read_config_file,
+                      read_keypoints_csv, read_pgm, write_command_meta, write_dadf,
+                      write_distill_loss_csv, write_gradcheck_report, write_keypoints_csv,
+                      write_loss_csv, write_pgm, write_report)
 from .gradcheck import FAMILIES, run_gradcheck
-from .model import (AdamW, ArchConfig, TrainConfig, forward, load_weights, save_weights,
-                    train_loop, write_loss_csv)
+from .model import AdamW, ArchConfig, TrainConfig, forward, load_weights, save_weights, train_loop
 from .objective import RewardConfig
-from .sampler import (SamplerConfig, read_keypoints_csv, sample_keypoints,
-                      write_keypoints_csv)
-from .synth import (HM_KEYS, SceneConfig, config_meta, generate_dataset, load_dataset,
-                    magnitude_from_items, magnitude_items, pair_dirs, read_pgm, write_pgm)
+from .sampler import SamplerConfig, sample_keypoints
+from .synth import HM_KEYS, SceneConfig, config_meta, magnitude_from_items, magnitude_items
 
 
 REQUIRED = object()
@@ -265,30 +265,11 @@ GRADCHECK_KEYS = {
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    try:
-        text = _read_text(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
-    except InvalidInputError as e:
-        raise ConfigError(str(e)) from None
-    raw: dict[str, str] = {}
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        raw[k.strip()] = v.strip()
-    return raw
-
-
 def resolve_config(table: dict[str, KeySpec], args: argparse.Namespace) -> dict:
     """Merge config file and flags into a validated key -> value map."""
     raw: dict[str, str] = {}
     if getattr(args, "config", None):
-        raw.update(_read_config_file(args.config))
+        raw.update(read_config_file(args.config))
     for key in raw:
         if key not in table:
             raise ConfigError(f"unknown config key '{key}'")
@@ -317,24 +298,6 @@ def _build_scene_config(cfg: dict) -> SceneConfig:
     return _build(base, cfg, homography_magnitude=magnitude_from_items(hm))
 
 
-def _echo_meta(path, command: str, cfg: dict, extra: dict | None = None) -> None:
-    """Provenance record: every effective value, plus derived facts."""
-    entries: dict[str, object] = {"command": command}
-    for k in sorted(cfg):
-        v = cfg[k]
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            v = int(v)
-        elif isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        entries[k] = v
-    if extra:
-        entries.update(extra)
-    lines = [f"{k}={v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _overlay_image(image, kps) -> np.ndarray:
     """Plus-shaped contrast markers at the rounded keypoint positions."""
     img = np.array(image, dtype=np.float64)
@@ -359,23 +322,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
     scene = _build_scene_config(cfg)
     kind = "toy" if cfg["mode"] == "toy" else "scene"
     paths = generate_dataset(cfg["out"], scene, cfg["num_pairs"], cfg["seed"], kind)
-    _echo_meta(Path(cfg["out"]) / "meta.txt", "synth", cfg,
-               extra={"kind": kind, "count": cfg["num_pairs"], **config_meta(scene)})
+    write_command_meta(Path(cfg["out"]) / "meta.txt", "synth", cfg,
+                       extra={"kind": kind, "count": cfg["num_pairs"], **config_meta(scene)})
     print(f"generated {len(paths)} {kind} pair(s) under {cfg['out']}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(TRAIN_KEYS, args)
-    pairs = load_dataset(cfg["data"])
     tc = _build(TrainConfig(), cfg)
+    pairs = load_dataset(cfg["data"])
     params, reports = train_loop(pairs, tc)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
     save_weights(outd / "weights.dadw", params)
     write_loss_csv(outd / "loss.csv", reports)
-    _echo_meta(outd / "meta.txt", "train", cfg,
-               extra={"num_pairs": len(pairs), "steps": len(reports)})
+    write_command_meta(outd / "meta.txt", "train", cfg,
+                       extra={"num_pairs": len(pairs), "steps": len(reports)})
     tail = reports[-min(100, len(reports)):]
     mean_reward = sum(r.mean_raw_reward for r in tail) / len(tail)
     print(f"trained {len(reports)} step(s) on {len(pairs)} pair(s); "
@@ -385,17 +348,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_distill(args: argparse.Namespace) -> int:
     cfg = resolve_config(DISTILL_KEYS, args)
-    light = load_weights(cfg["light"])
-    dark = load_weights(cfg["dark"])
     dc = _build(DistillConfig(), cfg, scene=_build_scene_config(cfg), r=float(cfg["r"]),
                 kind="toy" if cfg["mode"] == "toy" else "scene")
-    student, losses = train_distilled(light, dark, dc)
+    student, losses = train_distilled(load_weights(cfg["light"]), load_weights(cfg["dark"]), dc)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
     save_weights(outd / "student.dadw", student)
-    lines = ["step,loss"] + [f"{i},{v:.9g}" for i, v in enumerate(losses)]
-    (outd / "loss.csv").write_text("\n".join(lines) + "\n")
-    _echo_meta(outd / "meta.txt", "distill", cfg, extra={"steps": len(losses)})
+    write_distill_loss_csv(outd / "loss.csv", losses)
+    write_command_meta(outd / "meta.txt", "distill", cfg, extra={"steps": len(losses)})
     print(f"distilled student over {cfg['num_pairs']} pair(s); "
           f"final loss {losses[-1]:.6g}; weights -> {outd / 'student.dadw'}")
     return 0
@@ -405,8 +365,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = resolve_config(DETECT_KEYS, args)
     if (cfg["image"] is None) == (cfg["data"] is None):
         raise ConfigError("exactly one of keys 'image' and 'data' is required")
-    params = load_weights(cfg["weights"])
     scfg = _build(SamplerConfig(), cfg)
+    params = load_weights(cfg["weights"])
 
     if cfg["image"] is not None:
         img = read_pgm(cfg["image"])
@@ -439,7 +399,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         for name, kps in zip(("a", "b"), res):
             write_keypoints_csv(pd / f"{name}.csv", kps)
             total += len(kps)
-    _echo_meta(outd / "meta.txt", "detect", cfg, extra={"num_pairs": len(dirs)})
+    write_command_meta(outd / "meta.txt", "detect", cfg, extra={"num_pairs": len(dirs)})
     print(f"{total} keypoint(s) across {len(dirs)} pair(s) -> {outd}")
     return 0
 
@@ -448,6 +408,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(EVAL_KEYS, args)
     if (cfg["detections"] is None) == (cfg["weights"] is None):
         raise ConfigError("exactly one of keys 'detections' and 'weights' is required")
+    scfg, ecfg = _build(SamplerConfig(), cfg), _build(EvalConfig(), cfg)
     pairs = load_dataset(cfg["data"])
     names = [d.name for d in pair_dirs(cfg["data"])]
 
@@ -459,16 +420,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             kb = read_keypoints_csv(det_root / name / "b.csv", pair.image_b.shape)
             detections.append((ka, kb))
     else:
-        detect = partial(_detect_pair, load_weights(cfg["weights"]),
-                         _build(SamplerConfig(), cfg), cfg["mode"])
+        detect = partial(_detect_pair, load_weights(cfg["weights"]), scfg, cfg["mode"])
         detections = [detect((p.image_a, p.image_b)) for p in pairs]
 
-    ecfg = _build(EvalConfig(), cfg)
     summary, rows = evaluate_detections(pairs, detections, ecfg)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
     write_report(outd / "report.txt", outd / "per_pair.csv", summary, rows)
-    _echo_meta(outd / "meta.txt", "eval", cfg, extra={"num_pairs": len(pairs)})
+    write_command_meta(outd / "meta.txt", "eval", cfg, extra={"num_pairs": len(pairs)})
     for k in sorted(summary):
         print(f"{k}={summary[k]:.9g}")
     return 0
@@ -486,13 +445,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     print(f"overall: {res.max_rel_error:.3e} over {res.instances} instance(s), "
           f"tolerance {res.tolerance:g}: {'PASS' if res.passed else 'FAIL'}")
     if cfg["out"] is not None:
-        lines = [f"{fam}={res.family_errors[fam]:.9g}" for fam in FAMILIES]
-        lines += [f"{fam}_margin={res.family_margins[fam]:.9g}" for fam in FAMILIES]
-        lines += [f"max={res.max_rel_error:.9g}", f"instances={res.instances}",
-                  f"min_grad_scale={res.min_grad_scale:.9g}",
-                  f"zero_grad_redraws={res.zero_grad_redraws}",
-                  f"tolerance={res.tolerance:.9g}", f"passed={int(res.passed)}"]
-        Path(cfg["out"]).write_text("\n".join(lines) + "\n")
+        write_gradcheck_report(cfg["out"], res)
     return 0 if res.passed else 2
 
 

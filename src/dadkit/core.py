@@ -14,10 +14,7 @@ rely on those three facts.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -25,9 +22,6 @@ from scipy.ndimage import correlate1d
 from .errors import DegenerateMaskError, InvalidInputError, InvalidParameterError
 
 KL_FLOOR = 1e-12
-
-GRID_MAGIC = b"DADF"
-GRID_VERSION = 1
 
 
 def _as_grid(x, name: str = "grid") -> np.ndarray:
@@ -217,45 +211,3 @@ def shifted(a: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
     if ys.start < ys.stop and xs.start < xs.stop:
         out[ys, xs] = a[max(0, dy):min(h, h + dy), max(0, dx):min(w, w + dx)]
     return out
-
-
-def write_dadf(path, grid) -> None:
-    """Write a grid as magic 'DADF', u32 version/height/width, float32 LE rows."""
-    a = _as_grid(grid)
-    h, w = a.shape
-    with open(path, "wb") as f:
-        f.write(GRID_MAGIC)
-        f.write(struct.pack("<III", GRID_VERSION, h, w))
-        f.write(a.astype("<f4").tobytes(order="C"))
-
-
-def _read_exact(f, n: int, path) -> bytes:
-    """The next n bytes of binary file f; InvalidInputError if it ends first.
-
-    The size is checked before reading, so a corrupt length field never
-    makes the read allocate more than the file holds.
-    """
-    if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise InvalidInputError(f"{path}: truncated file, expected {n} more bytes")
-    return f.read(n)
-
-
-def _read_text(path) -> str:
-    """The UTF-8 text of a file; InvalidInputError naming it if it does not decode."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise InvalidInputError(f"{path}: not UTF-8 text (byte {e.start})") from None
-
-
-def read_dadf(path) -> np.ndarray:
-    """Read a grid written by write_dadf; returns float64."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != GRID_MAGIC:
-            raise InvalidInputError(f"{path}: bad magic {magic!r}, expected {GRID_MAGIC!r}")
-        version, h, w = struct.unpack("<III", _read_exact(f, 12, path))
-        if version != GRID_VERSION:
-            raise InvalidInputError(f"{path}: unsupported grid version {version}")
-        data = _read_exact(f, 4 * h * w, path)
-        return np.frombuffer(data, dtype="<f4").reshape(h, w).astype(np.float64)

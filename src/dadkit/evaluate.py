@@ -357,18 +357,3 @@ def evaluate_detections(samples, detections, cfg: EvalConfig | None = None
         if not np.isnan(vals).all():
             summary[key] = float(np.nanmean(vals))
     return summary, rows
-
-
-def write_report(report_path, csv_path, summary: dict, rows: list[dict]) -> None:
-    """Text key=value summary plus a per-pair CSV."""
-    lines = [f"{k}={summary[k]:.9g}" for k in sorted(summary)]
-    with open(report_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(csv_path, "w") as f:
-        f.write(",".join(PER_PAIR_FIELDS) + "\n")
-        for row in rows:
-            cells = []
-            for field in PER_PAIR_FIELDS:
-                v = row[field]
-                cells.append(v if isinstance(v, str) else f"{v:.9g}")
-            f.write(",".join(cells) + "\n")

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import Mask, _read_text
+from .core import Mask
 from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
 from .sampler import KeypointSet
 
@@ -165,19 +164,3 @@ def _mutual(nn: np.ndarray, d: np.ndarray, back: np.ndarray, threshold: float) -
     """Query indices with a nearest neighbour within threshold that points back."""
     q = np.flatnonzero((nn >= 0) & (d <= threshold))
     return q[back[nn[q]] == q]
-
-
-def write_homography(path, t: HomographyTransfer) -> None:
-    """Write nine row-major floats, three per line."""
-    rows = [" ".join(f"{v:.17g}" for v in row) for row in t.h]
-    Path(path).write_text("\n".join(rows) + "\n")
-
-
-def read_homography(path) -> HomographyTransfer:
-    try:
-        vals = [float(v) for v in _read_text(path).split()]
-    except ValueError:
-        raise InvalidInputError(f"{path}: non-numeric homography entry") from None
-    if len(vals) != 9:
-        raise InvalidInputError(f"{path}: expected 9 floats, got {len(vals)}")
-    return HomographyTransfer(np.array(vals).reshape(3, 3))

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Mask, ScoreMap, _read_exact
+from .core import Mask, ScoreMap
 from .errors import InvalidInputError, InvalidParameterError
+from .formats import _read_exact, read_header
 from .geometry import match_mutual_nn
 from .objective import LossReport, RewardConfig, total_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig, sample_keypoints
@@ -266,8 +267,7 @@ def save_weights(path, params: DetectorParams) -> None:
     """Binary weights: magic 'DADW', version, layer count, then per layer
     the u32 kernel shape, float32 kernel, u32 bias length, float32 bias."""
     with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC)
-        f.write(struct.pack("<II", WEIGHTS_VERSION, len(params.layers)))
+        f.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(params.layers)))
         for layer in params.layers:
             f.write(struct.pack("<IIII", *layer.kernel.shape))
             f.write(layer.kernel.astype("<f4").tobytes(order="C"))
@@ -277,11 +277,7 @@ def save_weights(path, params: DetectorParams) -> None:
 
 def load_weights(path) -> DetectorParams:
     with open(path, "rb") as f:
-        if f.read(4) != WEIGHTS_MAGIC:
-            raise InvalidInputError(f"{path}: bad weights magic")
-        version, n_layers = struct.unpack("<II", _read_exact(f, 8, path))
-        if version != WEIGHTS_VERSION:
-            raise InvalidInputError(f"{path}: unsupported weights version {version}")
+        (n_layers,) = read_header(f, path, WEIGHTS_MAGIC, WEIGHTS_VERSION, "<II")
         layers = []
         for _ in range(n_layers):
             shape = struct.unpack("<IIII", _read_exact(f, 16, path))
@@ -389,9 +385,3 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
             params, state = optimizer_step(params, _sum_grads([g for g, _ in results]), state)
             reports.extend(r for _, r in results)
     return params, reports
-
-
-def write_loss_csv(path, reports) -> None:
-    lines = [LossReport.CSV_HEADER] + [r.csv_row() for r in reports]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -10,11 +10,10 @@ deterministic: score ties are broken by raster order everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import ProbMap, _logits_of, _read_text, gaussian_blur, shifted, softmax_2d
+from .core import ProbMap, _logits_of, gaussian_blur, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 
 DENSITY_FLOOR = 1e-12
@@ -196,37 +195,3 @@ def sample_keypoints(scoremap, cfg: SamplerConfig, mode: str = "inference") -> K
     if mode == "inference" and cfg.subpixel:
         kps = subpixel_refine(scoremap, kps, cfg.subpixel_temp, cfg.subpixel_window)
     return kps
-
-
-def write_keypoints_csv(path, kps: KeypointSet) -> None:
-    """Write 'x,y,score' rows with six fractional digits (bit-stable text)."""
-    lines = ["x,y,score"]
-    lines += [f"{x:.6f},{y:.6f},{s:.6f}"
-              for (x, y), s in zip(kps.xy.tolist(), kps.scores.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_points_csv(path, source_shape) -> tuple[KeypointSet, list[list[str]]]:
-    """Parse 'x,y,score[,...]' rows; returns the set and each row's extra cells."""
-    lines = _read_text(path).strip().splitlines()
-    if not lines or not lines[0].startswith("x,y,score"):
-        raise InvalidInputError(f"{path}: missing keypoint CSV header")
-    vals, extra = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        try:
-            x, y, score = (float(v) for v in cells[:3])
-        except ValueError:
-            raise InvalidInputError(f"{path}: malformed row {line!r}") from None
-        vals.append((x, y, score))
-        extra.append(cells[3:])
-    v = np.array(vals, dtype=np.float64).reshape(-1, 3)
-    try:
-        return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), extra
-    except InvalidInputError as e:
-        raise InvalidInputError(f"{path}: {e}") from None
-
-
-def read_keypoints_csv(path, source_shape) -> KeypointSet:
-    """Read a keypoint CSV written by write_keypoints_csv (extra columns ignored)."""
-    return _read_points_csv(path, source_shape)[0]

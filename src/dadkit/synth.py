@@ -13,28 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import Mask, _read_text
-from .errors import (
-    DegenerateTransferError,
-    InvalidInputError,
-    InvalidParameterError,
-    PlacementError,
-)
-from .geometry import (
-    HomographyTransfer,
-    MatchSet,
-    _nearest,
-    covisibility_mask,
-    covisible,
-    read_homography,
-    transfer_points,
-    write_homography,
-)
-from .sampler import KeypointSet, _read_points_csv
+from .core import Mask
+from .errors import (DegenerateTransferError, InvalidInputError, InvalidParameterError,
+                     PlacementError)
+from .geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask, covisible,
+                       transfer_points)
+from .sampler import KeypointSet
 
 POLARITIES = ("light", "dark")
 SHAPE_KINDS = ("dot", "cross", "blob", "corner")
@@ -563,89 +550,6 @@ def expected_strategy_reward(strategy: str, cfg: SceneConfig,
     return float(total.mean())
 
 
-# dataset directory I/O
-
-def write_pgm(path, values) -> None:
-    """8-bit binary P5; floats in [0,1] are rounded, bool maps to 0/255."""
-    a = np.asarray(values)
-    if a.ndim != 2:
-        raise InvalidInputError("PGM payload must be 2-D")
-    if a.dtype == bool:
-        u8 = np.where(a, 255, 0).astype(np.uint8)
-    else:
-        if not np.isfinite(a).all() or a.min() < 0 or a.max() > 1:
-            raise InvalidInputError("PGM float payload must be finite in [0, 1]")
-        u8 = np.round(a * 255.0).astype(np.uint8)
-    h, w = u8.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(u8.tobytes(order="C"))
-
-
-def read_pgm(path) -> np.ndarray:
-    """Returns floats in [0,1]; callers threshold at 0.5 for masks."""
-    data = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise InvalidInputError(f"{path}: not a binary PGM")
-    try:
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    except ValueError:
-        raise InvalidInputError(f"{path}: truncated or malformed PGM header") from None
-    if maxval != 255:
-        raise InvalidInputError(f"{path}: only 8-bit PGM supported")
-    pos += 1  # single whitespace byte after the header
-    if min(w, h) < 1 or len(data) - pos < h * w:
-        raise InvalidInputError(f"{path}: PGM payload shorter than {w}x{h}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
-
-
-def write_gt_csv(path, kps: KeypointSet, polarity: tuple[str, ...]) -> None:
-    if len(polarity) != len(kps):
-        raise InvalidInputError("polarity labels misaligned with keypoints")
-    lines = ["x,y,score,polarity"]
-    for (x, y), s, pol in zip(kps.xy.tolist(), kps.scores.tolist(), polarity):
-        lines.append(f"{x:.6f},{y:.6f},{s:.6f},{pol}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_gt_csv(path, source_shape) -> tuple[KeypointSet, tuple[str, ...]]:
-    """Read a keypoint CSV with one more column, the polarity label."""
-    kps, extra = _read_points_csv(path, source_shape)
-    if any(len(cells) != 1 for cells in extra):
-        raise InvalidInputError(f"{path}: every row needs exactly one polarity label")
-    return kps, tuple(cells[0].strip() for cells in extra)
-
-
-def _write_meta(path, entries: dict) -> None:
-    lines = [f"{k}={v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_meta(path) -> dict:
-    out = {}
-    for line in _read_text(path).splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
-    return out
-
-
 # meta.txt and CLI names of a HomographyMagnitude's values, in field order
 # (scale_range gives two).
 HM_KEYS = ("hm_perspective_jitter", "hm_max_translation", "hm_scale_lo", "hm_scale_hi",
@@ -678,42 +582,6 @@ def config_meta(cfg: SceneConfig) -> dict:
     }
 
 
-def save_pair(dirpath, pair: PairSample, extra_meta: dict | None = None) -> None:
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    write_pgm(d / "a.pgm", pair.image_a)
-    write_pgm(d / "b.pgm", pair.image_b)
-    write_homography(d / "h.txt", pair.transfer)
-    write_pgm(d / "mask_a.pgm", pair.mask_a.bits)
-    write_pgm(d / "mask_b.pgm", pair.mask_b.bits)
-    write_gt_csv(d / "gt_a.csv", pair.gt_keypoints_a, pair.polarity_a)
-    write_gt_csv(d / "gt_b.csv", pair.gt_keypoints_b, pair.polarity_b)
-    meta = {"kind": pair.kind, "seed": pair.seed}
-    if extra_meta:
-        meta.update(extra_meta)
-    _write_meta(d / "meta.txt", meta)
-
-
-def load_pair(dirpath) -> PairSample:
-    d = Path(dirpath)
-    meta = read_meta(d / "meta.txt")
-    image_a = read_pgm(d / "a.pgm")
-    image_b = read_pgm(d / "b.pgm")
-    gt_a, pol_a = read_gt_csv(d / "gt_a.csv", image_a.shape)
-    gt_b, pol_b = read_gt_csv(d / "gt_b.csv", image_b.shape)
-    try:
-        seed = int(meta.get("seed", 0))
-    except ValueError:
-        raise InvalidInputError(f"{d / 'meta.txt'}: seed must be an integer") from None
-    return PairSample(
-        image_a, image_b, read_homography(d / "h.txt"),
-        Mask(read_pgm(d / "mask_a.pgm") > 0.5),
-        Mask(read_pgm(d / "mask_b.pgm") > 0.5),
-        gt_a, gt_b, pol_a, pol_b,
-        kind=meta.get("kind", "scene"), seed=seed,
-    )
-
-
 def pair_rng(seed: int, index: int) -> np.random.Generator:
     """The per-pair generator: independent streams, stable under count changes."""
     return np.random.default_rng([seed, index])
@@ -728,40 +596,8 @@ def pair_generator(kind: str):
     raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {kind!r}")
 
 
-def generate_dataset(root, cfg: SceneConfig, count: int, seed: int,
-                     kind: str = "toy") -> list[Path]:
-    """Write `count` pair directories pair_000000..; returns their paths."""
-    gen = pair_generator(kind)
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
-    rootp = Path(root)
-    rootp.mkdir(parents=True, exist_ok=True)
-    paths = []
-    meta = {"kind": kind, "seed": seed, "count": count}
-    meta.update(config_meta(cfg))
-    _write_meta(rootp / "meta.txt", meta)
-    for i in range(count):
-        pair = gen(pair_rng(seed, i), cfg, seed=seed)
-        d = rootp / f"pair_{i:06d}"
-        save_pair(d, pair, extra_meta={"index": i, **config_meta(cfg)})
-        paths.append(d)
-    return paths
-
-
 def generate_pairs(cfg: SceneConfig, count: int, seed: int,
                    kind: str = "toy") -> list[PairSample]:
-    """In-memory variant of generate_dataset with the same per-pair streams."""
+    """`count` pairs; pair i draws from pair_rng(seed, i), as in formats.generate_dataset."""
     gen = pair_generator(kind)
     return [gen(pair_rng(seed, i), cfg, seed=seed) for i in range(count)]
-
-
-def pair_dirs(root) -> list[Path]:
-    """The pair_* directories of a dataset root, in name order."""
-    return sorted(p for p in Path(root).iterdir() if p.is_dir() and p.name.startswith("pair_"))
-
-
-def load_dataset(root) -> list[PairSample]:
-    dirs = pair_dirs(root)
-    if not dirs:
-        raise InvalidInputError(f"{root}: no pair_* directories")
-    return [load_pair(d) for d in dirs]

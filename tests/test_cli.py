@@ -11,9 +11,9 @@ from dadkit.cli import main
 from dadkit.distill import DistillConfig
 from dadkit.evaluate import EvalConfig
 from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, TrainConfig,
-                          save_weights)
+                          forward, save_weights)
 from dadkit.sampler import SamplerConfig
-from dadkit.synth import read_meta
+from dadkit.formats import read_meta
 
 
 def digest_tree(root: Path) -> dict[str, str]:
@@ -209,6 +209,11 @@ _CORRUPT_DATASET_FILES = {
     "h_non_numeric": ("h.txt", b"1 0 0\n0 x 0\n0 0 1\n"),
     "meta_seed_non_integer": ("meta.txt", b"kind=toy\nseed=3.5\n"),
     "meta_not_utf8": ("meta.txt", b"kind=toy\nseed=\xff\n"),
+    "meta_bad_kind": ("meta.txt", b"kind=foo\nseed=3\n"),
+    "h_nan": ("h.txt", b"nan 0 0\n0 1 0\n0 0 1\n"),
+    "h_singular": ("h.txt", b"0 0 0\n0 0 0\n0 0 1\n"),
+    "gt_bad_polarity": ("gt_a.csv", b"x,y,score,polarity\n1,1,1,purple\n"),
+    "mask_wrong_shape": ("mask_a.pgm", b"P5\n10 10\n255\n" + bytes(100)),
 }
 
 
@@ -288,6 +293,8 @@ def _bad_input_case(case, ws, tmp):
     ("csv_outside_image", 2), ("csv_scores_out_of_order", 2), ("csv_not_utf8", 2),
     ("meta_not_utf8", 2), ("config_not_utf8", 1), ("dadw_bias_length", 2),
     ("config_is_directory", 1), ("synth_threads_0", 1), ("distill_threads_0", 1),
+    ("meta_bad_kind", 2), ("h_nan", 2), ("h_singular", 2), ("gt_bad_polarity", 2),
+    ("mask_wrong_shape", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
@@ -334,6 +341,22 @@ def test_optimizer_and_merge_keys_reach_the_trainers(workspace, tmp_path):
         default = run()
         ignored += [f"{argv[0]} {flag}" for flag in flags if run(*flag) == default]
     assert not ignored
+
+
+def test_train_checks_its_config_before_loading_data(tmp_path, capsys):
+    assert main(["train", "--data", str(tmp_path / "nonexistent"), "--out", str(tmp_path / "x"),
+                 "--lr", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "lr" in err[0]
+
+
+def test_eval_checks_its_config_before_detecting(workspace, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("dadkit.cli.forward", lambda *args: calls.append(1) or forward(*args))
+    assert main(["eval", "--data", str(workspace["data"]), "--weights", str(workspace["weights"]),
+                 "--out", str(tmp_path / "x"), "--match-threshold", "0"]) == 1
+    assert calls == []
+    assert "thresholds must be positive" in capsys.readouterr().err
 
 
 class _Stop(Exception):

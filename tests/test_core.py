@@ -9,16 +9,14 @@ assume them exactly.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
-from dadkit.core import (GRID_MAGIC, KL_FLOOR, LogProbMap, Mask, ProbMap,
-                         ScoreMap, gaussian_blur, gaussian_kernel_1d,
-                         kl_divergence, masked_log_softmax, read_dadf,
-                         shifted, softmax_2d, write_dadf)
+from dadkit.core import (KL_FLOOR, LogProbMap, Mask, ProbMap, ScoreMap,
+                         gaussian_blur, gaussian_kernel_1d, kl_divergence,
+                         masked_log_softmax, shifted, softmax_2d)
 from dadkit.errors import (DegenerateMaskError, InvalidInputError,
                            InvalidParameterError)
+from dadkit.formats import GRID_MAGIC, read_dadf, write_dadf
 
 
 def softmax_oracle(z: np.ndarray) -> np.ndarray:
@@ -254,18 +252,6 @@ def test_dadf_rejects_bad_magic_and_truncation(tmp_path):
     p.write_bytes(p.read_bytes()[:-4])
     with pytest.raises(InvalidInputError):
         read_dadf(p)
-
-
-@settings(deadline=None, max_examples=20)
-@given(h=st.integers(1, 5), w=st.integers(1, 5))
-def test_dadf_cut_at_every_length_raises_invalid_input(tmp_path_factory, h, w):
-    p = tmp_path_factory.mktemp("dadf") / "grid.dadf"
-    write_dadf(p, np.arange(h * w, dtype=np.float64).reshape(h, w))
-    blob = p.read_bytes()
-    for n in range(len(blob)):
-        p.write_bytes(blob[:n])
-        with pytest.raises(InvalidInputError, match="grid.dadf"):
-            read_dadf(p)
 
 
 def test_scoremap_validation():

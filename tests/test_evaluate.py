@@ -10,7 +10,8 @@ from dadkit.errors import (DegenerateInputError, InsufficientDataError,
 from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, auc,
                              corner_epe, detection_recall, dlt_homography,
                              evaluate_detections, polarity_recall,
-                             ransac_homography, repeatability, write_report)
+                             ransac_homography, repeatability)
+from dadkit.formats import write_report
 from dadkit.geometry import HomographyTransfer, transfer_points
 from dadkit.sampler import KeypointSet
 from dadkit.synth import SceneConfig, gen_scene_pair, gen_toy_pair, pair_rng

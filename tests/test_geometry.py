@@ -7,10 +7,10 @@ import pytest
 
 from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError)
+from dadkit.formats import read_homography, write_homography
 from dadkit.geometry import (HomographyTransfer, MatchSet, apply_transfer,
                              covisibility_mask, covisible, match_mutual_nn,
-                             read_homography, transfer_points,
-                             write_homography)
+                             transfer_points)
 from dadkit.sampler import KeypointSet
 
 

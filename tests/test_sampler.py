@@ -8,14 +8,12 @@ scores so the tie-break actually gets exercised.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dadkit.core import softmax_2d
-from dadkit.errors import DadkitError, InvalidInputError, InvalidParameterError
+from dadkit.errors import InvalidInputError, InvalidParameterError
+from dadkit.formats import read_keypoints_csv, write_keypoints_csv
 from dadkit.sampler import (KeypointSet, SamplerConfig, kde_balance,
-                            nms, read_keypoints_csv, sample_keypoints,
-                            subpixel_refine, top_k, write_keypoints_csv)
+                            nms, sample_keypoints, subpixel_refine, top_k)
 
 
 def nms_oracle(s: np.ndarray, window: int) -> np.ndarray:
@@ -268,36 +266,3 @@ def test_keypoints_csv_rejects_missing_header(tmp_path):
     p.write_text("1,2,3\n")
     with pytest.raises(InvalidInputError):
         read_keypoints_csv(p, (8, 8))
-
-
-@st.composite
-def keypoint_sets(draw):
-    """Valid sets, N = 0 included, whose values print exactly at six decimals."""
-    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    rows = draw(st.lists(st.tuples(st.integers(0, 4 * (w - 1)), st.integers(0, 4 * (h - 1)),
-                                   st.integers(-64, 64)), max_size=12))
-    v = np.array(sorted(rows, key=lambda r: -r[2]), dtype=np.float64).reshape(-1, 3)
-    return KeypointSet(v[:, :2] / 4, v[:, 2] / 64, (h, w))
-
-
-@settings(deadline=None)
-@given(kps=keypoint_sets())
-def test_keypoints_csv_round_trips_any_set(tmp_path_factory, kps):
-    p = tmp_path_factory.mktemp("csv") / "kps.csv"
-    write_keypoints_csv(p, kps)
-    back = read_keypoints_csv(p, kps.source_shape)
-    np.testing.assert_array_equal(back.xy, kps.xy)
-    np.testing.assert_array_equal(back.scores, kps.scores)
-
-
-@settings(deadline=None)
-@given(kps=keypoint_sets(), data=st.data())
-def test_cut_keypoints_csv_parses_or_raises_dadkit_error(tmp_path_factory, kps, data):
-    p = tmp_path_factory.mktemp("csv") / "kps.csv"
-    write_keypoints_csv(p, kps)
-    text = p.read_bytes()
-    p.write_bytes(text[:data.draw(st.integers(0, len(text)))])
-    try:
-        read_keypoints_csv(p, kps.source_shape)
-    except DadkitError:
-        pass

@@ -6,23 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dadkit.errors import (DadkitError, DegenerateTransferError,
-                           InvalidInputError, InvalidParameterError,
-                           PlacementError)
+from dadkit.errors import (DegenerateTransferError, InvalidInputError,
+                           InvalidParameterError, PlacementError)
 from dadkit.geometry import (HomographyTransfer, covisibility_mask,
                              transfer_points)
 from dadkit.sampler import KeypointSet
-from dadkit.synth import (POLARITIES, HomographyMagnitude, SceneConfig,
+from dadkit.formats import (generate_dataset, load_dataset, load_pair, read_gt_csv,
+                            read_meta, read_pgm, save_pair, write_gt_csv, write_pgm)
+from dadkit.synth import (HomographyMagnitude, SceneConfig,
                           check_pair_consistency, classify_polarity,
                           config_meta, expected_strategy_reward,
-                          gen_scene_pair, gen_toy_pair, generate_dataset,
-                          generate_pairs, load_dataset, load_pair, pair_rng,
-                          read_gt_csv, read_meta, read_pgm, sample_homography,
-                          save_pair, toy_matches, toy_pair_hits, write_gt_csv,
-                          write_pgm)
+                          gen_scene_pair, gen_toy_pair, generate_pairs,
+                          pair_rng, sample_homography, toy_matches,
+                          toy_pair_hits)
 
 
 def kset(points, shape):
@@ -327,41 +324,6 @@ def test_gt_csv_round_trip(tmp_path):
     assert back.source_shape == shape
     with pytest.raises(InvalidInputError):
         write_gt_csv(p, kps, ("light",))
-
-
-@st.composite
-def gt_sets(draw):
-    """Labelled sets, N = 0 included, at quarter-pixel positions (exact in the CSV)."""
-    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    rows = draw(st.lists(st.tuples(st.integers(0, 4 * (w - 1)), st.integers(0, 4 * (h - 1)),
-                                   st.sampled_from(POLARITIES)), max_size=12))
-    xy = np.array([r[:2] for r in rows], dtype=np.float64).reshape(-1, 2) / 4
-    return KeypointSet(xy, np.ones(len(rows)), (h, w)), tuple(r[2] for r in rows)
-
-
-@settings(deadline=None)
-@given(gt=gt_sets())
-def test_gt_csv_round_trips_any_set(tmp_path_factory, gt):
-    p = tmp_path_factory.mktemp("csv") / "gt.csv"
-    kps, pol = gt
-    write_gt_csv(p, kps, pol)
-    back, back_pol = read_gt_csv(p, kps.source_shape)
-    np.testing.assert_array_equal(back.xy, kps.xy)
-    np.testing.assert_array_equal(back.scores, kps.scores)
-    assert back_pol == pol
-
-
-@settings(deadline=None)
-@given(gt=gt_sets(), data=st.data())
-def test_cut_gt_csv_parses_or_raises_dadkit_error(tmp_path_factory, gt, data):
-    p = tmp_path_factory.mktemp("csv") / "gt.csv"
-    write_gt_csv(p, *gt)
-    text = p.read_bytes()
-    p.write_bytes(text[:data.draw(st.integers(0, len(text)))])
-    try:
-        read_gt_csv(p, gt[0].source_shape)
-    except DadkitError:
-        pass
 
 
 def test_read_meta_skips_blank_and_junk_lines(tmp_path):
