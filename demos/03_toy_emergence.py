@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from dadkit.model import TrainConfig, forward, train_loop
+from dadkit.model import ArchConfig, TrainConfig, forward, train_loop
 from dadkit.objective import reward_threshold
 from dadkit.sampler import SamplerConfig, sample_keypoints
 from dadkit.synth import (SceneConfig, classify_polarity,
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"\ntraining on {args.pairs} toy pairs (seed {args.seed})...")
     t0 = time.time()
     data = generate_pairs(cfg, args.pairs, seed=args.seed, kind="toy")
-    tc = TrainConfig.for_toy(seed=args.seed)
+    tc = TrainConfig(arch=ArchConfig(seed=args.seed))
     params, reports = train_loop(data, tc)
     for rep in reports[:: max(len(reports) // 8, 1)]:
         print(f"  step {rep.step:>4}  matches {rep.num_matches:>2}  "

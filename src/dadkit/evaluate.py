@@ -22,9 +22,10 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .geometry import HomographyTransfer, covisible, match_mutual_nn, transfer_points
+from .geometry import (HomographyTransfer, _covered, _sq_dists, covisible, match_mutual_nn,
+                       transfer_points)
 from .sampler import KeypointSet
-from .synth import PairSample, classify_polarity, toy_pair_hits
+from .synth import POLARITIES, PairSample, classify_polarity, toy_pair_hits
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
         return 0.0
     src = moved[inside]
     dst = kb.xy
-    d = np.sqrt(((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2))
+    d = np.sqrt(_sq_dists(src, dst))
     order = np.argsort(d, axis=None, kind="stable")
     used_a = np.zeros(len(src), dtype=bool)
     used_b = np.zeros(len(dst), dtype=bool)
@@ -225,20 +226,22 @@ def detection_recall(kps: KeypointSet, gt: KeypointSet, radius: float) -> float:
         raise InvalidParameterError("radius must be positive")
     if len(gt) == 0:
         return float("nan")
-    if len(kps) == 0:
-        return 0.0
-    d2 = ((gt.xy[:, None, :] - kps.xy[None, :, :]) ** 2).sum(axis=2)
-    return float((d2.min(axis=1) <= radius * radius).mean())
+    return float(_covered(gt.xy, kps.xy, radius).mean())
 
 
 def polarity_recall(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ...],
                     radius: float) -> dict[str, float]:
     """detection_recall split by gt polarity label; NaN for absent labels."""
+    if not (radius > 0):
+        raise InvalidParameterError("radius must be positive")
+    labels = np.array(polarity, dtype=str)
+    if len(labels) != len(gt) or not np.isin(labels, POLARITIES).all():
+        raise InvalidInputError("polarity needs one label per gt point, 'light' or 'dark'")
+    covered = _covered(gt.xy, kps.xy, radius)
     out = {}
-    for label in ("light", "dark"):
-        keep = np.array([p == label for p in polarity], dtype=bool)
-        sub = KeypointSet(gt.xy[keep], gt.scores[keep], gt.source_shape)
-        out[label] = detection_recall(kps, sub, radius)
+    for label in POLARITIES:
+        mine = covered[labels == label]
+        out[label] = float(mine.mean()) if len(mine) else float("nan")
     return out
 
 

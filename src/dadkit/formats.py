@@ -76,26 +76,25 @@ def write_meta(path, entries: dict) -> None:
     _write_lines(path, (f"{k}={v}" for k, v in entries.items()))
 
 
-def read_meta(path, strict: bool = False) -> dict[str, str]:
-    """The stripped `key=value` lines of a file, skipping blank and `#` lines and,
-    unless `strict`, any other line without `=`."""
+def read_meta(path) -> dict[str, str]:
+    """The stripped `key=value` lines of a file, skipping blank and `#` lines;
+    any other line without `=` is an error naming `path:line`."""
     out = {}
     for ln, line in enumerate(_read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" in line:
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
-        elif strict:
+        if "=" not in line:
             raise InvalidInputError(f"{path}:{ln}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        out[k.strip()] = v.strip()
     return out
 
 
 def read_config_file(path) -> dict[str, str]:
     """A command's config file: `key=value` lines and `#` comments."""
     try:
-        return read_meta(path, strict=True)
+        return read_meta(path)
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
     except InvalidInputError as e:
@@ -295,9 +294,11 @@ def _read_mask(path, shape) -> Mask:
 
 def load_pair(dirpath) -> PairSample:
     """Read a pair directory; errors name the file at fault, and meta.txt
-    (which sets the kind) for the pair as a whole."""
+    (which must set the kind) for the pair as a whole."""
     d = Path(dirpath)
     meta = read_meta(d / "meta.txt")
+    if "kind" not in meta:
+        raise InvalidInputError(f"{d / 'meta.txt'}: missing key 'kind'")
     images = [read_pgm(d / f"{s}.pgm") for s in "ab"]
     (gt_a, pol_a), (gt_b, pol_b) = (read_gt_csv(d / f"gt_{s}.csv", im.shape)
                                     for s, im in zip("ab", images))
@@ -309,10 +310,10 @@ def load_pair(dirpath) -> PairSample:
     masks = [_read_mask(d / f"mask_{s}.pgm", im.shape) for s, im in zip("ab", images)]
     with _named(d / "meta.txt"):
         return PairSample(*images, transfer, *masks, gt_a, gt_b, pol_a, pol_b,
-                          kind=meta.get("kind", "scene"), seed=seed)
+                          kind=meta["kind"], seed=seed)
 
 
-def generate_dataset(root, cfg, count: int, seed: int, kind: str = "toy") -> list[Path]:
+def generate_dataset(root, cfg, count: int, seed: int, kind: str) -> list[Path]:
     """Write `count` pair directories pair_000000..; returns their paths."""
     gen = pair_generator(kind)
     if count < 0:

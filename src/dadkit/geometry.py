@@ -1,4 +1,4 @@
-"""Planar geometry: homography transfer, covisibility, mutual-NN matching."""
+"""Planar geometry: homography transfer, covisibility, point proximity, mutual-NN matching."""
 
 from __future__ import annotations
 
@@ -119,11 +119,23 @@ class MatchSet:
         return len(self.dist)
 
 
+def _sq_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The (N, M) squared distances between the rows of src and of dst."""
+    return ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+
+
 def _nearest(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per src row: index of nearest dst row (first on ties) and its distance."""
-    d2 = ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_dists(src, dst)
     idx = np.argmin(d2, axis=1)
     return idx, np.sqrt(d2[np.arange(len(src)), idx])
+
+
+def _covered(gt: np.ndarray, pts: np.ndarray, radius: float) -> np.ndarray:
+    """Per gt row: whether some pts row lies within radius (squared distance <= radius**2)."""
+    if len(pts) == 0:
+        return np.zeros(len(gt), dtype=bool)
+    return _sq_dists(gt, pts).min(axis=1) <= radius * radius
 
 
 def match_mutual_nn(

@@ -30,6 +30,7 @@ from .formats import _read_exact, read_header
 from .geometry import match_mutual_nn
 from .objective import LossReport, RewardConfig, total_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig, sample_keypoints
+from .synth import toy_matches
 
 WEIGHTS_MAGIC = b"DADW"
 WEIGHTS_VERSION = 1
@@ -326,11 +327,6 @@ class TrainConfig:
         if self.epochs < 1 or self.batch < 1:
             raise InvalidParameterError("epochs and batch must be >= 1")
 
-    @classmethod
-    def for_toy(cls, seed: int = 0) -> "TrainConfig":
-        """Defaults tuned for the 10+10 dot toy task, budget 10."""
-        return cls(arch=ArchConfig(seed=seed))
-
 
 def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
     px = np.rint(kps.xy).astype(np.intp)
@@ -339,8 +335,6 @@ def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
 
 
 def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
-    from .synth import toy_matches  # local import: synth depends on geometry/sampler only
-
     sa, ca = forward(params, pair.image_a)
     sb, cb = forward(params, pair.image_b)
     ka = _covisible_subset(sample_keypoints(sa, cfg.sampler, "train"), pair.mask_a)

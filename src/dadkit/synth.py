@@ -19,8 +19,8 @@ import numpy as np
 from .core import Mask
 from .errors import (DegenerateTransferError, InvalidInputError, InvalidParameterError,
                      PlacementError)
-from .geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask, covisible,
-                       transfer_points)
+from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _sq_dists,
+                       covisibility_mask, covisible, transfer_points)
 from .sampler import KeypointSet
 
 POLARITIES = ("light", "dark")
@@ -183,28 +183,34 @@ def check_pair_consistency(pair: PairSample, tol: float = 1e-6) -> None:
         raise InvalidInputError("gt keypoints disagree with the transfer")
 
 
+# A layout whose next point finds no room is redrawn from scratch, up to this
+# many times: an early point can leave no room for a later one.
+_LAYOUT_ATTEMPTS = 50
+
+
 def _place_points(rng: np.random.Generator, cfg: SceneConfig, count: int,
                   on_grid: bool) -> np.ndarray:
     """Rejection-sample `count` centers with pairwise min separation."""
     lo, hi = cfg.margin, cfg.size - 1 - cfg.margin
-    placed: list[tuple[float, float]] = []
     min2 = cfg.min_separation ** 2
-    for _ in range(count):
-        for _ in range(1000):
-            if on_grid:
-                x = float(rng.integers(int(math.ceil(lo)), int(math.floor(hi)) + 1))
-                y = float(rng.integers(int(math.ceil(lo)), int(math.floor(hi)) + 1))
+    for _ in range(_LAYOUT_ATTEMPTS):
+        placed: list[tuple[float, float]] = []
+        for _ in range(count):
+            for _ in range(1000):
+                if on_grid:
+                    x = float(rng.integers(int(math.ceil(lo)), int(math.floor(hi)) + 1))
+                    y = float(rng.integers(int(math.ceil(lo)), int(math.floor(hi)) + 1))
+                else:
+                    x = float(rng.uniform(lo, hi))
+                    y = float(rng.uniform(lo, hi))
+                if all((x - px) ** 2 + (y - py) ** 2 >= min2 for px, py in placed):
+                    placed.append((x, y))
+                    break
             else:
-                x = float(rng.uniform(lo, hi))
-                y = float(rng.uniform(lo, hi))
-            if all((x - px) ** 2 + (y - py) ** 2 >= min2 for px, py in placed):
-                placed.append((x, y))
                 break
-        else:
-            raise PlacementError(
-                f"could not place {count} points with separation {cfg.min_separation}"
-            )
-    return np.array(placed, dtype=np.float64).reshape(count, 2)
+        if len(placed) == count:
+            return np.array(placed, dtype=np.float64).reshape(count, 2)
+    raise PlacementError(f"could not place {count} points with separation {cfg.min_separation}")
 
 
 def _gt_set(centers: np.ndarray, shape: tuple[int, int]) -> KeypointSet:
@@ -458,28 +464,17 @@ def toy_matches(ka: KeypointSet, kb: KeypointSet, pair: PairSample,
 
     owner_a = assign(pa, ga)
     owner_b = assign(pb, gb)
-    pairs: list[tuple[int, int, float]] = []
-    for i in range(len(ga)):
-        ia = np.flatnonzero(owner_a == i)
-        ib = np.flatnonzero(owner_b == i)
-        if len(ia) == 0 or len(ib) == 0:
-            continue
-        offs_a = pa[ia] - ga[i]
-        offs_b = pb[ib] - gb[i]
-        d = np.sqrt(((offs_a[:, None, :] - offs_b[None, :, :]) ** 2).sum(axis=2))
-        na = d.argmin(axis=1)
-        nb = d.argmin(axis=0)
-        best = None
-        for j in range(len(ia)):
-            k = na[j]
-            if nb[k] != j or d[j, k] > match_threshold:
-                continue
-            if best is None or d[j, k] < best[2]:
-                best = (int(ia[j]), int(ib[k]), float(d[j, k]))
-        if best is not None:
-            pairs.append(best)
-    m = np.array(pairs, dtype=np.float64).reshape(-1, 3)
-    matches = MatchSet(m[:, 0], m[:, 1], m[:, 2])
+    # offset distances within one identity; inf across identities and for strays
+    d = np.sqrt(_sq_dists(pa - ga[owner_a], pb - gb[owner_b]))
+    d[(owner_a[:, None] != owner_b[None, :]) | (owner_a[:, None] < 0)] = np.inf
+    na, nb = d.argmin(axis=1), d.argmin(axis=0)
+    da = d[np.arange(len(pa)), na]
+    na[np.isinf(da)] = -1
+    q = _mutual(na, da, nb, match_threshold)
+    # per identity, in identity order: the closest match, the first `a` on ties
+    q = q[np.lexsort((q, da[q], owner_a[q]))]
+    q = q[np.unique(owner_a[q], return_index=True)[1]]
+    matches = MatchSet(q, na[q], da[q])
     return matches, matches
 
 
@@ -488,13 +483,8 @@ def toy_pair_hits(pair: PairSample, ka: KeypointSet, kb: KeypointSet,
     """Dot identities with a selected keypoint within hit_radius in BOTH images."""
     if pair.kind != "toy":
         raise InvalidInputError("toy_pair_hits requires a toy pair")
-    ga, gb = pair.gt_keypoints_a.xy, pair.gt_keypoints_b.xy
-    hits = 0
-    for i in range(len(ga)):
-        ok_a = len(ka) and np.sqrt(((ka.xy - ga[i]) ** 2).sum(axis=1)).min() <= hit_radius
-        ok_b = len(kb) and np.sqrt(((kb.xy - gb[i]) ** 2).sum(axis=1)).min() <= hit_radius
-        hits += bool(ok_a) and bool(ok_b)
-    return hits
+    return int((_covered(pair.gt_keypoints_a.xy, ka.xy, hit_radius)
+                & _covered(pair.gt_keypoints_b.xy, kb.xy, hit_radius)).sum())
 
 
 def classify_polarity(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ...],
@@ -596,8 +586,7 @@ def pair_generator(kind: str):
     raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {kind!r}")
 
 
-def generate_pairs(cfg: SceneConfig, count: int, seed: int,
-                   kind: str = "toy") -> list[PairSample]:
+def generate_pairs(cfg: SceneConfig, count: int, seed: int, kind: str) -> list[PairSample]:
     """`count` pairs; pair i draws from pair_rng(seed, i), as in formats.generate_dataset."""
     gen = pair_generator(kind)
     return [gen(pair_rng(seed, i), cfg, seed=seed) for i in range(count)]

@@ -327,7 +327,7 @@ def test_acceptance_toy_polarity_emergence():
     for seed in range(3):
         t0 = time.time()
         pairs = generate_pairs(cfg, 2000, seed=seed, kind="toy")
-        tc = TrainConfig.for_toy(seed=seed)
+        tc = TrainConfig(arch=ArchConfig(seed=seed))
         params, _ = train_loop(pairs, tc)
         rewards = []
         labels = []

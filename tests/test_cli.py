@@ -210,6 +210,8 @@ _CORRUPT_DATASET_FILES = {
     "meta_seed_non_integer": ("meta.txt", b"kind=toy\nseed=3.5\n"),
     "meta_not_utf8": ("meta.txt", b"kind=toy\nseed=\xff\n"),
     "meta_bad_kind": ("meta.txt", b"kind=foo\nseed=3\n"),
+    "meta_kind_line_damaged": ("meta.txt", b"kind toy\nseed=0\n"),
+    "meta_without_kind": ("meta.txt", b"seed=3\n"),
     "h_nan": ("h.txt", b"nan 0 0\n0 1 0\n0 0 1\n"),
     "h_singular": ("h.txt", b"0 0 0\n0 0 0\n0 0 1\n"),
     "gt_bad_polarity": ("gt_a.csv", b"x,y,score,polarity\n1,1,1,purple\n"),
@@ -294,7 +296,7 @@ def _bad_input_case(case, ws, tmp):
     ("meta_not_utf8", 2), ("config_not_utf8", 1), ("dadw_bias_length", 2),
     ("config_is_directory", 1), ("synth_threads_0", 1), ("distill_threads_0", 1),
     ("meta_bad_kind", 2), ("h_nan", 2), ("h_singular", 2), ("gt_bad_polarity", 2),
-    ("mask_wrong_shape", 2),
+    ("mask_wrong_shape", 2), ("meta_kind_line_damaged", 2), ("meta_without_kind", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

@@ -240,6 +240,9 @@ def test_polarity_recall_splits_by_label():
     assert got["dark"] == pytest.approx(1.0)
     none_dark = polarity_recall(dets, gt, ("light", "light", "light"), 1.0)
     assert math.isnan(none_dark["dark"])
+    for bad in (("light",), ("light", "light", "grey")):
+        with pytest.raises(InvalidInputError):
+            polarity_recall(dets, gt, bad, 2.0)
 
 
 # the harness

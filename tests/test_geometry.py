@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError)
 from dadkit.formats import read_homography, write_homography
-from dadkit.geometry import (HomographyTransfer, MatchSet, apply_transfer,
+from dadkit.geometry import (HomographyTransfer, MatchSet, _covered, apply_transfer,
                              covisibility_mask, covisible, match_mutual_nn,
                              transfer_points)
 from dadkit.sampler import KeypointSet
@@ -228,6 +230,21 @@ def test_match_mutual_nn_empty_inputs_and_threshold():
     assert len(mab) == 0 and len(mba) == 0
     with pytest.raises(InvalidParameterError):
         match_mutual_nn(kb, kb, HomographyTransfer.identity(), 0.0)
+
+
+# quarter-pixel points within 4 px: squared distances and the squared radii
+# below are exact, so points at exactly the radius occur and count as covered
+_QUARTER_POINTS = st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=10).map(
+    lambda rows: np.array(rows, dtype=np.float64).reshape(-1, 2) / 4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(gt=_QUARTER_POINTS, pts=_QUARTER_POINTS, radius=st.sampled_from([0.25, 1.0, 2.0, 4.0]))
+def test_covered_equals_a_scalar_check(gt, pts, radius):
+    want = [any((gx - x) ** 2 + (gy - y) ** 2 <= radius * radius for x, y in pts.tolist())
+            for gx, gy in gt.tolist()]
+    got = _covered(gt, pts, radius)
+    assert got.dtype == bool and got.tolist() == want
 
 
 def test_matchset_validation():

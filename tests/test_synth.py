@@ -6,15 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dadkit.core import Mask
 from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError, PlacementError)
-from dadkit.geometry import (HomographyTransfer, covisibility_mask,
+from dadkit.geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask,
                              transfer_points)
 from dadkit.sampler import KeypointSet
 from dadkit.formats import (generate_dataset, load_dataset, load_pair, read_gt_csv,
                             read_meta, read_pgm, save_pair, write_gt_csv, write_pgm)
-from dadkit.synth import (HomographyMagnitude, SceneConfig,
+from dadkit.synth import (HomographyMagnitude, PairSample, SceneConfig,
                           check_pair_consistency, classify_polarity,
                           config_meta, expected_strategy_reward,
                           gen_scene_pair, gen_toy_pair, generate_pairs,
@@ -109,6 +112,13 @@ def test_placement_error_when_layout_is_too_dense():
     cfg = SceneConfig.toy(size=16, num_light=20, num_dark=20)
     with pytest.raises(PlacementError):
         gen_toy_pair(pair_rng(0, 0), cfg)
+
+
+def test_tight_layout_that_fits_is_redrawn_until_placed():
+    # a central first dot leaves no room for the second; the layout is redrawn
+    pair = gen_toy_pair(pair_rng(0, 0), SceneConfig.toy(size=16, num_light=1, num_dark=1))
+    for gt in (pair.gt_keypoints_a, pair.gt_keypoints_b):
+        assert pairwise_min_dist(gt.xy) >= 8.0
 
 
 def test_scene_config_validation():
@@ -229,6 +239,85 @@ def test_toy_matches_rejects_scene_pairs():
         toy_matches(k, k, scene)
 
 
+def _toy_matches_reference(ka, kb, pair, assign_radius=4.0, match_threshold=np.inf):
+    """toy_matches as a loop over dot identities, the scalar reference."""
+    if len(ka) == 0 or len(kb) == 0:
+        return MatchSet((), (), ())
+    ga, gb = pair.gt_keypoints_a.xy, pair.gt_keypoints_b.xy
+    pa, pb = ka.xy, kb.xy
+
+    def assign(points, gt):
+        idx, dist = _nearest(points, gt)
+        return np.where(dist <= assign_radius, idx, -1)
+
+    owner_a = assign(pa, ga)
+    owner_b = assign(pb, gb)
+    pairs: list[tuple[int, int, float]] = []
+    for i in range(len(ga)):
+        ia = np.flatnonzero(owner_a == i)
+        ib = np.flatnonzero(owner_b == i)
+        if len(ia) == 0 or len(ib) == 0:
+            continue
+        offs_a = pa[ia] - ga[i]
+        offs_b = pb[ib] - gb[i]
+        d = np.sqrt(((offs_a[:, None, :] - offs_b[None, :, :]) ** 2).sum(axis=2))
+        na = d.argmin(axis=1)
+        nb = d.argmin(axis=0)
+        best = None
+        for j in range(len(ia)):
+            k = na[j]
+            if nb[k] != j or d[j, k] > match_threshold:
+                continue
+            if best is None or d[j, k] < best[2]:
+                best = (int(ia[j]), int(ib[k]), float(d[j, k]))
+        if best is not None:
+            pairs.append(best)
+    m = np.array(pairs, dtype=np.float64).reshape(-1, 3)
+    return MatchSet(m[:, 0], m[:, 1], m[:, 2])
+
+
+_SIZE = 24
+
+
+@st.composite
+def toy_selections(draw):
+    """A toy pair of 1-4 dots (coincident dots allowed) and a selection per image.
+
+    Each selected point sits at a quarter-pixel offset of up to 6 px from a
+    dot, so offsets tie often and some points stray beyond assign_radius 4.
+    """
+    n = draw(st.integers(1, 4))
+    coord = st.integers(0, _SIZE - 1)
+
+    def dots():
+        return np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+                        dtype=np.float64)
+
+    def selection(gt):
+        offset = st.integers(-24, 24)
+        rows = draw(st.lists(st.tuples(st.integers(0, n - 1), offset, offset), max_size=8))
+        xy = np.array([gt[i] + (dx / 4, dy / 4) for i, dx, dy in rows]).reshape(-1, 2)
+        return kset(np.clip(xy, 0, _SIZE - 1), (_SIZE, _SIZE))
+
+    ga, gb = dots(), dots()
+    shape, labels = (_SIZE, _SIZE), ("light",) * n
+    gray, full = np.full(shape, 0.5), Mask.full(shape)
+    pair = PairSample(gray, gray, HomographyTransfer.identity(), full, full,
+                      kset(ga, shape), kset(gb, shape), labels, labels, kind="toy")
+    return pair, selection(ga), selection(gb)
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=toy_selections(), threshold=st.sampled_from([np.inf, 1.0, 2.0]))
+def test_toy_matches_equals_the_per_identity_loop(case, threshold):
+    pair, ka, kb = case
+    mab, mba = toy_matches(ka, kb, pair, 4.0, threshold)
+    ref = _toy_matches_reference(ka, kb, pair, 4.0, threshold)
+    for m in (mab, mba):
+        assert m.ia.tolist() == ref.ia.tolist() and m.ib.tolist() == ref.ib.tolist()
+        assert m.dist.tobytes() == ref.dist.tobytes()
+
+
 def test_toy_pair_hits_counts_identities_seen_twice():
     pair = toy_pair_fixture(num_light=3, num_dark=2)
     full_a = kset(pair.gt_keypoints_a.xy, pair.shape)
@@ -328,8 +417,11 @@ def test_gt_csv_round_trip(tmp_path):
 
 def test_read_meta_skips_blank_and_junk_lines(tmp_path):
     p = tmp_path / "meta.txt"
-    p.write_text("kind=toy\n\nnot a pair\n seed = 3 \n")
+    p.write_text("kind=toy\n\n# a comment\n seed = 3 \n")
     assert read_meta(p) == {"kind": "toy", "seed": "3"}
+    p.write_text("kind=toy\n\nnot a pair\n seed = 3 \n")
+    with pytest.raises(InvalidInputError, match="meta.txt:3"):
+        read_meta(p)
 
 
 def test_config_meta_covers_every_layout_knob():
@@ -384,13 +476,13 @@ def test_generate_dataset_round_trip_and_determinism(tmp_path):
 
 def test_generate_dataset_empty_and_invalid(tmp_path):
     cfg = SceneConfig.toy(size=48, num_light=2, num_dark=2)
-    paths = generate_dataset(tmp_path / "empty", cfg, 0, seed=0)
+    paths = generate_dataset(tmp_path / "empty", cfg, 0, seed=0, kind="toy")
     assert paths == []
     assert read_meta(tmp_path / "empty" / "meta.txt")["count"] == "0"
     with pytest.raises(InvalidInputError):
         load_dataset(tmp_path / "empty")
     with pytest.raises(InvalidParameterError):
-        generate_dataset(tmp_path / "x", cfg, -1, seed=0)
+        generate_dataset(tmp_path / "x", cfg, -1, seed=0, kind="toy")
     with pytest.raises(InvalidParameterError):
         generate_dataset(tmp_path / "x", cfg, 1, seed=0, kind="video")
 

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""sha256 of every artifact of a fixed CLI pipeline, to compare two checkouts.
+
+    python3 tools/artifact_digests.py OUT
+
+runs every dadkit command in-process (`dadkit.cli.main([...])`) on small
+seeded inputs inside the new directory OUT, then prints one
+`<sha256>  <path>` line per file written, in path order, and a last line
+`combined <sha256>` over that list.  The program is imported from the
+`src/` next to this script.  Every path handed to the CLI is relative to
+OUT, so the `meta.txt` files, which echo them, do not depend on where OUT
+is.  Run the same script against two checkouts (copy it into the other
+one's `tools/`) and compare the output to check that a change rewrites
+every artifact byte for byte.
+
+The pipeline: toy `synth` from a config file, scene `synth`, `train` on
+each, `detect --image` (with scoremap dump, overlay and subpixel
+refinement) and `detect --data`, `eval --detections`, `eval --weights` on
+toy and scene pairs with and without `--subpixel 1`, scene `distill`, and
+`gradcheck --out`.  Exits 1 naming the first stage that fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+TOY_CONFIG = "# toy dots\nmode=toy\nnum_pairs=6\nseed=3\n"
+LIGHT, DARK = "train_toy/weights.dadw", "train_scene/weights.dadw"
+STAGES = [
+    ["synth", "--config", "toy.cfg", "--out", "toy"],
+    ["synth", "--mode", "scenes", "--num-pairs", "4", "--seed", "5", "--out", "scenes",
+     "--hm-scale-lo", "0.95", "--noise-sigma", "0.02"],
+    ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
+    ["train", "--data", "scenes", "--out", "train_scene", "--lr", "0.003",
+     "--reward-eps", "0.02"],
+    ["detect", "--weights", LIGHT, "--image", "toy/pair_000000/a.pgm",
+     "--out", "detect_image/a.csv", "--dump-scoremap", "detect_image/a.dadf",
+     "--overlay", "detect_image/a_overlay.pgm", "--subpixel", "1"],
+    ["detect", "--weights", DARK, "--data", "scenes", "--out", "detect_scenes"],
+    ["eval", "--data", "scenes", "--detections", "detect_scenes", "--out", "eval_detections",
+     "--ransac-iterations", "50"],
+    *(["eval", "--data", data, "--weights", weights, "--out", f"eval_{data}{suffix}",
+       "--topk", "12", *flags]
+      for data, weights in (("toy", LIGHT), ("scenes", DARK))
+      for suffix, flags in (("", []), ("_subpixel", ["--subpixel", "1"]))),
+    ["distill", "--light", LIGHT, "--dark", DARK, "--out", "distill", "--num-pairs", "4",
+     "--r", "2"],
+    ["gradcheck", "--instances", "2", "--out", "gradcheck.txt"],
+]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(SRC))
+    from dadkit.cli import main as dadkit_main
+
+    os.chdir(out)
+    Path("toy.cfg").write_text(TOY_CONFIG, encoding="utf-8")
+    for stage in STAGES:
+        log = io.StringIO()
+        with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+            code = dadkit_main(stage)
+        if code != 0:
+            print(f"stage failed with exit code {code}: dadkit {' '.join(stage)}\n"
+                  f"{log.getvalue()}", file=sys.stderr, end="")
+            return 1
+    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}"
+             for p in sorted(Path(".").rglob("*")) if p.is_file()]
+    listing = "".join(f"{line}\n" for line in lines)
+    print(listing, end="")
+    print(f"combined {hashlib.sha256(listing.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
