@@ -22,8 +22,8 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .geometry import (HomographyTransfer, _covered, _sq_dists, covisible, match_mutual_nn,
-                       transfer_points)
+from .geometry import (HomographyTransfer, _covered, _homography_rule, _sq_dists, _transfer,
+                       covisible, match_mutual_nn, transfer_points)
 from .sampler import KeypointSet
 from .synth import POLARITIES, PairSample, classify_polarity, toy_pair_hits
 
@@ -50,7 +50,8 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
 
     Transfers every A keypoint into the B plane, keeps those landing inside
     B's bounds, and greedily assigns them one-to-one to B keypoints in order
-    of increasing distance.  Returns NaN when nothing is covisible.
+    of increasing distance (ties in row-major order), among the pairs within
+    threshold.  Returns NaN when nothing is covisible.
     """
     if not (threshold > 0):
         raise InvalidParameterError("threshold must be positive")
@@ -64,15 +65,13 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
         return 0.0
     src = moved[inside]
     dst = kb.xy
-    d = np.sqrt(_sq_dists(src, dst))
-    order = np.argsort(d, axis=None, kind="stable")
+    d = np.sqrt(_sq_dists(src, dst)).ravel()
+    cand = np.flatnonzero(d <= threshold)
     used_a = np.zeros(len(src), dtype=bool)
     used_b = np.zeros(len(dst), dtype=bool)
     hits = 0
-    for flat in order:
+    for flat in cand[np.argsort(d[cand], kind="stable")]:
         i, j = divmod(int(flat), len(dst))
-        if d[i, j] > threshold:
-            break
         if used_a[i] or used_b[j]:
             continue
         used_a[i] = used_b[j] = True
@@ -80,17 +79,47 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
     return hits / n
 
 
-def _hartley_normalization(pts: np.ndarray) -> np.ndarray:
-    centroid = pts.mean(axis=0)
-    spread = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
-    if spread < 1e-12:
-        raise DegenerateInputError("points are (nearly) coincident")
-    s = math.sqrt(2.0) / spread
-    return np.array([
-        [s, 0.0, -s * centroid[0]],
-        [0.0, s, -s * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
+def _hartley_normalization(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point set of a (B, n, 2) stack: the similarity taking it to centroid 0
+    and mean norm sqrt(2), and whether its points are spread (not all coincident)."""
+    centroid = pts.mean(axis=1)
+    spread = np.sqrt(((pts - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+    spread_ok = spread >= 1e-12
+    s = math.sqrt(2.0) / np.where(spread_ok, spread, 1.0)
+    t = np.zeros((len(pts), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, 0, 2] = -s * centroid[:, 0]
+    t[:, 1, 2] = -s * centroid[:, 1]
+    t[:, 2, 2] = 1.0
+    return t, spread_ok
+
+
+def _dlt_stack(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized DLT of every correspondence set of a (B, n, 2) stack, in one SVD call.
+
+    Returns the (B, 3, 3) homographies, before the homography rule, and per
+    set whether both point sets are spread and whether the system is flat
+    (its solution is not unique).
+    """
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
+        raise InvalidInputError("correspondences contain NaN/Inf")
+    ts, spread_s = _hartley_normalization(s)
+    td, spread_d = _hartley_normalization(d)
+    sn, _ = _transfer(ts, s)
+    dn, _ = _transfer(td, d)
+    b, n = s.shape[:2]
+    a = np.zeros((b, 2 * n, 9))
+    x, y = sn[..., 0], sn[..., 1]
+    u, v = dn[..., 0], dn[..., 1]
+    a[:, 0::2, 0], a[:, 0::2, 1], a[:, 0::2, 2] = -x, -y, -1.0
+    a[:, 0::2, 6], a[:, 0::2, 7], a[:, 0::2, 8] = u * x, u * y, u
+    a[:, 1::2, 3], a[:, 1::2, 4], a[:, 1::2, 5] = -x, -y, -1.0
+    a[:, 1::2, 6], a[:, 1::2, 7], a[:, 1::2, 8] = v * x, v * y, v
+    _, sv, vt = np.linalg.svd(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = (sv[:, 0] > 0) & (sv[:, -2] / sv[:, 0] < 1e-10)
+    h = np.linalg.inv(td) @ vt[:, -1].reshape(b, 3, 3) @ ts
+    return h, spread_s & spread_d, flat
 
 
 def dlt_homography(src, dst) -> HomographyTransfer:
@@ -104,37 +133,34 @@ def dlt_homography(src, dst) -> HomographyTransfer:
     d = np.asarray(dst, dtype=np.float64)
     if s.shape != d.shape or s.ndim != 2 or s.shape[1] != 2:
         raise InvalidInputError("src and dst must both be (N, 2)")
-    if not (np.isfinite(s).all() and np.isfinite(d).all()):
-        raise InvalidInputError("correspondences contain NaN/Inf")
     n = s.shape[0]
     if n < 4:
         raise InsufficientDataError(f"need >= 4 correspondences, got {n}")
-    ts, td = _hartley_normalization(s), _hartley_normalization(d)
-    sn = (np.hstack([s, np.ones((n, 1))]) @ ts.T)[:, :2]
-    dn = (np.hstack([d, np.ones((n, 1))]) @ td.T)[:, :2]
-    a = np.zeros((2 * n, 9))
-    x, y = sn[:, 0], sn[:, 1]
-    u, v = dn[:, 0], dn[:, 1]
-    a[0::2, 0], a[0::2, 1], a[0::2, 2] = -x, -y, -1.0
-    a[0::2, 6], a[0::2, 7], a[0::2, 8] = u * x, u * y, u
-    a[1::2, 3], a[1::2, 4], a[1::2, 5] = -x, -y, -1.0
-    a[1::2, 6], a[1::2, 7], a[1::2, 8] = v * x, v * y, v
-    _, sv, vt = np.linalg.svd(a)
-    if sv[0] > 0 and sv[-2] / sv[0] < 1e-10:
+    h, spread, flat = _dlt_stack(s[None], d[None])
+    if not spread[0]:
+        raise DegenerateInputError("points are (nearly) coincident")
+    if flat[0]:
         raise DegenerateInputError("correspondence configuration is degenerate")
-    hn = vt[-1].reshape(3, 3)
     try:
-        return HomographyTransfer(np.linalg.inv(td) @ hn @ ts)
-    except Exception as exc:
+        return HomographyTransfer(h[0])
+    except (InvalidInputError, DegenerateTransferError) as exc:
         raise DegenerateInputError(f"DLT produced a singular homography: {exc}") from exc
 
 
-def _symmetric_errors(h: HomographyTransfer, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    fwd, vf = transfer_points(h, src)
-    bwd, vb = transfer_points(h.inverse(), dst)
-    e_f = np.where(vf, np.sqrt(((fwd - dst) ** 2).sum(axis=1)), np.inf)
-    e_b = np.where(vb, np.sqrt(((bwd - src) ** 2).sum(axis=1)), np.inf)
-    return np.maximum(e_f, e_b)
+def _symmetric_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(B, N) symmetric transfer errors of a (B, 3, 3) stack of valid homographies,
+    and per model whether its inverse is regular (a model with a singular inverse
+    is unscored)."""
+    inv = np.linalg.inv(h)
+    bwd, finite, regular = _homography_rule(inv)
+    if not finite.all():  # an error, as in HomographyTransfer.inverse
+        raise InvalidInputError("homography contains NaN/Inf")
+    pf, vf = _transfer(h, src)
+    pb, vb = _transfer(bwd, dst)
+    e_f = np.where(vf, np.sqrt(((pf - dst) ** 2).sum(axis=2)), np.inf)
+    e_b = np.where(vb, np.sqrt(((pb - src) ** 2).sum(axis=2)), np.inf)
+    return np.maximum(e_f, e_b), regular
 
 
 def ransac_homography(src, dst, inlier_threshold: float = 2.0,
@@ -142,6 +168,10 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
                       rng=None) -> tuple[HomographyTransfer, np.ndarray]:
     """4-point RANSAC with symmetric transfer error and an inlier refit.
 
+    Draws every 4-point sample first, solves all of them in one SVD call and
+    scores all models at once.  The best model has the most inliers, then
+    the lowest mean inlier error; the earliest sample wins ties.  A sample
+    whose DLT fails or whose model or inverse is singular is skipped.
     Deterministic given the rng (a Generator or a seed).  The refit is kept
     only if it does not reduce the inlier count; otherwise the best sampled
     model is returned.
@@ -157,33 +187,29 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
         raise InvalidParameterError("bad RANSAC parameters")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    best_h: HomographyTransfer | None = None
-    best_in = np.zeros(n, dtype=bool)
-    best_score = (-1, np.inf)
-    for _ in range(iterations):
-        idx = gen.choice(n, size=4, replace=False)
-        try:
-            h = dlt_homography(s[idx], d[idx])
-            # scoring inverts h; a barely nonsingular sample can fail there
-            err = _symmetric_errors(h, s, d)
-        except (DegenerateInputError, InsufficientDataError, DegenerateTransferError):
-            continue
-        inl = err <= inlier_threshold
-        count = int(inl.sum())
-        mean_err = float(err[inl].mean()) if count else np.inf
-        if (-count, mean_err) < best_score:
-            best_score = (-count, mean_err)
-            best_h, best_in = h, inl
-    if best_h is None or not best_in.any():
+    idx = np.array([gen.choice(n, size=4, replace=False) for _ in range(iterations)])
+    raw, spread, flat = _dlt_stack(s[idx], d[idx])
+    fwd, _, regular = _homography_rule(raw)
+    keep = np.flatnonzero(spread & ~flat & regular)
+    err, scored = _symmetric_errors(fwd[keep], s, d)
+    keep, err = keep[scored], err[scored]
+    inl = err <= inlier_threshold
+    count = inl.sum(axis=1)
+    if not count.any():
         raise DegenerateInputError("RANSAC found no valid model")
+    top = np.flatnonzero(count == count.max())
+    best = top[np.argmin([err[r][inl[r]].mean() for r in top])]
+    # built from the unscaled solve, as dlt_homography builds it, so its bits match
+    best_h, best_in = HomographyTransfer(raw[keep[best]]), inl[best]
     if best_in.sum() >= 4:
         try:
             refit = dlt_homography(s[best_in], d[best_in])
-            inl2 = _symmetric_errors(refit, s, d) <= inlier_threshold
-            if inl2.sum() >= best_in.sum():
-                return refit, inl2
-        except (DegenerateInputError, InsufficientDataError, DegenerateTransferError):
-            pass
+        except DegenerateInputError:
+            return best_h, best_in
+        err, scored = _symmetric_errors(refit.h[None], s, d)
+        inl2 = err[0] <= inlier_threshold
+        if scored[0] and inl2.sum() >= best_in.sum():
+            return refit, inl2
     return best_h, best_in
 
 

@@ -302,6 +302,8 @@ def load_pair(dirpath) -> PairSample:
     images = [read_pgm(d / f"{s}.pgm") for s in "ab"]
     (gt_a, pol_a), (gt_b, pol_b) = (read_gt_csv(d / f"gt_{s}.csv", im.shape)
                                     for s, im in zip("ab", images))
+    if meta["kind"] == "toy" and len(gt_a) == 0:
+        raise InvalidInputError(f"{d / 'gt_a.csv'}: a toy pair needs at least one dot")
     try:
         seed = int(meta.get("seed", 0))
     except ValueError:

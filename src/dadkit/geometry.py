@@ -11,6 +11,22 @@ from .errors import DegenerateTransferError, InvalidInputError, InvalidParameter
 from .sampler import KeypointSet
 
 
+def _homography_rule(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The homography rule on a (B, 3, 3) stack: (scaled, finite, regular).
+
+    A matrix is finite when it holds no NaN/Inf, and regular when it is also
+    nonsingular: max|h| > 0 and |det h| > 1e-12 * max|h|**3.  Each matrix is
+    scaled so h[2,2] == 1, unless that entry is 0.
+    """
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], a, np.eye(3))  # keeps det off NaN/Inf rows
+    scale = np.abs(a).max(axis=(1, 2))
+    singular = np.abs(np.linalg.det(a)) <= 1e-12 * (scale * scale * scale)
+    regular = finite & (scale != 0) & ~singular
+    a22 = a[:, 2, 2]
+    return a / np.where(a22 != 0, a22, 1.0)[:, None, None], finite, regular
+
+
 @dataclass(frozen=True)
 class HomographyTransfer:
     """3x3 projective map between image planes, scaled so h[2,2] == 1."""
@@ -21,14 +37,12 @@ class HomographyTransfer:
         a = np.asarray(self.h, dtype=np.float64)
         if a.shape != (3, 3):
             raise InvalidInputError(f"homography must be 3x3, got {a.shape}")
-        if not np.isfinite(a).all():
+        scaled, finite, regular = _homography_rule(a[None])
+        if not finite[0]:
             raise InvalidInputError("homography contains NaN/Inf")
-        scale = np.abs(a).max()
-        if scale == 0 or abs(np.linalg.det(a)) <= 1e-12 * scale**3:
+        if not regular[0]:
             raise DegenerateTransferError("homography is singular")
-        if a[2, 2] != 0:
-            a = a / a[2, 2]
-        object.__setattr__(self, "h", a)
+        object.__setattr__(self, "h", scaled[0])
 
     @classmethod
     def identity(cls) -> "HomographyTransfer":
@@ -51,19 +65,28 @@ def apply_transfer(t: HomographyTransfer, pt) -> tuple[float, float] | None:
     return (float(v[0] / v[2]), float(v[1] / v[2]))
 
 
+def _transfer(h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer (N, 2) or (B, N, 2) points by a (B, 3, 3) stack: (B, N, 2) points, (B, N) valid.
+
+    A transfer is valid when it is finite and does not land on the plane at
+    infinity; invalid points are NaN.
+    """
+    v = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ h.swapaxes(1, 2)
+    w = v[..., 2]
+    valid = np.isfinite(v).all(axis=-1) & (np.abs(w) >= 1e-12)
+    out = np.full(v.shape[:-1] + (2,), np.nan)
+    np.divide(v[..., :2], w[..., None], out=out, where=valid[..., None])
+    valid &= np.isfinite(out).all(axis=-1)
+    return out, valid
+
+
 def transfer_points(t: HomographyTransfer, pts) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized transfer of an (N, 2) array; returns (points, valid)."""
     p = np.asarray(pts, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != 2:
         raise InvalidInputError(f"points must be (N, 2), got {p.shape}")
-    ones = np.ones((p.shape[0], 1))
-    v = np.hstack([p, ones]) @ t.h.T
-    w = v[:, 2]
-    valid = np.isfinite(v).all(axis=1) & (np.abs(w) >= 1e-12)
-    out = np.full_like(p, np.nan)
-    out[valid] = v[valid, :2] / w[valid, None]
-    valid &= np.isfinite(out).all(axis=1)
-    return out, valid
+    out, valid = _transfer(t.h[None], p)
+    return out[0], valid[0]
 
 
 def covisible(t: HomographyTransfer, pts, shape_dst) -> tuple[np.ndarray, np.ndarray]:

@@ -248,6 +248,13 @@ def _bad_input_case(case, ws, tmp):
         bad.write_bytes(blob)
         return ["eval", "--data", str(tmp / "data"), "--detections", str(tmp / "dets"),
                 "--out", str(tmp / "out")], bad
+    if case == "toy_pair_without_dots":
+        shutil.copytree(ws["data"], tmp / "data")
+        bad = tmp / "data" / "pair_000001" / "gt_a.csv"
+        for name in ("gt_a.csv", "gt_b.csv"):
+            (bad.parent / name).write_bytes(b"x,y,score,polarity\n")
+        return ["train", "--data", str(tmp / "data"), "--out", str(tmp / "out"),
+                "--widths", "4", "--kernel-size", "3"], bad
     if case == "dadw_truncated":
         bad.write_bytes(ws["weights"].read_bytes()[:-6])
         return ["detect", "--weights", str(bad), "--image", str(img),
@@ -297,6 +304,7 @@ def _bad_input_case(case, ws, tmp):
     ("config_is_directory", 1), ("synth_threads_0", 1), ("distill_threads_0", 1),
     ("meta_bad_kind", 2), ("h_nan", 2), ("h_singular", 2), ("gt_bad_polarity", 2),
     ("mask_wrong_shape", 2), ("meta_kind_line_damaged", 2), ("meta_without_kind", 2),
+    ("toy_pair_without_dots", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

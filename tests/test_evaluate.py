@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dadkit.errors import (DegenerateInputError, InsufficientDataError,
-                           InvalidInputError, InvalidParameterError)
+from dadkit.errors import (DadkitError, DegenerateInputError, DegenerateTransferError,
+                           InsufficientDataError, InvalidInputError, InvalidParameterError)
 from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, auc,
                              corner_epe, detection_recall, dlt_homography,
                              evaluate_detections, polarity_recall,
                              ransac_homography, repeatability)
 from dadkit.formats import write_report
-from dadkit.geometry import HomographyTransfer, transfer_points
+from dadkit.geometry import HomographyTransfer, _sq_dists, covisible, transfer_points
 from dadkit.sampler import KeypointSet
 from dadkit.synth import SceneConfig, gen_scene_pair, gen_toy_pair, pair_rng
 
@@ -92,6 +94,40 @@ def test_repeatability_matches_greedy_oracle():
         b = rng.uniform(5, 58, size=(rng.integers(2, 10), 2))
         got = repeatability(kset(a), kset(b), HomographyTransfer.identity(), 6.0)
         assert got == pytest.approx(repeatability_oracle(a, b, 6.0))
+
+
+def _repeatability_reference(ka, kb, t, threshold):
+    """repeatability as it was: a stable sort of the whole distance matrix."""
+    moved, inside = covisible(t, ka.xy, kb.source_shape)
+    n = int(inside.sum())
+    src = moved[inside]
+    dst = kb.xy
+    d = np.sqrt(_sq_dists(src, dst))
+    order = np.argsort(d, axis=None, kind="stable")
+    used_a = np.zeros(len(src), dtype=bool)
+    used_b = np.zeros(len(dst), dtype=bool)
+    hits = 0
+    for flat in order:
+        i, j = divmod(int(flat), len(dst))
+        if d[i, j] > threshold:
+            break
+        if used_a[i] or used_b[j]:
+            continue
+        used_a[i] = used_b[j] = True
+        hits += 1
+    return hits / n
+
+
+# quarter-pixel points within 4 px: many pairs lie at exactly the thresholds below
+_QUARTER_SET = st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), min_size=1,
+                        max_size=12).map(lambda rows: np.array(rows, dtype=np.float64) / 4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_QUARTER_SET, b=_QUARTER_SET, threshold=st.sampled_from([0.25, 0.5, 1.0, 1.25, 2.0]))
+def test_repeatability_equals_the_full_sort_loop(a, b, threshold):
+    ka, kb, t = kset(a), kset(b), HomographyTransfer.identity()
+    assert repeatability(ka, kb, t, threshold) == _repeatability_reference(ka, kb, t, threshold)
 
 
 # homography estimation
@@ -175,6 +211,142 @@ def test_ransac_validation():
         ransac_homography(ok, ok, inlier_threshold=0.0)
     with pytest.raises(InvalidParameterError):
         ransac_homography(ok, ok, iterations=0)
+
+
+# ransac_homography against the per-sample loop it replaced, with the scalar
+# homography rule, transfer and DLT that loop called
+
+def _homography_reference(a):
+    a = np.asarray(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise InvalidInputError("homography contains NaN/Inf")
+    scale = np.abs(a).max()
+    if scale == 0 or abs(np.linalg.det(a)) <= 1e-12 * scale**3:
+        raise DegenerateTransferError("homography is singular")
+    return a / a[2, 2] if a[2, 2] != 0 else a
+
+
+def _transfer_reference(h, p):
+    v = np.hstack([p, np.ones((p.shape[0], 1))]) @ h.T
+    w = v[:, 2]
+    valid = np.isfinite(v).all(axis=1) & (np.abs(w) >= 1e-12)
+    out = np.full_like(p, np.nan)
+    out[valid] = v[valid, :2] / w[valid, None]
+    valid &= np.isfinite(out).all(axis=1)
+    return out, valid
+
+
+def _hartley_reference(pts):
+    centroid = pts.mean(axis=0)
+    spread = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
+    if spread < 1e-12:
+        raise DegenerateInputError("points are (nearly) coincident")
+    s = math.sqrt(2.0) / spread
+    return np.array([[s, 0.0, -s * centroid[0]], [0.0, s, -s * centroid[1]], [0.0, 0.0, 1.0]])
+
+
+def _dlt_reference(s, d):
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
+        raise InvalidInputError("correspondences contain NaN/Inf")
+    n = s.shape[0]
+    if n < 4:
+        raise InsufficientDataError(f"need >= 4 correspondences, got {n}")
+    ts, td = _hartley_reference(s), _hartley_reference(d)
+    sn = (np.hstack([s, np.ones((n, 1))]) @ ts.T)[:, :2]
+    dn = (np.hstack([d, np.ones((n, 1))]) @ td.T)[:, :2]
+    a = np.zeros((2 * n, 9))
+    x, y = sn[:, 0], sn[:, 1]
+    u, v = dn[:, 0], dn[:, 1]
+    a[0::2, 0], a[0::2, 1], a[0::2, 2] = -x, -y, -1.0
+    a[0::2, 6], a[0::2, 7], a[0::2, 8] = u * x, u * y, u
+    a[1::2, 3], a[1::2, 4], a[1::2, 5] = -x, -y, -1.0
+    a[1::2, 6], a[1::2, 7], a[1::2, 8] = v * x, v * y, v
+    _, sv, vt = np.linalg.svd(a)
+    if sv[0] > 0 and sv[-2] / sv[0] < 1e-10:
+        raise DegenerateInputError("correspondence configuration is degenerate")
+    hn = vt[-1].reshape(3, 3)
+    try:
+        return _homography_reference(np.linalg.inv(td) @ hn @ ts)
+    except Exception as exc:
+        raise DegenerateInputError(f"DLT produced a singular homography: {exc}") from exc
+
+
+def _symmetric_errors_reference(h, src, dst):
+    fwd, vf = _transfer_reference(h, src)
+    bwd, vb = _transfer_reference(_homography_reference(np.linalg.inv(h)), dst)
+    e_f = np.where(vf, np.sqrt(((fwd - dst) ** 2).sum(axis=1)), np.inf)
+    e_b = np.where(vb, np.sqrt(((bwd - src) ** 2).sum(axis=1)), np.inf)
+    return np.maximum(e_f, e_b)
+
+
+def _ransac_reference(s, d, inlier_threshold, iterations, rng):
+    n = s.shape[0]
+    gen = np.random.default_rng(rng)
+    best_h = None
+    best_in = np.zeros(n, dtype=bool)
+    best_score = (-1, np.inf)
+    for _ in range(iterations):
+        idx = gen.choice(n, size=4, replace=False)
+        try:
+            h = _dlt_reference(s[idx], d[idx])
+            # scoring inverts h; a barely nonsingular sample can fail there
+            err = _symmetric_errors_reference(h, s, d)
+        except (DegenerateInputError, InsufficientDataError, DegenerateTransferError):
+            continue
+        inl = err <= inlier_threshold
+        count = int(inl.sum())
+        mean_err = float(err[inl].mean()) if count else np.inf
+        if (-count, mean_err) < best_score:
+            best_score = (-count, mean_err)
+            best_h, best_in = h, inl
+    if best_h is None or not best_in.any():
+        raise DegenerateInputError("RANSAC found no valid model")
+    if best_in.sum() >= 4:
+        try:
+            refit = _dlt_reference(s[best_in], d[best_in])
+            inl2 = _symmetric_errors_reference(refit, s, d) <= inlier_threshold
+            if inl2.sum() >= best_in.sum():
+                return refit, inl2
+        except (DegenerateInputError, InsufficientDataError, DegenerateTransferError):
+            pass
+    return best_h, best_in
+
+
+def _match_set(layout, n, quarter, seed):
+    """Matches of one of six layouts; `quarter` rounds both sides to 1/4 px."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(0, 63, size=(n, 2))
+    if layout == "coincident":
+        src = src[rng.integers(0, 3, size=n)]
+    elif layout == "collinear":
+        src[:, 1] = 0.5 * src[:, 0] + 7.0
+        src[: n // 8] = rng.uniform(0, 63, size=(n // 8, 2))
+    dst, _ = transfer_points(nice_homography(rng), src)
+    wild = {"exact": 0, "outliers": n}.get(layout, n // 2)
+    dst[n - wild:] = rng.uniform(0, 63, size=(wild, 2))
+    if quarter:
+        src, dst = np.round(src * 4) / 4, np.round(dst * 4) / 4
+    if layout == "nan":
+        src[rng.integers(0, n)] = np.nan
+    return src, dst
+
+
+def _outcome(fn, *args):
+    try:
+        h, inliers = fn(*args)
+    except DadkitError as exc:
+        return type(exc)
+    return np.asarray(getattr(h, "h", h)).tobytes(), inliers.dtype, inliers.tobytes()
+
+
+@settings(deadline=None, max_examples=120)
+@given(layout=st.sampled_from(["exact", "half", "outliers", "coincident", "collinear", "nan"]),
+       n=st.integers(4, 300), quarter=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       iterations=st.sampled_from([1, 7, 200]), threshold=st.sampled_from([0.25, 1.0, 2.0]))
+def test_ransac_equals_the_per_sample_loop(layout, n, quarter, seed, iterations, threshold):
+    src, dst = _match_set(layout, n, quarter, seed)
+    args = (src, dst, threshold, iterations, seed)
+    assert _outcome(ransac_homography, *args) == _outcome(_ransac_reference, *args)
 
 
 # scalar metrics
