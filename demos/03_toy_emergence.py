@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from dadkit.model import ArchConfig, TrainConfig, forward, train_loop
-from dadkit.objective import reward_threshold
+from dadkit.objective import raw_reward
 from dadkit.sampler import SamplerConfig, sample_keypoints
 from dadkit.synth import (SceneConfig, classify_polarity,
                           expected_strategy_reward, generate_pairs,
@@ -53,7 +53,7 @@ def main() -> None:
         ka = sample_keypoints(sa, sc, "inference")
         kb = sample_keypoints(sb, sc, "inference")
         mab, _ = toy_matches(ka, kb, p, tc.assign_radius, tc.match_threshold)
-        rewards.append(sum(reward_threshold(d, tc.reward.tau_r) for d in mab.dist))
+        rewards.append(raw_reward(mab.dist, tc.reward).sum())
         labels += list(classify_polarity(ka, p.gt_keypoints_a, p.polarity_a))
         labels += list(classify_polarity(kb, p.gt_keypoints_b, p.polarity_b))
 

@@ -33,9 +33,8 @@ from .gradcheck import GradCheckResult, fd_param_grads, max_rel_error, run_gradc
 from .model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
                     TrainConfig, backward, forward, init_params, load_weights,
                     optimizer_step, save_weights, train_loop)
-from .objective import (LossReport, RewardConfig, normalize_rewards,
-                        raw_reward, reg_loss_and_grad, reward_threshold,
-                        rl_loss_and_grad, total_loss_and_grad)
+from .objective import (LossReport, RewardConfig, normalize_rewards, raw_reward,
+                        reg_loss_and_grad, rl_loss_and_grad, total_loss_and_grad)
 from .sampler import (KeypointSet, SamplerConfig, kde_balance, nms, sample_keypoints,
                       subpixel_refine, top_k)
 from .synth import (HomographyMagnitude, PairSample, SceneConfig, check_pair_consistency,

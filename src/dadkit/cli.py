@@ -299,11 +299,10 @@ def _build_scene_config(cfg: dict) -> SceneConfig:
 
 
 def _overlay_image(image, kps) -> np.ndarray:
-    """Plus-shaped contrast markers at the rounded keypoint positions."""
+    """Plus-shaped contrast markers at the keypoint pixels."""
     img = np.array(image, dtype=np.float64)
     h, w = img.shape
-    for x, y in kps.xy.tolist():
-        x, y = int(round(x)), int(round(y))
+    for x, y in kps.pixels.tolist():
         ink = 1.0 if img[y, x] < 0.5 else 0.0
         for dy, dx in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
             yy, xx = y + dy, x + dx

@@ -99,10 +99,8 @@ def _dlt_stack(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
     Returns the (B, 3, 3) homographies, before the homography rule, and per
     set whether both point sets are spread and whether the system is flat
-    (its solution is not unique).
+    (its solution is not unique).  The points must be finite.
     """
-    if not (np.isfinite(s).all() and np.isfinite(d).all()):
-        raise InvalidInputError("correspondences contain NaN/Inf")
     ts, spread_s = _hartley_normalization(s)
     td, spread_d = _hartley_normalization(d)
     sn, _ = _transfer(ts, s)
@@ -136,6 +134,8 @@ def dlt_homography(src, dst) -> HomographyTransfer:
     n = s.shape[0]
     if n < 4:
         raise InsufficientDataError(f"need >= 4 correspondences, got {n}")
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
+        raise InvalidInputError("correspondences contain NaN/Inf")
     h, spread, flat = _dlt_stack(s[None], d[None])
     if not spread[0]:
         raise DegenerateInputError("points are (nearly) coincident")
@@ -170,7 +170,8 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
 
     Draws every 4-point sample first, solves all of them in one SVD call and
     scores all models at once.  The best model has the most inliers, then
-    the lowest mean inlier error; the earliest sample wins ties.  A sample
+    the lowest mean inlier error; the earliest sample wins ties.  Any NaN/Inf
+    correspondence raises InvalidInputError, whatever the samples.  A sample
     whose DLT fails or whose model or inverse is singular is skipped.
     Deterministic given the rng (a Generator or a seed).  The refit is kept
     only if it does not reduce the inlier count; otherwise the best sampled
@@ -183,6 +184,8 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
     n = s.shape[0]
     if n < 4:
         raise InsufficientDataError(f"need >= 4 matches, got {n}")
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
+        raise InvalidInputError("correspondences contain NaN/Inf")
     if not (inlier_threshold > 0) or iterations < 1:
         raise InvalidParameterError("bad RANSAC parameters")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)

@@ -20,7 +20,6 @@ from .core import Mask, _as_grid
 from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
 from .evaluate import PER_PAIR_FIELDS
 from .geometry import HomographyTransfer
-from .objective import LossReport
 from .sampler import KeypointSet
 from .synth import POLARITIES, PairSample, config_meta, pair_generator, pair_rng
 
@@ -134,8 +133,10 @@ def write_csv(path, header: str, rows) -> None:
 
 
 def write_loss_csv(path, reports) -> None:
-    """Training loss.csv: one LossReport row per step."""
-    write_csv(path, LossReport.CSV_HEADER, (r.csv_row() for r in reports))
+    """Training loss.csv: one LossReport row per step, floats at nine digits."""
+    write_csv(path, "step,rl_loss,reg_loss,total,mean_raw_reward,num_matches",
+              (f"{r.step},{r.rl_loss:.9g},{r.reg_loss:.9g},{r.total:.9g},"
+               f"{r.mean_raw_reward:.9g},{r.num_matches}" for r in reports))
 
 
 def write_distill_loss_csv(path, losses) -> None:

@@ -182,8 +182,8 @@ def _analytic_and_loss_fns(inst: _Instance):
     sa, sb, ca, cb = fwd(inst.params)
     out = {}
 
-    _, ga, gb = rl_loss_and_grad(sa, sb, inst.mask_a, inst.mask_b, inst.ka, inst.kb,
-                                 inst.mab, inst.mba, inst.reward)
+    _, ga, gb, _ = rl_loss_and_grad(sa, sb, inst.mask_a, inst.mask_b, inst.ka, inst.kb,
+                                    inst.mab, inst.mba, inst.reward)
     out["rl"] = (
         _sum_grads([backward(ca, ga), backward(cb, gb)]),
         lambda p: rl_loss_and_grad(*fwd(p)[:2], inst.mask_a, inst.mask_b, inst.ka,

@@ -329,7 +329,7 @@ class TrainConfig:
 
 
 def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
-    px = np.rint(kps.xy).astype(np.intp)
+    px = kps.pixels
     keep = mask.bits[px[:, 1], px[:, 0]]
     return KeypointSet(kps.xy[keep], kps.scores[keep], kps.source_shape)
 

@@ -47,31 +47,20 @@ class LossReport:
     mean_raw_reward: float
     num_matches: int
 
-    CSV_HEADER = "step,rl_loss,reg_loss,total,mean_raw_reward,num_matches"
 
-    def csv_row(self) -> str:
-        return (
-            f"{self.step},{self.rl_loss:.9g},{self.reg_loss:.9g},"
-            f"{self.total:.9g},{self.mean_raw_reward:.9g},{self.num_matches}"
-        )
+def raw_reward(distance, cfg: RewardConfig):
+    """Rewards of match distances, elementwise: an array in, an array out.
 
-
-def reward_threshold(distance: float, tau_r: float) -> float:
-    """1.0 strictly inside the radius, 0.0 at and beyond it."""
-    if distance < 0 or not np.isfinite(distance):
-        raise InvalidInputError(f"distance must be finite and >= 0, got {distance}")
-    if not (tau_r > 0):
-        raise InvalidParameterError("tau_r must be positive")
-    return 1.0 if distance < tau_r else 0.0
-
-
-def raw_reward(distance: float, cfg: RewardConfig) -> float:
-    """Reward of one match distance under the configured shape."""
+    1 strictly inside tau_r and 0 at and beyond it, or max(0, 1 - d/tau_r)
+    under linear decay.  A scalar distance gives a scalar reward.
+    """
+    d = np.asarray(distance, dtype=np.float64)
+    ok = np.isfinite(d) & (d >= 0)
+    if not ok.all():
+        raise InvalidInputError(f"distance must be finite and >= 0, got {d[~ok].flat[0]}")
     if cfg.linear_decay:
-        if distance < 0 or not np.isfinite(distance):
-            raise InvalidInputError(f"distance must be finite and >= 0, got {distance}")
-        return max(0.0, 1.0 - distance / cfg.tau_r)
-    return reward_threshold(distance, cfg.tau_r)
+        return np.maximum(0.0, 1.0 - d / cfg.tau_r)
+    return (d < cfg.tau_r).astype(np.float64)
 
 
 def normalize_rewards(rewards, eps: float) -> np.ndarray:
@@ -86,33 +75,33 @@ def normalize_rewards(rewards, eps: float) -> np.ndarray:
     return r / (float(r.mean()) + eps)
 
 
-def _pooled_raw_rewards(mab: MatchSet, mba: MatchSet, cfg: RewardConfig) -> np.ndarray:
-    ds = np.concatenate([mab.dist, mba.dist])
-    return np.array([raw_reward(d, cfg) for d in ds], dtype=np.float64)
-
-
 def _directional_loss_and_grad(scoremap, mask, kps: KeypointSet, indices, rhat):
-    """-sum_m rhat_m log p(x_m) over keypoints kps[indices[m]], and its gradient."""
+    """-sum_m rhat_m log p(x_m) over keypoints kps[indices[m]], and its gradient.
+
+    Both sums run in match order, as sequential sums, so the result does not
+    depend on how numpy groups a reduction; a repeated pixel accumulates.
+    """
     lp = masked_log_softmax(scoremap, mask)
     p = lp.probs()
     h, w = p.shape
-    loss = 0.0
     grad = np.zeros_like(p)
-    coef = 0.0
-    for idx, r in zip(indices.tolist(), rhat):
-        if not (0 <= idx < len(kps)):
-            raise InvalidInputError(f"match references keypoint {idx} of {len(kps)}")
-        x, y = kps.xy[idx].tolist()
-        xi, yi = int(round(x)), int(round(y))
-        if not (0 <= xi < w and 0 <= yi < h):
-            raise InvalidInputError(f"keypoint pixel ({xi}, {yi}) outside grid")
-        if not lp.mask.bits[yi, xi]:
-            raise InvalidInputError(f"matched pixel ({xi}, {yi}) is outside the mask")
-        loss -= r * lp.logprobs[yi, xi]
-        grad[yi, xi] -= r
-        coef += r
-    grad += coef * p
-    return loss, grad
+    if len(indices) == 0:
+        return 0.0, grad
+    bad = (indices < 0) | (indices >= len(kps))
+    if bad.any():
+        raise InvalidInputError(f"match references keypoint {indices[bad][0]} of {len(kps)}")
+    x, y = kps.pixels[indices].T  # never negative: KeypointSet keeps xy >= 0
+    off = (x >= w) | (y >= h)
+    if off.any():
+        raise InvalidInputError(f"keypoint pixel ({x[off][0]}, {y[off][0]}) outside grid")
+    out = ~lp.mask.bits[y, x]
+    if out.any():
+        raise InvalidInputError(f"matched pixel ({x[out][0]}, {y[out][0]}) is outside the mask")
+    # 0.0 - s turns a -0.0 sum of zero-reward terms into 0.0
+    loss = 0.0 - np.cumsum(rhat * lp.logprobs[y, x])[-1]
+    np.subtract.at(grad, (y, x), rhat)
+    grad += np.cumsum(rhat)[-1] * p
+    return float(loss), grad
 
 
 def rl_loss_and_grad(
@@ -120,24 +109,19 @@ def rl_loss_and_grad(
     ka: KeypointSet, kb: KeypointSet,
     mab: MatchSet, mba: MatchSet,
     cfg: RewardConfig,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reinforcement loss over a pair and gradients w.r.t. both scoremaps.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Reinforcement loss over a pair, gradients w.r.t. both scoremaps, raw rewards.
 
-    Raw rewards are pooled over both directions, normalized once by their
-    mean (+ eps), then the A->B matches drive only grad_a and the B->A
-    matches only grad_b: each direction reinforces the side that queried.
+    Raw rewards are pooled over both directions (A->B first), normalized
+    once by their mean (+ eps), then the A->B matches drive only grad_a and
+    the B->A matches only grad_b: each direction reinforces the side that
+    queried.  The pooled raw rewards are returned as the fourth value.
     """
-    return _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba,
-                     _pooled_raw_rewards(mab, mba, cfg), cfg.eps)
-
-
-def _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba, raw, eps):
-    """rl_loss_and_grad given the pooled raw rewards."""
-    rhat = normalize_rewards(raw, eps)
-    rhat_ab, rhat_ba = rhat[: len(mab)], rhat[len(mab):]
-    loss_a, grad_a = _directional_loss_and_grad(sa, mask_a, ka, mab.ia, rhat_ab)
-    loss_b, grad_b = _directional_loss_and_grad(sb, mask_b, kb, mba.ib, rhat_ba)
-    return loss_a + loss_b, grad_a, grad_b
+    raw = raw_reward(np.concatenate([mab.dist, mba.dist]), cfg)
+    rhat = normalize_rewards(raw, cfg.eps)
+    loss_a, grad_a = _directional_loss_and_grad(sa, mask_a, ka, mab.ia, rhat[: len(mab)])
+    loss_b, grad_b = _directional_loss_and_grad(sb, mask_b, kb, mba.ib, rhat[len(mab):])
+    return loss_a + loss_b, grad_a, grad_b, raw
 
 
 def reg_loss_and_grad(
@@ -177,9 +161,8 @@ def total_loss_and_grad(
     """Reinforcement + weighted coverage regularizer for both images of a pair."""
     if reg_weight < 0:
         raise InvalidParameterError("reg_weight must be >= 0")
-    raw = _pooled_raw_rewards(mab, mba, reward_cfg)
-    rl, grad_a, grad_b = _rl_terms(sa, sb, mask_a, mask_b, ka, kb, mab, mba, raw,
-                                   reward_cfg.eps)
+    rl, grad_a, grad_b, raw = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba,
+                                               reward_cfg)
     reg = 0.0
     if reg_weight > 0:
         la, ga = reg_loss_and_grad(sa, mask_a, reg_sigma)

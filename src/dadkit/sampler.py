@@ -57,6 +57,11 @@ class KeypointSet:
     def __len__(self) -> int:
         return len(self.xy)
 
+    @property
+    def pixels(self) -> np.ndarray:
+        """(N, 2) integer pixel of each keypoint, xy rounded half to even."""
+        return np.rint(self.xy).astype(np.intp)
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -150,8 +155,7 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
     h, w = z.shape
     r = window // 2
     out = np.empty_like(kps.xy)
-    for n, (x, y) in enumerate(kps.xy.tolist()):
-        xi, yi = int(round(x)), int(round(y))
+    for n, (xi, yi) in enumerate(kps.pixels.tolist()):
         y0, y1 = max(0, yi - r), min(h, yi + r + 1)
         x0, x1 = max(0, xi - r), min(w, xi + r + 1)
         patch = z[y0:y1, x0:x1] / temp
@@ -166,7 +170,7 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
 def _rescore(kps: KeypointSet, probs: np.ndarray) -> KeypointSet:
     """Report raw probabilities as scores and restore score ordering."""
     w = kps.source_shape[1]
-    px = np.rint(kps.xy).astype(np.intp)
+    px = kps.pixels
     scores = probs[px[:, 1], px[:, 0]]
     order = np.lexsort((px[:, 1] * w + px[:, 0], -scores))
     return KeypointSet(px[order], scores[order], kps.source_shape)

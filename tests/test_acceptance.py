@@ -25,7 +25,7 @@ from dadkit.distill import (
 from dadkit.evaluate import EvalConfig, evaluate_detections, polarity_recall
 from dadkit.gradcheck import run_gradcheck
 from dadkit.model import ArchConfig, TrainConfig, forward, train_loop
-from dadkit.objective import RewardConfig, reward_threshold
+from dadkit.objective import RewardConfig, raw_reward
 from dadkit.sampler import SamplerConfig, kde_balance, nms, sample_keypoints
 from dadkit.synth import (
     SceneConfig,
@@ -337,7 +337,7 @@ def test_acceptance_toy_polarity_emergence():
             ka = sample_keypoints(sa, sc, "inference")
             kb = sample_keypoints(sb, sc, "inference")
             mab, _ = toy_matches(ka, kb, p, tc.assign_radius, tc.match_threshold)
-            rewards.append(sum(reward_threshold(d, tc.reward.tau_r) for d in mab.dist))
+            rewards.append(raw_reward(mab.dist, tc.reward).sum())
             labels += list(classify_polarity(ka, p.gt_keypoints_a, p.polarity_a))
             labels += list(classify_polarity(kb, p.gt_keypoints_b, p.polarity_b))
         reward = float(np.mean(rewards))

@@ -327,12 +327,18 @@ def test_train_loop_batch_steps_once_on_summed_pair_gradients():
     for a, b in zip(params.layers, expected.layers):
         np.testing.assert_array_equal(a.kernel, b.kernel)
         np.testing.assert_array_equal(a.bias, b.bias)
-    assert [r.csv_row() for r in reports] == [r.csv_row() for _, r in results]
+    assert reports == [r for _, r in results]
 
 
 def test_write_loss_csv(tmp_path):
     from dadkit.objective import LossReport
+    header = "step,rl_loss,reg_loss,total,mean_raw_reward,num_matches\n"
     p = tmp_path / "loss.csv"
-    write_loss_csv(p, [LossReport(0, 1.0, 0.25, 1.25, 0.5, 4)])
-    assert p.read_text() == ("step,rl_loss,reg_loss,total,mean_raw_reward,num_matches\n"
-                             "0,1,0.25,1.25,0.5,4\n")
+    write_loss_csv(p, [LossReport(0, 1.0, 0.25, 1.25, 0.5, 4),
+                       LossReport(3, 1.25, 0.5, 1.75, 0.875, 7),
+                       LossReport(4, -1 / 3, 0.0, -1 / 3, 2 / 3, 0)])
+    assert p.read_text() == (header + "0,1,0.25,1.25,0.5,4\n"
+                             "3,1.25,0.5,1.75,0.875,7\n"
+                             "4,-0.333333333,0,-0.333333333,0.666666667,0\n")
+    write_loss_csv(p, [])
+    assert p.read_text() == header

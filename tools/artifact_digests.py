@@ -14,7 +14,8 @@ one's `tools/`) and compare the output to check that a change rewrites
 every artifact byte for byte.
 
 The pipeline: toy `synth` from a config file, scene `synth`, `train` on
-each, `detect --image` (with scoremap dump, overlay and subpixel
+each, toy `train` with the linear-decay reward and no regularizer,
+`detect --image` (with scoremap dump, overlay and subpixel
 refinement) and `detect --data`, `eval --detections`, `eval --weights` on
 toy and scene pairs with and without `--subpixel 1`, scene `distill`, and
 `gradcheck --out`.  Exits 1 naming the first stage that fails.
@@ -38,6 +39,8 @@ STAGES = [
     ["synth", "--mode", "scenes", "--num-pairs", "4", "--seed", "5", "--out", "scenes",
      "--hm-scale-lo", "0.95", "--noise-sigma", "0.02"],
     ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
+    ["train", "--data", "toy", "--out", "train_toy_decay", "--linear-decay", "1",
+     "--reg-weight", "0"],
     ["train", "--data", "scenes", "--out", "train_scene", "--lr", "0.003",
      "--reward-eps", "0.02"],
     ["detect", "--weights", LIGHT, "--image", "toy/pair_000000/a.pgm",
