@@ -226,6 +226,13 @@ class DistillConfig:
             raise InvalidParameterError("num_pairs must be >= 1")
 
 
+def _student_step(student: DetectorParams, image, target) -> tuple[float, tuple]:
+    """One student image: (KL loss against the merged target, parameter gradients)."""
+    s, cache = forward(student, image)
+    loss, grad = distill_loss_and_grad(target, s)
+    return loss, backward(cache, grad)
+
+
 def train_distilled(light: DetectorParams, dark: DetectorParams,
                     cfg: DistillConfig) -> tuple[DetectorParams, list[float]]:
     """Train a fresh student against the merged teacher target.
@@ -244,8 +251,7 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
             s_light, _ = forward(light, image)
             s_dark, _ = forward(dark, image)
             target = distill_target(softmax_2d(s_light), softmax_2d(s_dark), cfg.r)
-            s, cache = forward(student, image)
-            loss, grad = distill_loss_and_grad(target, s)
-            student, state = optimizer_step(student, backward(cache, grad), state)
+            loss, grads = _student_step(student, image, target)
+            student, state = optimizer_step(student, grads, state)
             losses.append(loss)
     return student, losses

@@ -1,14 +1,17 @@
 """Finite-difference verification of every analytic gradient path.
 
-Each randomized instance builds a small detector and image pair, freezes
-the sampled keypoints and matches (selection is not differentiated), and
-compares backward() against central finite differences for four losses:
-the reinforcement term, the coverage regularizer, the distillation KL, and
-the full training objective.  Instances whose rectifier pre-activations
-come within ten FD steps of zero are re-drawn, since a kink between the
-two FD evaluations would invalidate the comparison, and so are instances in
-which some family's analytic gradient is identically zero, since they test
-nothing; everything else about the instance is kept random.
+Each randomized instance is a small detector, a scene pair without ground
+truth, a training config and the pair's frozen selection (keypoints and
+matches, not differentiated).  Four losses are checked against central
+finite differences, from the code that trains: `rl` (no regularizer) and
+`full` take the gradient of the training step `model._pair_grads` and
+differentiate its loss step `_pair_loss` with the selection held fixed,
+`distill` takes the gradient of the student step of `train_distilled`, and
+`reg` checks one map's coverage regularizer.  Instances whose rectifier
+pre-activations come within ten FD steps of zero are re-drawn, since a kink
+between the two FD evaluations would invalidate the comparison, and so are
+instances in which some family's analytic gradient is identically zero,
+since they test nothing; everything else about the instance is kept random.
 
 The pass rule uses an elementwise relative error whose small absolute floor
 hides round-off.  Alongside it the audit reports each family's normwise
@@ -19,27 +22,29 @@ the gradients really are, and the smallest such gradient scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Mask, ProbMap
-from .distill import distill_loss_and_grad
+from .core import ProbMap
+from .distill import _student_step, distill_loss_and_grad
 from .errors import InvalidParameterError
-from .geometry import covisibility_mask, match_mutual_nn
+from .geometry import covisibility_mask
 from .model import (
     ArchConfig,
     ConvLayer,
     DetectorParams,
-    _covisible_subset,
-    _sum_grads,
+    TrainConfig,
+    _pair_grads,
+    _pair_loss,
+    _select,
     backward,
     forward,
     init_params,
 )
-from .objective import RewardConfig, reg_loss_and_grad, rl_loss_and_grad, total_loss_and_grad
-from .sampler import SamplerConfig, sample_keypoints
-from .synth import HomographyMagnitude, sample_homography
+from .objective import RewardConfig, reg_loss_and_grad
+from .sampler import KeypointSet, SamplerConfig
+from .synth import HomographyMagnitude, PairSample, sample_homography
 
 FAMILIES = ("rl", "reg", "distill", "full")
 
@@ -125,17 +130,10 @@ def _min_abs_preact(caches) -> float:
 @dataclass(frozen=True)
 class _Instance:
     params: DetectorParams
-    image_a: np.ndarray
-    image_b: np.ndarray
-    mask_a: Mask
-    mask_b: Mask
-    ka: object
-    kb: object
-    mab: object
-    mba: object
+    pair: PairSample
+    selection: tuple
     target: ProbMap
-    reward: RewardConfig
-    reg_sigma: float
+    cfg: TrainConfig
 
 
 def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
@@ -153,70 +151,38 @@ def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
         return None
     magnitude = HomographyMagnitude(5e-4, 0.08, (0.92, 1.08), 8.0)
     transfer = sample_homography(rng, magnitude, (h, w))
-    mask_a = covisibility_mask(transfer, (h, w), (h, w))
-    mask_b = covisibility_mask(transfer.inverse(), (h, w), (h, w))
-    sampler = SamplerConfig(k=6)
-    ka = _covisible_subset(sample_keypoints(sa, sampler, "train"), mask_a)
-    kb = _covisible_subset(sample_keypoints(sb, sampler, "train"), mask_b)
-    if len(ka) == 0 or len(kb) == 0:
-        return None
-    mab, mba = match_mutual_nn(ka, kb, transfer, np.inf)
-    if len(mab) == 0 and len(mba) == 0:
+    no_gt = KeypointSet(np.zeros((0, 2)), np.zeros(0), (h, w))
+    pair = PairSample(image_a, image_b, transfer, covisibility_mask(transfer, (h, w), (h, w)),
+                      covisibility_mask(transfer.inverse(), (h, w), (h, w)),
+                      no_gt, no_gt, (), (), "scene")
+    cfg = TrainConfig(arch, SamplerConfig(k=6), RewardConfig(tau_r=2.0), reg_weight=0.7)
+    selection = _select(sa, sb, pair, cfg)
+    _, _, mab, mba = selection
+    if len(mab) == 0 and len(mba) == 0:  # also when no keypoint is covisible
         return None
     raw = rng.uniform(0.1, 1.0, (h, w))
-    target = ProbMap(raw / raw.sum())
-    return _Instance(
-        params, image_a, image_b, mask_a, mask_b, ka, kb, mab, mba, target,
-        RewardConfig(tau_r=2.0), reg_sigma=0.02 * min(h, w),
-    )
+    return _Instance(params, pair, selection, ProbMap(raw / raw.sum()), cfg)
 
 
 def _analytic_and_loss_fns(inst: _Instance):
     """(analytic gradient tuple, loss closure) per loss family."""
+    pair, image = inst.pair, inst.pair.image_a
+    rl_cfg = replace(inst.cfg, reg_weight=0.0)
 
-    def fwd(params):
-        sa, ca = forward(params, inst.image_a)
-        sb, cb = forward(params, inst.image_b)
-        return sa, sb, ca, cb
+    def step_loss(cfg):
+        return lambda p: _pair_loss(forward(p, image)[0], forward(p, pair.image_b)[0],
+                                    pair, inst.selection, cfg)[0].total
 
-    sa, sb, ca, cb = fwd(inst.params)
-    out = {}
-
-    _, ga, gb, _ = rl_loss_and_grad(sa, sb, inst.mask_a, inst.mask_b, inst.ka, inst.kb,
-                                    inst.mab, inst.mba, inst.reward)
-    out["rl"] = (
-        _sum_grads([backward(ca, ga), backward(cb, gb)]),
-        lambda p: rl_loss_and_grad(*fwd(p)[:2], inst.mask_a, inst.mask_b, inst.ka,
-                                   inst.kb, inst.mab, inst.mba, inst.reward)[0],
-    )
-
-    _, gr = reg_loss_and_grad(sa, inst.mask_a, inst.reg_sigma)
-    out["reg"] = (
-        backward(ca, gr),
-        lambda p: reg_loss_and_grad(forward(p, inst.image_a)[0], inst.mask_a,
-                                    inst.reg_sigma)[0],
-    )
-
-    _, gd = distill_loss_and_grad(inst.target, sa)
-    out["distill"] = (
-        backward(ca, gd),
-        lambda p: distill_loss_and_grad(inst.target, forward(p, inst.image_a)[0])[0],
-    )
-
-    def full_loss(p):
-        psa, psb, _, _ = fwd(p)
-        report, _, _ = total_loss_and_grad(
-            psa, psb, inst.mask_a, inst.mask_b, inst.ka, inst.kb, inst.mab, inst.mba,
-            inst.reward, inst.reg_sigma, reg_weight=0.7,
-        )
-        return report.total
-
-    _, gfa, gfb = total_loss_and_grad(
-        sa, sb, inst.mask_a, inst.mask_b, inst.ka, inst.kb, inst.mab, inst.mba,
-        inst.reward, inst.reg_sigma, reg_weight=0.7,
-    )
-    out["full"] = (_sum_grads([backward(ca, gfa), backward(cb, gfb)]), full_loss)
-    return out
+    sa, ca = forward(inst.params, image)
+    sigma = inst.cfg.reg_sigma_frac * min(sa.shape)
+    return {
+        "rl": (_pair_grads(inst.params, pair, rl_cfg, 0)[0], step_loss(rl_cfg)),
+        "reg": (backward(ca, reg_loss_and_grad(sa, pair.mask_a, sigma)[1]),
+                lambda p: reg_loss_and_grad(forward(p, image)[0], pair.mask_a, sigma)[0]),
+        "distill": (_student_step(inst.params, image, inst.target)[1],
+                    lambda p: distill_loss_and_grad(inst.target, forward(p, image)[0])[0]),
+        "full": (_pair_grads(inst.params, pair, inst.cfg, 0)[0], step_loss(inst.cfg)),
+    }
 
 
 def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,

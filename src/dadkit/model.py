@@ -334,20 +334,29 @@ def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
     return KeypointSet(kps.xy[keep], kps.scores[keep], kps.source_shape)
 
 
-def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
-    sa, ca = forward(params, pair.image_a)
-    sb, cb = forward(params, pair.image_b)
+def _select(sa: ScoreMap, sb: ScoreMap, pair, cfg: TrainConfig):
+    """The selection step, not differentiated: sample both maps, keep the
+    covisible keypoints, match them (toy or mutual-NN); (ka, kb, mab, mba)."""
     ka = _covisible_subset(sample_keypoints(sa, cfg.sampler, "train"), pair.mask_a)
     kb = _covisible_subset(sample_keypoints(sb, cfg.sampler, "train"), pair.mask_b)
     if pair.kind == "toy":
-        mab, mba = toy_matches(ka, kb, pair, cfg.assign_radius, cfg.match_threshold)
-    else:
-        mab, mba = match_mutual_nn(ka, kb, pair.transfer, cfg.match_threshold)
-    reg_sigma = cfg.reg_sigma_frac * min(sa.shape)
-    report, ga, gb = total_loss_and_grad(
-        sa, sb, pair.mask_a, pair.mask_b, ka, kb, mab, mba,
-        cfg.reward, reg_sigma, cfg.reg_weight, step,
+        return (ka, kb, *toy_matches(ka, kb, pair, cfg.assign_radius, cfg.match_threshold))
+    return (ka, kb, *match_mutual_nn(ka, kb, pair.transfer, cfg.match_threshold))
+
+
+def _pair_loss(sa: ScoreMap, sb: ScoreMap, pair, selection, cfg: TrainConfig, step: int = 0):
+    """The loss step: (LossReport, dL/dsa, dL/dsb) with the selection held fixed."""
+    return total_loss_and_grad(
+        sa, sb, pair.mask_a, pair.mask_b, *selection,
+        cfg.reward, cfg.reg_sigma_frac * min(sa.shape), cfg.reg_weight, step,
     )
+
+
+def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
+    """One pair's training step: (parameter gradients, LossReport)."""
+    sa, ca = forward(params, pair.image_a)
+    sb, cb = forward(params, pair.image_b)
+    report, ga, gb = _pair_loss(sa, sb, pair, _select(sa, sb, pair, cfg), cfg, step)
     return _sum_grads([backward(ca, ga), backward(cb, gb)]), report
 
 

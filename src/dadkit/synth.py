@@ -44,10 +44,10 @@ class HomographyMagnitude:
 
     def __post_init__(self):
         lo, hi = self.scale_range
-        if not (self.perspective_jitter >= 0 and self.max_translation >= 0
-                and self.max_rotation_deg >= 0):
-            raise InvalidParameterError("magnitude bounds must be >= 0")
-        if not (0 < lo <= hi):
+        for name in ("perspective_jitter", "max_translation", "max_rotation_deg"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise InvalidParameterError(f"{name} must be finite and >= 0")
+        if not (0 < lo <= hi < math.inf):
             raise InvalidParameterError(f"bad scale_range {self.scale_range}")
         object.__setattr__(self, "scale_range", (float(lo), float(hi)))
 

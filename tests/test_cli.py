@@ -235,8 +235,16 @@ def _write_detections(root):
             (root / pair / f"{side}.csv").write_text("x,y,score\n1.0,2.0,0.5\n")
 
 
+# an infinite bound would overflow numpy's sampler or make a NaN homography
+_INFINITE_HOMOGRAPHY_BOUNDS = {
+    "hm_scale_hi_inf": ("--hm-scale-hi", "scale_range"),
+    "hm_max_rotation_deg_inf": ("--hm-max-rotation-deg", "max_rotation_deg"),
+    "hm_max_translation_inf": ("--hm-max-translation", "max_translation"),
+}
+
+
 def _bad_input_case(case, ws, tmp):
-    """argv for one malformed input, and the file it names (None for flags)."""
+    """argv for one malformed input, and the file or key its error line names."""
     img = ws["data"] / "pair_000000" / "a.pgm"
     detect = ["detect", "--weights", str(ws["weights"]), "--out", str(tmp / "out")]
     bad = tmp / "bad"
@@ -283,16 +291,20 @@ def _bad_input_case(case, ws, tmp):
     if case == "config_is_directory":
         bad.mkdir()
         return detect + ["--image", str(img), "--config", str(bad)], bad
+    if case in _INFINITE_HOMOGRAPHY_BOUNDS:
+        flag, key = _INFINITE_HOMOGRAPHY_BOUNDS[case]
+        return ["synth", "--mode", "scenes", "--num-pairs", "1", "--out", str(tmp / "out"),
+                flag, "inf"], key
     if case == "synth_threads_0":
-        return ["synth", "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], None
+        return ["synth", "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], "threads"
     if case == "distill_threads_0":
         return ["distill", "--light", str(ws["weights"]), "--dark", str(ws["weights"]),
-                "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], None
+                "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], "threads"
     if case == "detect_threads_0":
-        return detect + ["--data", str(ws["data"]), "--threads", "0"], None
+        return detect + ["--data", str(ws["data"]), "--threads", "0"], "threads"
     assert case == "eval_threads_0"
     return ["eval", "--data", str(ws["data"]), "--weights", str(ws["weights"]),
-            "--out", str(tmp / "out"), "--threads", "0"], None
+            "--out", str(tmp / "out"), "--threads", "0"], "threads"
 
 
 @pytest.mark.parametrize("case, code", [
@@ -304,14 +316,15 @@ def _bad_input_case(case, ws, tmp):
     ("config_is_directory", 1), ("synth_threads_0", 1), ("distill_threads_0", 1),
     ("meta_bad_kind", 2), ("h_nan", 2), ("h_singular", 2), ("gt_bad_polarity", 2),
     ("mask_wrong_shape", 2), ("meta_kind_line_damaged", 2), ("meta_without_kind", 2),
-    ("toy_pair_without_dots", 2),
+    ("toy_pair_without_dots", 2), ("hm_scale_hi_inf", 1), ("hm_max_rotation_deg_inf", 1),
+    ("hm_max_translation_inf", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("dadkit: ")
-    assert str(bad) in err[0] if bad else "threads" in err[0]
+    assert str(bad) in err[0]
 
 
 @pytest.mark.parametrize("command, key", [

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import dadkit.distill
+import dadkit.model
 from dadkit.errors import InvalidParameterError
 from dadkit.gradcheck import (FAMILIES, GradCheckResult, fd_param_grads,
                               max_rel_error, normwise_margin, run_gradcheck)
@@ -31,6 +33,27 @@ def test_run_gradcheck_deterministic():
     r1 = run_gradcheck(instances=2, seed=3)
     r2 = run_gradcheck(instances=2, seed=3)
     assert r1.family_errors == r2.family_errors
+
+
+def _doubled_second_term(sum_grads):
+    return lambda grad_lists: sum_grads([
+        grad_lists[0], tuple(ConvLayer(2.0 * g.kernel, 2.0 * g.bias) for g in grad_lists[1]),
+        *grad_lists[2:]])
+
+
+def _doubled_scoremap_grad(backward):
+    return lambda cache, grad: backward(cache, 2.0 * grad)
+
+
+@pytest.mark.parametrize("module, name, sabotage, broken", [
+    (dadkit.model, "_sum_grads", _doubled_second_term, {"rl", "full"}),
+    (dadkit.distill, "backward", _doubled_scoremap_grad, {"distill"}),
+], ids=["training_step", "student_step"])
+def test_run_gradcheck_audits_the_training_code(monkeypatch, module, name, sabotage, broken):
+    # a fault that only the trainers reach, through their own module globals
+    monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
+    errors = run_gradcheck(instances=2, seed=0).family_errors
+    assert {family for family, err in errors.items() if err > 1e-3} == broken
 
 
 def test_max_rel_error_detects_sabotage():

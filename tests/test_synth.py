@@ -140,8 +140,11 @@ def test_scene_config_validation():
         with pytest.raises(InvalidParameterError):
             replace(SceneConfig.scenes(), **{field: float("nan")})
     for field in ("perspective_jitter", "max_translation", "max_rotation_deg"):
-        with pytest.raises(InvalidParameterError):
-            HomographyMagnitude(**{field: float("nan")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match=field):
+                HomographyMagnitude(**{field: value})
+    with pytest.raises(InvalidParameterError, match="scale_range"):
+        HomographyMagnitude(scale_range=(1.0, float("inf")))
 
 
 # homography sampling
