@@ -6,9 +6,10 @@ Convolutions reflect at borders (half-sample), matching the smoothing in
 :mod:`dadkit.core`, so a constant image produces an exactly constant
 scoremap.  Forward and backward are im2col matrix products over
 channel-major columns of shape (C*k*k, H*W): the forward multiplies the
-kernel matrix by the columns, the kernel gradient reuses the cached columns,
-and the input gradient is one product of the flipped kernel with the
-columns of the zero-padded output gradient.  The first layer's input gradient is never
+kernel matrix by the columns and keeps only the layer's padded input, the
+kernel gradient rebuilds the columns from it, and the input gradient is one
+product of the flipped kernel with the columns of the zero-padded output
+gradient.  The first layer's input gradient is never
 formed, since no parameter depends on it.  The gradients are exact and the
 test-suite checks them against central finite differences.
 The optimizer, :class:`AdamW`, is adaptive moments with decoupled multiplicative
@@ -112,15 +113,17 @@ class OptState:
 
 @dataclass(frozen=True)
 class ActivationCache:
-    """Everything backward needs: params, per-layer columns, preacts.
+    """Everything backward needs: params, per-layer padded inputs, preacts.
 
-    cols[i] is layer i's channel-major im2col matrix, (C_in*k*k, H*W), and
-    preacts[i] the pre-activation (C_out, H, W) of each rectified layer.
+    inputs[i] is layer i's input with its symmetric border, (C_in, H+k-1,
+    W+k-1); backward rebuilds the im2col columns from it, which is cheaper
+    than keeping them (k*k times larger).  preacts[i] is the pre-activation
+    (C_out, H, W) of each rectified layer.
     """
 
     params: DetectorParams
     image_shape: tuple[int, int]
-    cols: tuple[np.ndarray, ...]
+    inputs: tuple[np.ndarray, ...]
     preacts: tuple[np.ndarray, ...]
 
 
@@ -151,13 +154,27 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return v.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
 
 
+def _pad(x: np.ndarray, r: int, mirror: bool) -> np.ndarray:
+    """(C, H+2r, W+2r) copy of x with a border of width r <= min(H, W): the
+    edge rows and columns mirrored, edge included (np.pad "symmetric"), or zeros."""
+    c, h, w = x.shape
+    xp = (np.empty if mirror else np.zeros)((c, h + 2 * r, w + 2 * r))
+    xp[:, r:r + h, r:r + w] = x
+    if mirror:
+        xp[:, :r, r:r + w] = np.flip(x[:, :r], axis=1)
+        xp[:, r + h:, r:r + w] = np.flip(x[:, h - r:], axis=1)
+        xp[:, :, :r] = np.flip(xp[:, :, r:2 * r], axis=2)
+        xp[:, :, r + w:] = np.flip(xp[:, :, w:w + r], axis=2)
+    return xp
+
+
 def _conv_same(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
+    """(output (O, H, W), the padded input that backward rebuilds the columns from)."""
     o, c, kh, kw = layer.kernel.shape
     r = kh // 2
-    xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="symmetric") if r else x
-    cols = _im2col(xp, kh, kw)
-    y = layer.kernel.reshape(o, c * kh * kw) @ cols + layer.bias[:, None]
-    return y.reshape(o, x.shape[1], x.shape[2]), cols
+    xp = _pad(x, r, mirror=True) if r else x
+    y = layer.kernel.reshape(o, c * kh * kw) @ _im2col(xp, kh, kw) + layer.bias[:, None]
+    return y.reshape(o, x.shape[1], x.shape[2]), xp
 
 
 def _fold_axis(g: np.ndarray, r: int, axis: int) -> np.ndarray:
@@ -177,17 +194,19 @@ def _fold_axis(g: np.ndarray, r: int, axis: int) -> np.ndarray:
     return core
 
 
-def _conv_backward(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer, want_input: bool):
-    """(kernel/bias gradients, input gradient or None) given dLoss/dOutput gy."""
+def _conv_backward(gy: np.ndarray, xp: np.ndarray, layer: ConvLayer, want_input: bool):
+    """(kernel/bias gradients, input gradient or None) given dLoss/dOutput gy
+    and the layer's padded input xp."""
     o, c, kh, kw = layer.kernel.shape
     _, h, w = gy.shape
     gy_flat = gy.reshape(o, h * w)
-    grads = ConvLayer((gy_flat @ cols.T).reshape(o, c, kh, kw), gy_flat.sum(axis=1))
+    grads = ConvLayer((gy_flat @ _im2col(xp, kh, kw).T).reshape(o, c, kh, kw),
+                      gy_flat.sum(axis=1))
     if not want_input:
         return grads, None
     # input gradient: full correlation of gy with the spatially flipped kernel
     r = kh // 2
-    gp = np.pad(gy, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    gp = _pad(gy, kh - 1, mirror=False)
     wt = np.flip(layer.kernel, axis=(2, 3)).transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
     g_xp = (wt @ _im2col(gp, kh, kw)).reshape(c, h + 2 * r, w + 2 * r)
     if r:
@@ -208,15 +227,15 @@ def forward(params: DetectorParams, image) -> tuple[ScoreMap, ActivationCache]:
             f"image {x.shape} smaller than receptive field {rf} (or 8x8 minimum)"
         )
     t = x[None]
-    cols_list, preacts = [], []
+    inputs, preacts = [], []
     for layer in params.layers[:-1]:
-        y, cols = _conv_same(t, layer)
-        cols_list.append(cols)
+        y, xp = _conv_same(t, layer)
+        inputs.append(xp)
         preacts.append(y)
         t = np.maximum(y, 0.0)
-    logits, cols = _conv_same(t, params.layers[-1])
-    cols_list.append(cols)
-    cache = ActivationCache(params, x.shape, tuple(cols_list), tuple(preacts))
+    logits, xp = _conv_same(t, params.layers[-1])
+    inputs.append(xp)
+    cache = ActivationCache(params, x.shape, tuple(inputs), tuple(preacts))
     return ScoreMap(logits[0]), cache
 
 
@@ -229,7 +248,7 @@ def backward(cache: ActivationCache, grad_scoremap) -> tuple[ConvLayer, ...]:
     grads: list[ConvLayer | None] = [None] * len(layers)
     gt = g[None]
     for li in reversed(range(len(layers))):
-        grads[li], g_x = _conv_backward(gt, cache.cols[li], layers[li], want_input=li > 0)
+        grads[li], g_x = _conv_backward(gt, cache.inputs[li], layers[li], want_input=li > 0)
         if li > 0:
             gt = g_x * (cache.preacts[li - 1] > 0)
     return tuple(grads)  # type: ignore[arg-type]
@@ -266,14 +285,19 @@ def optimizer_step(params: DetectorParams, grads, state: OptState):
 
 def save_weights(path, params: DetectorParams) -> None:
     """Binary weights: magic 'DADW', version, layer count, then per layer
-    the u32 kernel shape, float32 kernel, u32 bias length, float32 bias."""
+    the u32 kernel shape, float32 kernel, u32 bias length, float32 bias.
+    Parameters that are not finite as float32 are refused before the file opens."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blobs = [(l.kernel.astype("<f4"), l.bias.astype("<f4")) for l in params.layers]
+    if not all(np.isfinite(k).all() and np.isfinite(b).all() for k, b in blobs):
+        raise InvalidInputError(f"{path}: parameters are not finite as float32; not written")
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(params.layers)))
-        for layer in params.layers:
-            f.write(struct.pack("<IIII", *layer.kernel.shape))
-            f.write(layer.kernel.astype("<f4").tobytes(order="C"))
-            f.write(struct.pack("<I", layer.bias.shape[0]))
-            f.write(layer.bias.astype("<f4").tobytes(order="C"))
+        for kernel, bias in blobs:
+            f.write(struct.pack("<IIII", *kernel.shape))
+            f.write(kernel.tobytes(order="C"))
+            f.write(struct.pack("<I", bias.shape[0]))
+            f.write(bias.tobytes(order="C"))
 
 
 def load_weights(path) -> DetectorParams:
@@ -289,6 +313,8 @@ def load_weights(path) -> DetectorParams:
             layers.append(ConvLayer(kernel.astype(np.float64), bias.astype(np.float64)))
     if n_layers < 2:
         raise InvalidInputError(f"{path}: need at least one conv layer and a head")
+    if not all(np.isfinite(l.kernel).all() and np.isfinite(l.bias).all() for l in layers):
+        raise InvalidInputError(f"{path}: weights contain NaN/Inf")
     try:
         arch = ArchConfig(tuple(l.kernel.shape[0] for l in layers[:-1]),
                           layers[0].kernel.shape[2], seed=0)

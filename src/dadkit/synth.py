@@ -34,8 +34,11 @@ class HomographyMagnitude:
     max_translation is a fraction of the image side, scale_range bounds a
     uniform isotropic scale, perspective_jitter bounds the two projective
     entries (in centered pixel coordinates).  All zero (and unit scale)
-    means the identity map.
+    means the identity map.  No bound may exceed BOUND_MAX: far beyond any
+    map the covisibility test accepts, far below where composing overflows.
     """
+
+    BOUND_MAX = 1e6
 
     perspective_jitter: float = 0.0008
     max_translation: float = 0.12
@@ -45,10 +48,11 @@ class HomographyMagnitude:
     def __post_init__(self):
         lo, hi = self.scale_range
         for name in ("perspective_jitter", "max_translation", "max_rotation_deg"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise InvalidParameterError(f"{name} must be finite and >= 0")
-        if not (0 < lo <= hi < math.inf):
-            raise InvalidParameterError(f"bad scale_range {self.scale_range}")
+            if not (0 <= getattr(self, name) <= self.BOUND_MAX):
+                raise InvalidParameterError(f"{name} must be in [0, {self.BOUND_MAX:g}]")
+        if not (0 < lo <= hi <= self.BOUND_MAX):
+            raise InvalidParameterError(f"bad scale_range {self.scale_range}: "
+                                        f"need 0 < lo <= hi <= {self.BOUND_MAX:g}")
         object.__setattr__(self, "scale_range", (float(lo), float(hi)))
 
     @classmethod

@@ -2,6 +2,8 @@
 
 import hashlib
 import shutil
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -235,11 +237,12 @@ def _write_detections(root):
             (root / pair / f"{side}.csv").write_text("x,y,score\n1.0,2.0,0.5\n")
 
 
-# an infinite bound would overflow numpy's sampler or make a NaN homography
-_INFINITE_HOMOGRAPHY_BOUNDS = {
-    "hm_scale_hi_inf": ("--hm-scale-hi", "scale_range"),
-    "hm_max_rotation_deg_inf": ("--hm-max-rotation-deg", "max_rotation_deg"),
-    "hm_max_translation_inf": ("--hm-max-translation", "max_translation"),
+# an infinite or huge bound would overflow numpy's sampler or make a NaN homography
+_HUGE_HOMOGRAPHY_BOUNDS = {
+    "hm_scale_hi_inf": ("--hm-scale-hi", "inf", "scale_range"),
+    "hm_max_rotation_deg_inf": ("--hm-max-rotation-deg", "inf", "max_rotation_deg"),
+    "hm_max_translation_inf": ("--hm-max-translation", "inf", "max_translation"),
+    "hm_scale_hi_1e308": ("--hm-scale-hi", "1e308", "scale_range"),
 }
 
 
@@ -291,10 +294,21 @@ def _bad_input_case(case, ws, tmp):
     if case == "config_is_directory":
         bad.mkdir()
         return detect + ["--image", str(img), "--config", str(bad)], bad
-    if case in _INFINITE_HOMOGRAPHY_BOUNDS:
-        flag, key = _INFINITE_HOMOGRAPHY_BOUNDS[case]
+    if case in _HUGE_HOMOGRAPHY_BOUNDS:
+        flag, value, key = _HUGE_HOMOGRAPHY_BOUNDS[case]
         return ["synth", "--mode", "scenes", "--num-pairs", "1", "--out", str(tmp / "out"),
-                flag, "inf"], key
+                flag, value], key
+    if case == "dadw_non_finite":
+        blob = bytearray(ws["weights"].read_bytes())
+        blob[28:32] = struct.pack("<f", float("inf"))  # the first kernel entry
+        bad.write_bytes(bytes(blob))
+        return ["detect", "--weights", str(bad), "--image", str(img),
+                "--out", str(tmp / "k.csv")], bad
+    if case == "train_lr_1e200":
+        # one step on both pairs leaves parameters near 1e200, finite only as float64
+        return ["train", "--data", str(ws["data"]), "--out", str(tmp / "out"), "--widths", "4",
+                "--kernel-size", "3", "--threads", "2", "--lr", "1e200"], \
+            tmp / "out" / "weights.dadw"
     if case == "synth_threads_0":
         return ["synth", "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], "threads"
     if case == "distill_threads_0":
@@ -317,11 +331,14 @@ def _bad_input_case(case, ws, tmp):
     ("meta_bad_kind", 2), ("h_nan", 2), ("h_singular", 2), ("gt_bad_polarity", 2),
     ("mask_wrong_shape", 2), ("meta_kind_line_damaged", 2), ("meta_without_kind", 2),
     ("toy_pair_without_dots", 2), ("hm_scale_hi_inf", 1), ("hm_max_rotation_deg_inf", 1),
-    ("hm_max_translation_inf", 1),
+    ("hm_max_translation_inf", 1), ("hm_scale_hi_1e308", 1), ("dadw_non_finite", 2),
+    ("train_lr_1e200", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
-    assert main(argv) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning is not a clean error line
+        assert main(argv) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("dadkit: ")
     assert str(bad) in err[0]

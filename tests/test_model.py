@@ -2,14 +2,18 @@
 
 import re
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dadkit.core import ScoreMap
 from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
-                          TrainConfig, _conv_backward, _conv_same, _pair_grads,
-                          _sum_grads, backward,
+                          TrainConfig, _conv_backward, _conv_same, _fold_axis, _im2col,
+                          _pad, _pair_grads, _sum_grads, backward,
                           forward, init_params,
                           load_weights, optimizer_step, save_weights,
                           train_loop)
@@ -129,12 +133,12 @@ def test_conv_input_gradient_is_the_adjoint(k, shape):
     layer = ConvLayer(rng.normal(size=(4, 3, k, k)), np.zeros(4))
     x = rng.normal(size=(3, *shape))
     g = rng.normal(size=(4, *shape))
-    y, cols = _conv_same(x, layer)
-    grads, gx = _conv_backward(g, cols, layer, want_input=True)
+    y, xp = _conv_same(x, layer)
+    grads, gx = _conv_backward(g, xp, layer, want_input=True)
     assert gx.shape == x.shape
     lhs, rhs = float((y * g).sum()), float((x * gx).sum())
     assert abs(lhs - rhs) <= 1e-12 * float(np.abs(y * g).sum())
-    assert _conv_backward(g, cols, layer, want_input=False)[1] is None
+    assert _conv_backward(g, xp, layer, want_input=False)[1] is None
     assert grads.bias == pytest.approx(g.sum(axis=(1, 2)), rel=1e-12)
 
 
@@ -156,6 +160,140 @@ def test_conv_kernel_gradient_matches_finite_differences(shape):
         fd.ravel()[idx] = (loss[0] - loss[1]) / (2 * step)
     np.testing.assert_allclose(grads.kernel, fd, rtol=1e-6,
                                atol=1e-8 * float(np.abs(fd).max()))
+
+
+@dataclass(frozen=True)
+class _CacheReference:
+    """The activation cache as it was when it held each layer's im2col columns."""
+
+    params: DetectorParams
+    image_shape: tuple[int, int]
+    cols: tuple[np.ndarray, ...]
+    preacts: tuple[np.ndarray, ...]
+
+
+def _conv_same_reference(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
+    o, c, kh, kw = layer.kernel.shape
+    r = kh // 2
+    xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="symmetric") if r else x
+    cols = _im2col(xp, kh, kw)
+    y = layer.kernel.reshape(o, c * kh * kw) @ cols + layer.bias[:, None]
+    return y.reshape(o, x.shape[1], x.shape[2]), cols
+
+
+def _conv_backward_reference(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer,
+                             want_input: bool):
+    o, c, kh, kw = layer.kernel.shape
+    _, h, w = gy.shape
+    gy_flat = gy.reshape(o, h * w)
+    grads = ConvLayer((gy_flat @ cols.T).reshape(o, c, kh, kw), gy_flat.sum(axis=1))
+    if not want_input:
+        return grads, None
+    # input gradient: full correlation of gy with the spatially flipped kernel
+    r = kh // 2
+    gp = np.pad(gy, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    wt = np.flip(layer.kernel, axis=(2, 3)).transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
+    g_xp = (wt @ _im2col(gp, kh, kw)).reshape(c, h + 2 * r, w + 2 * r)
+    if r:
+        g_xp = _fold_axis(_fold_axis(g_xp, r, 2), r, 1)
+    return grads, g_xp
+
+
+def _forward_reference(params: DetectorParams, image) -> tuple[ScoreMap, _CacheReference]:
+    x = np.asarray(image, dtype=np.float64)
+    if x.ndim != 2:
+        raise InvalidInputError(f"image must be 2-D, got shape {x.shape}")
+    if not np.isfinite(x).all() or x.min() < -1e-9 or x.max() > 1 + 1e-9:
+        raise InvalidInputError("image values must be finite and in [0, 1]")
+    rf = params.arch.receptive_field
+    if x.shape[0] < max(rf, 8) or x.shape[1] < max(rf, 8):
+        raise InvalidInputError(
+            f"image {x.shape} smaller than receptive field {rf} (or 8x8 minimum)"
+        )
+    t = x[None]
+    cols_list, preacts = [], []
+    for layer in params.layers[:-1]:
+        y, cols = _conv_same_reference(t, layer)
+        cols_list.append(cols)
+        preacts.append(y)
+        t = np.maximum(y, 0.0)
+    logits, cols = _conv_same_reference(t, params.layers[-1])
+    cols_list.append(cols)
+    cache = _CacheReference(params, x.shape, tuple(cols_list), tuple(preacts))
+    return ScoreMap(logits[0]), cache
+
+
+def _backward_reference(cache: _CacheReference, grad_scoremap) -> tuple[ConvLayer, ...]:
+    g = np.asarray(grad_scoremap, dtype=np.float64)
+    if g.shape != cache.image_shape:
+        raise InvalidInputError(f"gradient shape {g.shape} != image shape {cache.image_shape}")
+    layers = cache.params.layers
+    grads: list[ConvLayer | None] = [None] * len(layers)
+    gt = g[None]
+    for li in reversed(range(len(layers))):
+        grads[li], g_x = _conv_backward_reference(gt, cache.cols[li], layers[li],
+                                                  want_input=li > 0)
+        if li > 0:
+            gt = g_x * (cache.preacts[li - 1] > 0)
+    return tuple(grads)  # type: ignore[arg-type]
+
+
+def _conv_outputs(forward_fn, backward_fn, params, images, grads):
+    """Bytes of every logit, preact and layer gradient of a pair of images.
+
+    Both forwards run before either backward, as in a training step, so a
+    cache that shares buffers between images shows up.
+    """
+    runs = [forward_fn(params, image) for image in images]
+    out = []
+    for (s, cache), g in zip(runs, grads):
+        out.append(s.logits.tobytes())
+        out.extend(p.tobytes() for p in cache.preacts)
+        for layer in backward_fn(cache, g):
+            out.extend((layer.kernel.tobytes(), layer.bias.tobytes()))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+       k=st.sampled_from([1, 3, 5, 7]), seed=st.integers(0, 2**32 - 1))
+def test_forward_and_backward_equal_the_column_cache(data, widths, k, seed):
+    arch = ArchConfig(tuple(widths), k, seed=seed % 1000)
+    side = st.integers(max(arch.receptive_field, 8), 64)
+    shape = (data.draw(side, "h"), data.draw(side, "w"))
+    rng = np.random.default_rng(seed)
+    layers = tuple(ConvLayer(l.kernel, rng.normal(scale=0.1, size=l.bias.shape))
+                   for l in init_params(arch).layers)
+    params = DetectorParams(layers, arch)
+    images = [rng.random(shape), rng.random(shape)]
+    grads = [rng.normal(size=shape), rng.normal(size=shape)]
+    got = _conv_outputs(forward, backward, params, images, grads)
+    assert got == _conv_outputs(_forward_reference, _backward_reference, params, images, grads)
+
+
+@settings(deadline=None, max_examples=100)
+@given(c=st.integers(1, 4), h=st.integers(1, 20), w=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_pad_equals_np_pad(c, h, w, seed):
+    # forward mirrors by r = k // 2 <= (min(h, w) - 1) / 2, backward zero-pads by 2r
+    x = np.random.default_rng(seed).normal(size=(c, h, w))
+    for r in range(min(h, w)):
+        width = ((0, 0), (r, r), (r, r))
+        assert _pad(x, r, mirror=True).tobytes() == np.pad(x, width, mode="symmetric").tobytes()
+        assert _pad(x, r, mirror=False).tobytes() == np.pad(x, width).tobytes()
+        assert _pad(x, r, mirror=False).shape == (c, h + 2 * r, w + 2 * r)
+
+
+def _owned_bytes(a: np.ndarray) -> int:
+    """Size of the buffer an array keeps alive, through any chain of views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+def test_activation_cache_keeps_no_columns():
+    _, cache = forward(init_params(ArchConfig()), np.full((64, 64), 0.5))
+    assert sum(_owned_bytes(a) for a in (*cache.inputs, *cache.preacts)) < 3 * 2**20
 
 
 def test_backward_bias_gradient_is_spatial_sum_on_head():

@@ -4,9 +4,11 @@
     python3 tools/artifact_digests.py OUT
 
 runs every dadkit command in-process (`dadkit.cli.main([...])`) on small
-seeded inputs inside the new directory OUT, then prints one
+seeded inputs inside the new directory OUT, then prints a `#` comment line
+naming what else the bits depend on (the numpy version, the BLAS and its
+version, the CPUs this process may use and OPENBLAS_NUM_THREADS), one
 `<sha256>  <path>` line per file written, in path order, and a last line
-`combined <sha256>` over that list.  The program is imported from the
+`combined <sha256>` over the file lines only.  The program is imported from the
 `src/` next to this script.  Every path handed to the CLI is relative to
 OUT, so the `meta.txt` files, which echo them, do not depend on where OUT
 is.  Run the same script against two checkouts (copy it into the other
@@ -59,6 +61,18 @@ STAGES = [
 ]
 
 
+def environment_line() -> str:
+    """The settings besides the program that the float bits depend on: a BLAS
+    product's bits change with its build and its thread count."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (f"# numpy {np.__version__}, BLAS {blas.get('name', '?')} "
+            f"{blas.get('version', '?')}, {cpus} usable CPUs, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -84,6 +98,7 @@ def main(argv: list[str]) -> int:
     lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}"
              for p in sorted(Path(".").rglob("*")) if p.is_file()]
     listing = "".join(f"{line}\n" for line in lines)
+    print(environment_line())
     print(listing, end="")
     print(f"combined {hashlib.sha256(listing.encode()).hexdigest()}")
     return 0
