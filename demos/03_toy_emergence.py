@@ -35,7 +35,7 @@ def main() -> None:
 
     print(f"\ntraining on {args.pairs} toy pairs (seed {args.seed})...")
     t0 = time.time()
-    data = generate_pairs(cfg, args.pairs, seed=args.seed, kind="toy")
+    data = generate_pairs(cfg, args.pairs, seed=args.seed)
     tc = TrainConfig(arch=ArchConfig(seed=args.seed))
     params, reports = train_loop(data, tc)
     for rep in reports[:: max(len(reports) // 8, 1)]:
@@ -43,7 +43,7 @@ def main() -> None:
               f"rl loss {rep.rl_loss:+.3f}")
     print(f"  done in {time.time() - t0:.0f}s")
 
-    held = generate_pairs(cfg, 10, seed=990_501, kind="toy")
+    held = generate_pairs(cfg, 10, seed=990_501)
     sc = SamplerConfig(k=10)
     rewards = []
     labels: list[str] = []

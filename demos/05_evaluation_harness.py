@@ -33,7 +33,7 @@ def random_kps(shape, rng, n: int = 12) -> KeypointSet:
 
 
 def main() -> None:
-    pairs = generate_pairs(SceneConfig.scenes(), 20, seed=5, kind="scene")
+    pairs = generate_pairs(SceneConfig.scenes(), 20, seed=5)
     rng = np.random.default_rng(0)
     detectors = {
         "oracle": [(p.gt_keypoints_a, p.gt_keypoints_b) for p in pairs],

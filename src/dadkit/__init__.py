@@ -39,7 +39,7 @@ from .sampler import (KeypointSet, SamplerConfig, kde_balance, nms, sample_keypo
                       subpixel_refine, top_k)
 from .synth import (HomographyMagnitude, PairSample, SceneConfig, check_pair_consistency,
                     classify_polarity, expected_strategy_reward, gen_scene_pair,
-                    gen_toy_pair, generate_pairs, pair_rng, sample_homography,
+                    gen_toy_pair, generate_pairs, make_pair, pair_rng, sample_homography,
                     toy_matches, toy_pair_hits)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 from .distill import MERGE_EXPONENTS, DistillConfig, train_distilled
 from .errors import ConfigError, DadkitError, InvalidParameterError
 from .evaluate import EvalConfig, evaluate_detections
-from .formats import (generate_dataset, load_dataset, pair_dirs, read_config_file,
+from .formats import (config_meta, generate_dataset, load_dataset, pair_dirs, read_config_file,
                       read_keypoints_csv, read_pgm, write_command_meta, write_dadf,
                       write_distill_loss_csv, write_gradcheck_report, write_keypoints_csv,
                       write_loss_csv, write_pgm, write_report)
@@ -32,7 +32,7 @@ from .gradcheck import FAMILIES, run_gradcheck
 from .model import AdamW, ArchConfig, TrainConfig, forward, load_weights, save_weights, train_loop
 from .objective import RewardConfig
 from .sampler import SamplerConfig, sample_keypoints
-from .synth import HM_KEYS, SceneConfig, config_meta, magnitude_from_items, magnitude_items
+from .synth import HM_KEYS, SceneConfig, magnitude_from_items, magnitude_items
 
 
 REQUIRED = object()
@@ -319,11 +319,10 @@ def _detect_pair(params, scfg: SamplerConfig, mode: str, images) -> tuple:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = resolve_config(SYNTH_KEYS, args)
     scene = _build_scene_config(cfg)
-    kind = "toy" if cfg["mode"] == "toy" else "scene"
-    paths = generate_dataset(cfg["out"], scene, cfg["num_pairs"], cfg["seed"], kind)
+    paths = generate_dataset(cfg["out"], scene, cfg["num_pairs"], cfg["seed"])
     write_command_meta(Path(cfg["out"]) / "meta.txt", "synth", cfg,
-                       extra={"kind": kind, "count": cfg["num_pairs"], **config_meta(scene)})
-    print(f"generated {len(paths)} {kind} pair(s) under {cfg['out']}")
+                       extra={"kind": scene.kind, "count": cfg["num_pairs"], **config_meta(scene)})
+    print(f"generated {len(paths)} {scene.kind} pair(s) under {cfg['out']}")
     return 0
 
 
@@ -347,8 +346,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_distill(args: argparse.Namespace) -> int:
     cfg = resolve_config(DISTILL_KEYS, args)
-    dc = _build(DistillConfig(), cfg, scene=_build_scene_config(cfg), r=float(cfg["r"]),
-                kind="toy" if cfg["mode"] == "toy" else "scene")
+    dc = _build(DistillConfig(), cfg, scene=_build_scene_config(cfg), r=float(cfg["r"]))
     student, losses = train_distilled(load_weights(cfg["light"]), load_weights(cfg["dark"]), dc)
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,7 @@ from .model import (
     init_params,
     optimizer_step,
 )
-from .synth import SceneConfig, pair_generator, pair_rng
+from .synth import SceneConfig, make_pair
 
 MERGE_EXPONENTS = (1, 2, math.inf)
 
@@ -209,19 +209,18 @@ def check_partner_merge(f: KeypointFunction, g: KeypointFunction) -> str:
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Student training setup: data source, merge exponent r, optimizer."""
+    """Student training setup: data source (pairs 0..num_pairs-1 of stream
+    `seed` under `scene`), merge exponent r, optimizer."""
 
     scene: SceneConfig = field(default_factory=SceneConfig.scenes)
     r: float = math.inf
     arch: ArchConfig = field(default_factory=ArchConfig)
-    kind: str = "scene"
     num_pairs: int = 400
     seed: int = 0
     opt: AdamW = field(default_factory=AdamW)
 
     def __post_init__(self):
         _check_exponent(self.r)
-        pair_generator(self.kind)  # rejects an unknown kind
         if self.num_pairs < 1:
             raise InvalidParameterError("num_pairs must be >= 1")
 
@@ -243,10 +242,9 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
     """
     student = init_params(cfg.arch)
     state = OptState.init(student, cfg.opt)
-    gen = pair_generator(cfg.kind)
     losses: list[float] = []
     for i in range(cfg.num_pairs):
-        pair = gen(pair_rng(cfg.seed, i), cfg.scene, seed=cfg.seed)
+        pair = make_pair(cfg.scene, cfg.seed, i)
         for image in (pair.image_a, pair.image_b):
             s_light, _ = forward(light, image)
             s_dark, _ = forward(dark, image)

@@ -12,16 +12,17 @@ import os
 import re
 import struct
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import Mask, _as_grid
+from .core import _as_grid
 from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
 from .evaluate import PER_PAIR_FIELDS
 from .geometry import HomographyTransfer
 from .sampler import KeypointSet
-from .synth import POLARITIES, PairSample, config_meta, pair_generator, pair_rng
+from .synth import POLARITIES, PairSample, SceneConfig, magnitude_items, make_pair
 
 GRID_MAGIC = b"DADF"
 GRID_VERSION = 1
@@ -100,19 +101,26 @@ def read_config_file(path) -> dict[str, str]:
         raise ConfigError(str(e)) from None
 
 
+def _meta_value(v):
+    """A setting as meta.txt holds it: a bool as 0/1, a tuple comma-joined."""
+    if isinstance(v, bool):
+        return int(v)
+    if isinstance(v, tuple):
+        return ",".join(str(x) for x in v)
+    return v
+
+
+def config_meta(cfg: SceneConfig) -> dict:
+    """A SceneConfig's settings for meta.txt: its fields in order without `kind`, bounds last."""
+    return {**{f.name: _meta_value(getattr(cfg, f.name)) for f in fields(cfg)
+               if f.name not in ("kind", "homography_magnitude")},
+            **magnitude_items(cfg.homography_magnitude)}
+
+
 def write_command_meta(path, command: str, cfg: dict, extra: dict | None = None) -> None:
     """A command's provenance: its name, every set key in name order, then `extra`."""
-    entries: dict[str, object] = {"command": command}
-    for k in sorted(cfg):
-        v = cfg[k]
-        if v is None:
-            continue
-        if isinstance(v, bool):
-            v = int(v)
-        elif isinstance(v, tuple):
-            v = ",".join(str(x) for x in v)
-        entries[k] = v
-    write_meta(path, {**entries, **(extra or {})})
+    entries = {k: _meta_value(cfg[k]) for k in sorted(cfg) if cfg[k] is not None}
+    write_meta(path, {"command": command, **entries, **(extra or {})})
 
 
 def write_gradcheck_report(path, res) -> None:
@@ -274,6 +282,7 @@ def read_dadf(path) -> np.ndarray:
 # pair and dataset directories
 
 def save_pair(dirpath, pair: PairSample, extra_meta: dict | None = None) -> None:
+    """Write a pair directory; the masks are for inspection, load_pair derives them."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     write_pgm(d / "a.pgm", pair.image_a)
@@ -286,16 +295,10 @@ def save_pair(dirpath, pair: PairSample, extra_meta: dict | None = None) -> None
     write_meta(d / "meta.txt", {"kind": pair.kind, "seed": pair.seed, **(extra_meta or {})})
 
 
-def _read_mask(path, shape) -> Mask:
-    bits = read_pgm(path) > 0.5
-    if bits.shape != shape:
-        raise InvalidInputError(f"{path}: mask/image shape mismatch, {bits.shape} vs {shape}")
-    return Mask(bits)
-
-
 def load_pair(dirpath) -> PairSample:
     """Read a pair directory; errors name the file at fault, and meta.txt
-    (which must set the kind) for the pair as a whole."""
+    (which must set the kind) for the pair as a whole.  The mask PGMs are
+    not read: the pair derives its masks from h.txt."""
     d = Path(dirpath)
     meta = read_meta(d / "meta.txt")
     if "kind" not in meta:
@@ -310,23 +313,21 @@ def load_pair(dirpath) -> PairSample:
     except ValueError:
         raise InvalidInputError(f"{d / 'meta.txt'}: seed must be an integer") from None
     transfer = read_homography(d / "h.txt")
-    masks = [_read_mask(d / f"mask_{s}.pgm", im.shape) for s, im in zip("ab", images)]
     with _named(d / "meta.txt"):
-        return PairSample(*images, transfer, *masks, gt_a, gt_b, pol_a, pol_b,
+        return PairSample(*images, transfer, gt_a, gt_b, pol_a, pol_b,
                           kind=meta["kind"], seed=seed)
 
 
-def generate_dataset(root, cfg, count: int, seed: int, kind: str) -> list[Path]:
-    """Write `count` pair directories pair_000000..; returns their paths."""
-    gen = pair_generator(kind)
+def generate_dataset(root, cfg: SceneConfig, count: int, seed: int) -> list[Path]:
+    """Write pairs 0..count-1 of stream `seed` as directories pair_000000.. under
+    `root`; returns their paths.  The root's meta.txt is the caller's to write."""
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
-    write_meta(rootp / "meta.txt", {"kind": kind, "seed": seed, "count": count, **config_meta(cfg)})
     paths = [rootp / f"pair_{i:06d}" for i in range(count)]
     for i, d in enumerate(paths):
-        save_pair(d, gen(pair_rng(seed, i), cfg, seed=seed), {"index": i, **config_meta(cfg)})
+        save_pair(d, make_pair(cfg, seed, i), {"index": i, **config_meta(cfg)})
     return paths
 
 

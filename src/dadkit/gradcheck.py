@@ -29,7 +29,6 @@ import numpy as np
 from .core import ProbMap
 from .distill import _student_step, distill_loss_and_grad
 from .errors import InvalidParameterError
-from .geometry import covisibility_mask
 from .model import (
     ArchConfig,
     ConvLayer,
@@ -152,9 +151,7 @@ def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
     magnitude = HomographyMagnitude(5e-4, 0.08, (0.92, 1.08), 8.0)
     transfer = sample_homography(rng, magnitude, (h, w))
     no_gt = KeypointSet(np.zeros((0, 2)), np.zeros(0), (h, w))
-    pair = PairSample(image_a, image_b, transfer, covisibility_mask(transfer, (h, w), (h, w)),
-                      covisibility_mask(transfer.inverse(), (h, w), (h, w)),
-                      no_gt, no_gt, (), (), "scene")
+    pair = PairSample(image_a, image_b, transfer, no_gt, no_gt, (), (), "scene")
     cfg = TrainConfig(arch, SamplerConfig(k=6), RewardConfig(tau_r=2.0), reg_weight=0.7)
     selection = _select(sa, sb, pair, cfg)
     _, _, mab, mba = selection

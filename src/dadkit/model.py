@@ -84,14 +84,14 @@ class AdamW:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
-        if not (self.lr > 0):
-            raise InvalidParameterError("lr must be positive")
+        if not (0 < self.lr < np.inf):
+            raise InvalidParameterError("lr must be positive and finite")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise InvalidParameterError("betas must be in [0, 1)")
         if not (self.eps > 0):
             raise InvalidParameterError("eps must be positive")
-        if not (self.weight_decay >= 0):
-            raise InvalidParameterError("weight_decay must be >= 0")
+        if not (0 <= self.weight_decay < np.inf):
+            raise InvalidParameterError("weight_decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -344,8 +344,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.reg_sigma_frac > 0):
             raise InvalidParameterError("reg_sigma_frac must be positive")
-        if not (self.reg_weight >= 0):
-            raise InvalidParameterError("reg_weight must be >= 0")
+        if not (0 <= self.reg_weight < np.inf):
+            raise InvalidParameterError("reg_weight must be finite and >= 0")
         if not (self.match_threshold > 0):
             raise InvalidParameterError("match_threshold must be positive")
         if not (self.assign_radius > 0):

@@ -6,13 +6,16 @@ dot identity rather than geometry.  The scene generator renders an analytic
 planar scene (dots, blobs, crosses, corners in both polarities plus a faint
 smooth texture) and produces the second view by sampling that scene through
 the inverse of a random homography, so ground-truth centers transfer exactly
-and pairs are reproducible bit for bit from their seed.
+and pairs are reproducible bit for bit from their seed.  `SceneConfig.kind`
+picks the generator, and `make_pair` is the one place that builds pair i of
+a stream.  A pair's covisibility masks derive from its transfer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +65,10 @@ class HomographyMagnitude:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Layout and augmentation knobs shared by both generators."""
+    """Layout and augmentation knobs, and `kind`, the generator they feed.
+
+    A toy config takes no setting that only the scene generator reads.
+    """
 
     size: int = 64
     num_light: int = 10
@@ -75,6 +81,7 @@ class SceneConfig:
     min_separation: float = 8.0
     margin: float = 4.0
     noise_sigma: float = 0.01
+    kind: str = "scene"  # "scene" | "toy": the generator of every pair
 
     def __post_init__(self):
         object.__setattr__(self, "shape_palette", tuple(self.shape_palette))
@@ -94,14 +101,21 @@ class SceneConfig:
             raise InvalidParameterError("min_separation must be >= 6")
         if not (0 <= self.margin and 2 * self.margin < self.size - 1):
             raise InvalidParameterError("margin leaves no interior")
-        if not (self.noise_sigma >= 0):
-            raise InvalidParameterError("noise_sigma must be >= 0")
+        if not (0 <= self.noise_sigma < math.inf):
+            raise InvalidParameterError("noise_sigma must be finite and >= 0")
+        if self.kind not in ("toy", "scene"):
+            raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {self.kind!r}")
+        if self.kind == "toy":  # settings the toy generator never reads
+            for name, unread in (("rotation_aug", False), ("negation_aug", "off"),
+                                 ("shape_palette", ("dot",)), ("noise_sigma", 0.0)):
+                if getattr(self, name) != unread:
+                    raise InvalidParameterError(f"{name} does not apply to toy pairs")
 
     @classmethod
     def toy(cls, size: int = 64, num_light: int = 10, num_dark: int = 10) -> "SceneConfig":
         """Single-pixel dot task: clean gray background, identity pairing."""
         return cls(size=size, num_light=num_light, num_dark=num_dark,
-                   shape_palette=("dot",), noise_sigma=0.0)
+                   shape_palette=("dot",), noise_sigma=0.0, kind="toy")
 
     @classmethod
     def scenes(cls, size: int = 64, num_light: int = 6, num_dark: int = 6,
@@ -119,13 +133,12 @@ class PairSample:
     correspondence is by index (identity pairing) and `transfer` is the
     identity placeholder; for scene pairs gt_keypoints_b holds the transfers
     of exactly the covisible entries of gt_keypoints_a, in the same order.
+    The covisibility masks mask_a/mask_b are derived on first use.
     """
 
     image_a: np.ndarray
     image_b: np.ndarray
     transfer: HomographyTransfer
-    mask_a: Mask
-    mask_b: Mask
     gt_keypoints_a: KeypointSet
     gt_keypoints_b: KeypointSet
     polarity_a: tuple[str, ...]
@@ -144,8 +157,6 @@ class PairSample:
             object.__setattr__(self, name, img)
         if self.kind not in ("toy", "scene"):
             raise InvalidInputError(f"bad pair kind {self.kind!r}")
-        if self.mask_a.bits.shape != self.image_a.shape or self.mask_b.bits.shape != self.image_b.shape:
-            raise InvalidInputError("mask/image shape mismatch")
         for kps, pol, shape in (
             (self.gt_keypoints_a, self.polarity_a, self.image_a.shape),
             (self.gt_keypoints_b, self.polarity_b, self.image_b.shape),
@@ -162,6 +173,20 @@ class PairSample:
     @property
     def shape(self) -> tuple[int, int]:
         return self.image_a.shape
+
+    @cached_property
+    def mask_a(self) -> Mask:
+        """Pixels of A covisible in B: all of them for a toy pair."""
+        if self.kind == "toy":
+            return Mask.full(self.image_a.shape)
+        return covisibility_mask(self.transfer, self.image_a.shape, self.image_b.shape)
+
+    @cached_property
+    def mask_b(self) -> Mask:
+        """Pixels of B covisible in A, through the inverse transfer."""
+        if self.kind == "toy":
+            return Mask.full(self.image_b.shape)
+        return covisibility_mask(self.transfer.inverse(), self.image_b.shape, self.image_a.shape)
 
 
 def check_pair_consistency(pair: PairSample, tol: float = 1e-6) -> None:
@@ -244,11 +269,8 @@ def gen_toy_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) -> P
             img[int(y), int(x)] = 1.0 if pol == "light" else 0.0
         images.append(img)
         gts.append(_gt_set(centers, shape))
-    full = Mask.full(shape)
-    pair = PairSample(
-        images[0], images[1], HomographyTransfer.identity(), full, full,
-        gts[0], gts[1], labels, labels, kind="toy", seed=seed,
-    )
+    pair = PairSample(images[0], images[1], HomographyTransfer.identity(),
+                      gts[0], gts[1], labels, labels, kind="toy", seed=seed)
     check_pair_consistency(pair)
     return pair
 
@@ -360,7 +382,7 @@ def sample_homography(rng: np.random.Generator, magnitude: HomographyMagnitude,
 
     Parameters are uniform within the magnitude bounds; candidates are
     rejected until at least `min_covisible` of the pixels stay covisible in
-    both directions.
+    both directions; so is one that the homography rule calls singular.
     """
     h, w = int(shape[0]), int(shape[1])
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
@@ -380,12 +402,13 @@ def sample_homography(rng: np.random.Generator, magnitude: HomographyMagnitude,
         rot = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
         tra = np.array([[1, 0, tx], [0, 1, ty], [0, 0, 1]], dtype=np.float64)
         per = np.array([[1, 0, 0], [0, 1, 0], [px, py, 1]], dtype=np.float64)
-        t = HomographyTransfer(t_c @ scale @ rot @ tra @ per @ t_ic)
-        if covisibility_mask(t, shape, shape).count() < min_covisible * total:
+        try:
+            t = HomographyTransfer(t_c @ scale @ rot @ tra @ per @ t_ic)
+            both = (t, t.inverse())
+        except DegenerateTransferError:
             continue
-        if covisibility_mask(t.inverse(), shape, shape).count() < min_covisible * total:
-            continue
-        return t
+        if all(covisibility_mask(m, shape, shape).count() >= min_covisible * total for m in both):
+            return t
     raise DegenerateTransferError(
         f"no homography with >= {min_covisible:.0%} covisibility in {max_tries} tries"
     )
@@ -430,13 +453,8 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
         image_b = 1.0 - image_b
         labels_b = tuple("dark" if l == "light" else "light" for l in labels_b)
 
-    pair = PairSample(
-        image_a, image_b, transfer,
-        covisibility_mask(transfer, shape, shape),
-        covisibility_mask(transfer.inverse(), shape, shape),
-        _gt_set(centers, shape), gt_b, labels, labels_b,
-        kind="scene", seed=seed,
-    )
+    pair = PairSample(image_a, image_b, transfer, _gt_set(centers, shape), gt_b,
+                      labels, labels_b, kind="scene", seed=seed)
     check_pair_consistency(pair)
     return pair
 
@@ -560,37 +578,18 @@ def magnitude_from_items(items: dict) -> HomographyMagnitude:
     return HomographyMagnitude(jitter, translation, (lo, hi), rotation)
 
 
-def config_meta(cfg: SceneConfig) -> dict:
-    return {
-        "size": cfg.size,
-        "num_light": cfg.num_light,
-        "num_dark": cfg.num_dark,
-        "shape_palette": ",".join(cfg.shape_palette),
-        "background_gray": cfg.background_gray,
-        "rotation_aug": int(cfg.rotation_aug),
-        "negation_aug": cfg.negation_aug,
-        "min_separation": cfg.min_separation,
-        "margin": cfg.margin,
-        "noise_sigma": cfg.noise_sigma,
-        **magnitude_items(cfg.homography_magnitude),
-    }
-
-
 def pair_rng(seed: int, index: int) -> np.random.Generator:
     """The per-pair generator: independent streams, stable under count changes."""
     return np.random.default_rng([seed, index])
 
 
-def pair_generator(kind: str):
-    """The pair generator of a dataset kind, 'toy' or 'scene'."""
-    if kind == "toy":
-        return gen_toy_pair
-    if kind == "scene":
-        return gen_scene_pair
-    raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {kind!r}")
+def make_pair(cfg: SceneConfig, seed: int, index: int) -> PairSample:
+    """Pair `index` of stream `seed`, drawn from pair_rng(seed, index) by the
+    generator of cfg.kind (looked up at call time, so a rebound name is seen)."""
+    gen = gen_toy_pair if cfg.kind == "toy" else gen_scene_pair
+    return gen(pair_rng(seed, index), cfg, seed=seed)
 
 
-def generate_pairs(cfg: SceneConfig, count: int, seed: int, kind: str) -> list[PairSample]:
-    """`count` pairs; pair i draws from pair_rng(seed, i), as in formats.generate_dataset."""
-    gen = pair_generator(kind)
-    return [gen(pair_rng(seed, i), cfg, seed=seed) for i in range(count)]
+def generate_pairs(cfg: SceneConfig, count: int, seed: int) -> list[PairSample]:
+    """Pairs 0..count-1 of stream `seed`."""
+    return [make_pair(cfg, seed, i) for i in range(count)]

@@ -191,7 +191,7 @@ def test_acceptance_sampler_properties():
 
 def test_acceptance_evaluation_self_check():
     t0 = time.time()
-    pairs = generate_pairs(SceneConfig.scenes(), 200, seed=77, kind="scene")
+    pairs = generate_pairs(SceneConfig.scenes(), 200, seed=77)
     dets = [(p.gt_keypoints_a, p.gt_keypoints_b) for p in pairs]
     summary, _ = evaluate_detections(pairs, dets, EvalConfig())
     dt = time.time() - t0
@@ -322,13 +322,13 @@ def test_acceptance_cli_determinism(tmp_path):
 
 def test_acceptance_toy_polarity_emergence():
     cfg = SceneConfig.toy()
-    held = generate_pairs(cfg, 50, seed=990_001, kind="toy")
+    held = generate_pairs(cfg, 50, seed=990_001)
     sc = SamplerConfig(k=10)
     per_seed = []
     worst_dt = 0.0
     for seed in range(3):
         t0 = time.time()
-        pairs = generate_pairs(cfg, 2000, seed=seed, kind="toy")
+        pairs = generate_pairs(cfg, 2000, seed=seed)
         tc = TrainConfig(arch=ArchConfig(seed=seed))
         params, _ = train_loop(pairs, tc)
         rewards = []
@@ -380,14 +380,14 @@ def _mean_polarity_recall(params, held, k: int) -> dict[str, float]:
 
 def test_acceptance_light_dark_distillation():
     t0 = time.time()
-    held = generate_pairs(SceneConfig.scenes(), 30, seed=880_001, kind="scene")
+    held = generate_pairs(SceneConfig.scenes(), 30, seed=880_001)
 
     def train_teacher(num_light: int, num_dark: int, seed: int):
         # rotation augmentation breaks the grid-locked edge/ring selections
         # that plain cross-view consistency is equally happy with
         scenes = generate_pairs(
             SceneConfig.scenes(num_light=num_light, num_dark=num_dark, rotation_aug=True),
-            600, seed=seed, kind="scene")
+            600, seed=seed)
         tc = TrainConfig(arch=ArchConfig(seed=seed), sampler=SamplerConfig(k=8),
                          reward=RewardConfig(tau_r=2.0))
         params, _ = train_loop(scenes, tc)
@@ -401,7 +401,7 @@ def test_acceptance_light_dark_distillation():
                    and rd["dark"] >= 0.8 and rd["light"] <= 0.2)
 
     dcfg = DistillConfig(scene=SceneConfig.scenes(), r=math.inf,
-                         arch=ArchConfig(seed=2), kind="scene", num_pairs=400, seed=7)
+                         arch=ArchConfig(seed=2), num_pairs=400, seed=7)
     student, _ = train_distilled(light, dark, dcfg)
     rs = _mean_polarity_recall(student, held, k=16)  # matched budget: 2 teachers x k=8
     dt = time.time() - t0

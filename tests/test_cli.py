@@ -217,7 +217,6 @@ _CORRUPT_DATASET_FILES = {
     "h_nan": ("h.txt", b"nan 0 0\n0 1 0\n0 0 1\n"),
     "h_singular": ("h.txt", b"0 0 0\n0 0 0\n0 0 1\n"),
     "gt_bad_polarity": ("gt_a.csv", b"x,y,score,polarity\n1,1,1,purple\n"),
-    "mask_wrong_shape": ("mask_a.pgm", b"P5\n10 10\n255\n" + bytes(100)),
 }
 
 
@@ -237,12 +236,32 @@ def _write_detections(root):
             (root / pair / f"{side}.csv").write_text("x,y,score\n1.0,2.0,0.5\n")
 
 
-# an infinite or huge bound would overflow numpy's sampler or make a NaN homography
+# An infinite or huge bound would overflow numpy's sampler or make a NaN
+# homography; a large one draws only candidates the covisibility test rejects,
+# most of which the homography rule calls singular.  The last column is what
+# the error line names.
 _HUGE_HOMOGRAPHY_BOUNDS = {
     "hm_scale_hi_inf": ("--hm-scale-hi", "inf", "scale_range"),
     "hm_max_rotation_deg_inf": ("--hm-max-rotation-deg", "inf", "max_rotation_deg"),
     "hm_max_translation_inf": ("--hm-max-translation", "inf", "max_translation"),
     "hm_scale_hi_1e308": ("--hm-scale-hi", "1e308", "scale_range"),
+    "hm_max_translation_1e3": ("--hm-max-translation", "1e3",
+                               "no homography with >= 40% covisibility in 200 tries"),
+}
+
+
+# A setting that cannot run, or that the toy generator never reads: (argv, key).
+_BAD_SETTINGS = {
+    "train_lr_inf": (["train", "--lr", "inf"], "lr"),
+    "train_weight_decay_inf": (["train", "--weight-decay", "inf"], "weight_decay"),
+    "train_reg_weight_inf": (["train", "--reg-weight", "inf"], "reg_weight"),
+    "synth_noise_sigma_inf": (["synth", "--mode", "scenes", "--noise-sigma", "inf"], "noise_sigma"),
+    "toy_rotation_aug": (["synth", "--mode", "toy", "--rotation-aug", "1",
+                          "--negation-aug", "rgb"], "rotation_aug"),
+    "toy_negation_aug": (["synth", "--mode", "toy", "--negation-aug", "rgb"], "negation_aug"),
+    "toy_shape_palette": (["synth", "--mode", "toy", "--shape-palette", "dot,blob"],
+                          "shape_palette"),
+    "toy_noise_sigma": (["synth", "--mode", "toy", "--noise-sigma", "0.01"], "noise_sigma"),
 }
 
 
@@ -298,6 +317,11 @@ def _bad_input_case(case, ws, tmp):
         flag, value, key = _HUGE_HOMOGRAPHY_BOUNDS[case]
         return ["synth", "--mode", "scenes", "--num-pairs", "1", "--out", str(tmp / "out"),
                 flag, value], key
+    if case in _BAD_SETTINGS:
+        argv, key = _BAD_SETTINGS[case]
+        inputs = (["--num-pairs", "1"] if argv[0] == "synth" else
+                  ["--data", str(ws["data"]), "--widths", "4", "--kernel-size", "3"])
+        return [*argv, *inputs, "--out", str(tmp / "out")], key
     if case == "dadw_non_finite":
         blob = bytearray(ws["weights"].read_bytes())
         blob[28:32] = struct.pack("<f", float("inf"))  # the first kernel entry
@@ -329,10 +353,13 @@ def _bad_input_case(case, ws, tmp):
     ("meta_not_utf8", 2), ("config_not_utf8", 1), ("dadw_bias_length", 2),
     ("config_is_directory", 1), ("synth_threads_0", 1), ("distill_threads_0", 1),
     ("meta_bad_kind", 2), ("h_nan", 2), ("h_singular", 2), ("gt_bad_polarity", 2),
-    ("mask_wrong_shape", 2), ("meta_kind_line_damaged", 2), ("meta_without_kind", 2),
+    ("meta_kind_line_damaged", 2), ("meta_without_kind", 2),
     ("toy_pair_without_dots", 2), ("hm_scale_hi_inf", 1), ("hm_max_rotation_deg_inf", 1),
     ("hm_max_translation_inf", 1), ("hm_scale_hi_1e308", 1), ("dadw_non_finite", 2),
-    ("train_lr_1e200", 2),
+    ("train_lr_1e200", 2), ("hm_max_translation_1e3", 2), ("train_lr_inf", 1),
+    ("train_weight_decay_inf", 1), ("train_reg_weight_inf", 1), ("synth_noise_sigma_inf", 1),
+    ("toy_rotation_aug", 1), ("toy_negation_aug", 1), ("toy_shape_palette", 1),
+    ("toy_noise_sigma", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

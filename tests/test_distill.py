@@ -252,7 +252,7 @@ def test_train_distilled_smoke_and_determinism():
     light = init_params(ArchConfig((4,), 3, seed=1))
     dark = init_params(ArchConfig((4,), 3, seed=2))
     cfg = DistillConfig(scene=SceneConfig.toy(size=32, num_light=2, num_dark=2),
-                        arch=arch, kind="toy", num_pairs=2, seed=5)
+                        arch=arch, num_pairs=2, seed=5)
     s1, l1 = train_distilled(light, dark, cfg)
     s2, l2 = train_distilled(light, dark, cfg)
     assert len(l1) == 4 and l1 == l2
@@ -264,7 +264,5 @@ def test_train_distilled_smoke_and_determinism():
 
 
 def test_distill_config_validation():
-    with pytest.raises(InvalidParameterError):
-        DistillConfig(kind="video")
     with pytest.raises(InvalidParameterError):
         DistillConfig(num_pairs=0)

@@ -439,7 +439,7 @@ def test_load_weights_validates_structure(tmp_path):
 
 def test_train_loop_is_deterministic_and_reports_per_pair():
     cfg = SceneConfig.toy(size=32, num_light=2, num_dark=2)
-    pairs = generate_pairs(cfg, 3, seed=0, kind="toy")
+    pairs = generate_pairs(cfg, 3, seed=0)
     tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0),
                      epochs=2, match_threshold=np.inf)
     p1, r1 = train_loop(pairs, tc)
@@ -454,7 +454,7 @@ def test_train_loop_is_deterministic_and_reports_per_pair():
 
 def test_train_loop_batch_steps_once_on_summed_pair_gradients():
     cfg = SceneConfig.toy(size=32, num_light=2, num_dark=2)
-    pairs = generate_pairs(cfg, 2, seed=1, kind="toy")
+    pairs = generate_pairs(cfg, 2, seed=1)
     tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0), batch=2)
     params, reports = train_loop(pairs, tc)
     start = init_params(tc.arch)

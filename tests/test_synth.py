@@ -15,12 +15,13 @@ from dadkit.errors import (DegenerateTransferError, InvalidInputError,
 from dadkit.geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask,
                              transfer_points)
 from dadkit.sampler import KeypointSet
-from dadkit.formats import (generate_dataset, load_dataset, load_pair, read_gt_csv,
-                            read_meta, read_pgm, save_pair, write_gt_csv, write_pgm)
+from dadkit.formats import (config_meta, generate_dataset, load_dataset, load_pair,
+                            read_gt_csv, read_meta, read_pgm, save_pair, write_gt_csv,
+                            write_pgm)
 from dadkit.synth import (HomographyMagnitude, PairSample, SceneConfig,
                           check_pair_consistency, classify_polarity,
-                          config_meta, expected_strategy_reward,
-                          gen_scene_pair, gen_toy_pair, generate_pairs,
+                          expected_strategy_reward,
+                          gen_scene_pair, gen_toy_pair, generate_pairs, make_pair,
                           pair_rng, sample_homography, toy_matches,
                           toy_pair_hits)
 
@@ -304,8 +305,8 @@ def toy_selections(draw):
 
     ga, gb = dots(), dots()
     shape, labels = (_SIZE, _SIZE), ("light",) * n
-    gray, full = np.full(shape, 0.5), Mask.full(shape)
-    pair = PairSample(gray, gray, HomographyTransfer.identity(), full, full,
+    gray = np.full(shape, 0.5)
+    pair = PairSample(gray, gray, HomographyTransfer.identity(),
                       kset(ga, shape), kset(gb, shape), labels, labels, kind="toy")
     return pair, selection(ga), selection(gb)
 
@@ -428,15 +429,16 @@ def test_read_meta_skips_blank_and_junk_lines(tmp_path):
 
 
 def test_config_meta_covers_every_layout_knob():
-    meta = config_meta(SceneConfig.scenes(size=48))
+    meta = config_meta(SceneConfig.scenes(size=48, rotation_aug=True))
     assert meta["size"] == 48
     assert meta["shape_palette"] == "dot,cross,blob,corner"
-    assert set(meta) == {
+    assert meta["rotation_aug"] == 1
+    assert list(meta) == [
         "size", "num_light", "num_dark", "shape_palette", "background_gray",
         "rotation_aug", "negation_aug", "min_separation", "margin",
         "noise_sigma", "hm_perspective_jitter", "hm_max_translation",
         "hm_scale_lo", "hm_scale_hi", "hm_max_rotation_deg",
-    }
+    ]
 
 
 def test_save_load_pair_round_trip(tmp_path):
@@ -464,36 +466,76 @@ def dir_digest(root: Path) -> dict[str, str]:
 
 def test_generate_dataset_round_trip_and_determinism(tmp_path):
     cfg = SceneConfig.toy(size=48, num_light=3, num_dark=3)
-    paths = generate_dataset(tmp_path / "d1", cfg, 3, seed=4, kind="toy")
+    paths = generate_dataset(tmp_path / "d1", cfg, 3, seed=4)
     assert [p.name for p in paths] == ["pair_000000", "pair_000001", "pair_000002"]
-    meta = read_meta(tmp_path / "d1" / "meta.txt")
-    assert meta["kind"] == "toy" and meta["count"] == "3"
+    assert not (tmp_path / "d1" / "meta.txt").exists()  # the caller's to write
+    meta = read_meta(paths[2] / "meta.txt")
+    assert meta == {"kind": "toy", "seed": "4", "index": "2",
+                    **{k: str(v) for k, v in config_meta(cfg).items()}}
     loaded = load_dataset(tmp_path / "d1")
     assert len(loaded) == 3 and all(p.kind == "toy" for p in loaded)
-    in_memory = generate_pairs(cfg, 3, seed=4, kind="toy")
+    in_memory = generate_pairs(cfg, 3, seed=4)
     for disk, mem in zip(loaded, in_memory):
         np.testing.assert_array_equal(disk.image_a, np.round(mem.image_a * 255) / 255)
-    generate_dataset(tmp_path / "d2", cfg, 3, seed=4, kind="toy")
+    generate_dataset(tmp_path / "d2", cfg, 3, seed=4)
     assert dir_digest(tmp_path / "d1") == dir_digest(tmp_path / "d2")
 
 
 def test_generate_dataset_empty_and_invalid(tmp_path):
     cfg = SceneConfig.toy(size=48, num_light=2, num_dark=2)
-    paths = generate_dataset(tmp_path / "empty", cfg, 0, seed=0, kind="toy")
+    paths = generate_dataset(tmp_path / "empty", cfg, 0, seed=0)
     assert paths == []
-    assert read_meta(tmp_path / "empty" / "meta.txt")["count"] == "0"
+    assert (tmp_path / "empty").is_dir()
     with pytest.raises(InvalidInputError):
         load_dataset(tmp_path / "empty")
     with pytest.raises(InvalidParameterError):
-        generate_dataset(tmp_path / "x", cfg, -1, seed=0, kind="toy")
-    with pytest.raises(InvalidParameterError):
-        generate_dataset(tmp_path / "x", cfg, 1, seed=0, kind="video")
+        generate_dataset(tmp_path / "x", cfg, -1, seed=0)
 
 
-def test_generate_pairs_rejects_unknown_kind():
-    with pytest.raises(InvalidParameterError):
-        generate_pairs(SceneConfig.toy(size=48, num_light=2, num_dark=2), 1, seed=0,
-                       kind="typo")
+def test_scene_config_rejects_unknown_kind():
+    with pytest.raises(InvalidParameterError, match="kind"):
+        SceneConfig(kind="video")
+
+
+def _expected_masks(pair):
+    if pair.kind == "toy":
+        return Mask.full(pair.image_a.shape), Mask.full(pair.image_b.shape)
+    return (covisibility_mask(pair.transfer, pair.image_a.shape, pair.image_b.shape),
+            covisibility_mask(pair.transfer.inverse(), pair.image_b.shape, pair.image_a.shape))
+
+
+@pytest.mark.parametrize("cfg", [
+    SceneConfig.toy(size=32, num_light=2, num_dark=2),
+    SceneConfig.scenes(size=32, num_light=2, num_dark=2),
+    SceneConfig.scenes(size=32, num_light=2, num_dark=2, rotation_aug=True, negation_aug="rgb"),
+], ids=["toy", "scene", "scene-rotation-negation"])
+def test_pair_masks_derive_from_the_transfer(tmp_path, cfg):
+    for i in range(4):
+        pair = make_pair(cfg, 21, i)
+        want_a, want_b = _expected_masks(pair)
+        np.testing.assert_array_equal(pair.mask_a.bits, want_a.bits)
+        np.testing.assert_array_equal(pair.mask_b.bits, want_b.bits)
+        if cfg.kind == "scene":
+            assert 0 < pair.mask_a.count() < pair.mask_a.bits.size
+        d = tmp_path / str(i)
+        save_pair(d, pair)
+        np.testing.assert_array_equal(read_pgm(d / "mask_a.pgm") > 0.5, pair.mask_a.bits)
+        np.testing.assert_array_equal(read_pgm(d / "mask_b.pgm") > 0.5, pair.mask_b.bits)
+        # the written masks are for inspection; loading derives them from h.txt
+        write_pgm(d / "mask_a.pgm", ~pair.mask_a.bits)
+        (d / "mask_b.pgm").unlink()
+        back = load_pair(d)
+        np.testing.assert_array_equal(back.mask_a.bits, pair.mask_a.bits)
+        np.testing.assert_array_equal(back.mask_b.bits, pair.mask_b.bits)
+
+
+def test_singular_homography_candidates_are_redrawn():
+    # a translation of ~6e4 px makes most candidates singular by the homography
+    # rule; each is a rejected draw, and the draw as a whole fails on covisibility
+    magnitude = HomographyMagnitude(max_translation=1e3)
+    with pytest.raises(DegenerateTransferError,
+                       match="no homography with >= 40% covisibility in 200 tries"):
+        sample_homography(np.random.default_rng(0), magnitude, (64, 64))
 
 
 def test_pair_rng_streams_are_stable_and_independent():

@@ -15,12 +15,13 @@ is.  Run the same script against two checkouts (copy it into the other
 one's `tools/`) and compare the output to check that a change rewrites
 every artifact byte for byte.
 
-The pipeline: toy `synth` from a config file, scene `synth`, `train` on
-each, toy `train` with the linear-decay reward and no regularizer,
-`detect --image` (with scoremap dump, overlay and subpixel
-refinement) and `detect --data`, `eval --detections`, `eval --weights` on
-toy and scene pairs with and without `--subpixel 1`, scene `distill`, and
-`gradcheck --out`.  Exits 1 naming the first stage that fails.
+The pipeline: toy `synth` from a config file, scene `synth`, scene `synth`
+with rotation and negation augmentation, `train` on the first two, toy
+`train` with the linear-decay reward and no regularizer, `detect --image`
+(with scoremap dump, overlay and subpixel refinement) and `detect --data`,
+`eval --detections`, `eval --weights` on toy and scene pairs with and
+without `--subpixel 1`, scene and toy `distill`, and `gradcheck --out`.
+Exits 1 naming the first stage that fails.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ STAGES = [
     ["synth", "--config", "toy.cfg", "--out", "toy"],
     ["synth", "--mode", "scenes", "--num-pairs", "4", "--seed", "5", "--out", "scenes",
      "--hm-scale-lo", "0.95", "--noise-sigma", "0.02"],
+    ["synth", "--mode", "scenes", "--rotation-aug", "1", "--negation-aug", "rgb",
+     "--num-pairs", "4", "--seed", "8", "--out", "scenes_aug"],
     ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
     ["train", "--data", "toy", "--out", "train_toy_decay", "--linear-decay", "1",
      "--reg-weight", "0"],
@@ -57,6 +60,8 @@ STAGES = [
       for suffix, flags in (("", []), ("_subpixel", ["--subpixel", "1"]))),
     ["distill", "--light", LIGHT, "--dark", DARK, "--out", "distill", "--num-pairs", "4",
      "--r", "2"],
+    ["distill", "--light", LIGHT, "--dark", DARK, "--mode", "toy", "--out", "distill_toy",
+     "--num-pairs", "3"],
     ["gradcheck", "--instances", "2", "--out", "gradcheck.txt"],
 ]
 
