@@ -225,7 +225,7 @@ class DistillConfig:
             raise InvalidParameterError("num_pairs must be >= 1")
 
 
-def _student_step(student: DetectorParams, image, target) -> tuple[float, tuple]:
+def _student_step(student: DetectorParams, image, target) -> tuple[float, DetectorParams]:
     """One student image: (KL loss against the merged target, parameter gradients)."""
     s, cache = forward(student, image)
     loss, grad = distill_loss_and_grad(target, s)

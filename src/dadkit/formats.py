@@ -22,10 +22,14 @@ from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParamete
 from .evaluate import PER_PAIR_FIELDS
 from .geometry import HomographyTransfer
 from .sampler import KeypointSet
-from .synth import POLARITIES, PairSample, SceneConfig, magnitude_items, make_pair
+from .synth import (POLARITIES, PairSample, SceneConfig, check_pair_consistency,
+                    magnitude_items, make_pair)
 
 GRID_MAGIC = b"DADF"
 GRID_VERSION = 1
+# How far (px) a loaded pair's gt_b may sit from the transfer of gt_a: the
+# CSVs keep six decimals, so a valid pair is off by about 1e-6 px.
+GT_TOLERANCE = 1e-3
 
 
 def _read_exact(f, n: int, path) -> bytes:
@@ -296,9 +300,10 @@ def save_pair(dirpath, pair: PairSample, extra_meta: dict | None = None) -> None
 
 
 def load_pair(dirpath) -> PairSample:
-    """Read a pair directory; errors name the file at fault, and meta.txt
-    (which must set the kind) for the pair as a whole.  The mask PGMs are
-    not read: the pair derives its masks from h.txt."""
+    """Read a pair directory; errors name the file at fault, meta.txt (which
+    must set the kind) for a pair that cannot be built, and the directory for
+    ground truth that disagrees with h.txt by more than GT_TOLERANCE px.  The
+    mask PGMs are not read: the pair derives its masks from h.txt."""
     d = Path(dirpath)
     meta = read_meta(d / "meta.txt")
     if "kind" not in meta:
@@ -314,8 +319,11 @@ def load_pair(dirpath) -> PairSample:
         raise InvalidInputError(f"{d / 'meta.txt'}: seed must be an integer") from None
     transfer = read_homography(d / "h.txt")
     with _named(d / "meta.txt"):
-        return PairSample(*images, transfer, gt_a, gt_b, pol_a, pol_b,
+        pair = PairSample(*images, transfer, gt_a, gt_b, pol_a, pol_b,
                           kind=meta["kind"], seed=seed)
+    with _named(d):
+        check_pair_consistency(pair, GT_TOLERANCE)
+    return pair
 
 
 def generate_dataset(root, cfg: SceneConfig, count: int, seed: int) -> list[Path]:

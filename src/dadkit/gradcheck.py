@@ -13,11 +13,14 @@ between the two FD evaluations would invalidate the comparison, and so are
 instances in which some family's analytic gradient is identically zero,
 since they test nothing; everything else about the instance is kept random.
 
-The pass rule uses an elementwise relative error whose small absolute floor
-hides round-off.  Alongside it the audit reports each family's normwise
-margin, max|a - f| / max(|a|, |f|) with both maxima taken over every kernel
-and bias entry of the instance, which shows how far inside the tolerance
-the gradients really are, and the smallest such gradient scale.
+Gradients are `DetectorParams`, so the finite differences perturb the flat
+parameter vector one entry at a time, in order, and every comparison is one
+expression over the whole vector.  The pass rule uses an elementwise
+relative error whose small absolute floor hides round-off.  Alongside it the
+audit reports each family's normwise margin, max|a - f| / max(|a|, |f|) with
+both maxima taken over every parameter of the instance, which shows how far
+inside the tolerance the gradients really are, and the smallest such
+gradient scale.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .distill import _student_step, distill_loss_and_grad
 from .errors import InvalidParameterError
 from .model import (
     ArchConfig,
-    ConvLayer,
     DetectorParams,
     TrainConfig,
     _pair_grads,
@@ -63,62 +65,33 @@ class GradCheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def _with_param(params: DetectorParams, li: int, field: str, idx: int,
-                value: float) -> DetectorParams:
-    layers = list(params.layers)
-    arr = getattr(layers[li], field).copy()
-    arr.ravel()[idx] = value
-    if field == "kernel":
-        layers[li] = ConvLayer(arr, layers[li].bias)
-    else:
-        layers[li] = ConvLayer(layers[li].kernel, arr)
-    return DetectorParams(tuple(layers), params.arch)
+def fd_param_grads(loss_fn, params: DetectorParams, step: float = 1e-4) -> DetectorParams:
+    """Central finite differences of loss_fn over every parameter, in vector order."""
+    fd = np.zeros_like(params.flat)
+    for i, value in enumerate(params.flat):
+        losses = []
+        for moved in (value + step, value - step):
+            flat = params.flat.copy()
+            flat[i] = moved
+            losses.append(loss_fn(DetectorParams(flat, params.arch)))
+        fd[i] = (losses[0] - losses[1]) / (2.0 * step)
+    return DetectorParams(fd, params.arch)
 
 
-def fd_param_grads(loss_fn, params: DetectorParams, step: float = 1e-4):
-    """Central finite differences of loss_fn over every kernel and bias entry."""
-    grads = []
-    for li, layer in enumerate(params.layers):
-        out = {}
-        for field in ("kernel", "bias"):
-            base = getattr(layer, field)
-            g = np.zeros_like(base)
-            flat = g.ravel()
-            vals = base.ravel()
-            for idx in range(base.size):
-                lp = loss_fn(_with_param(params, li, field, idx, vals[idx] + step))
-                lm = loss_fn(_with_param(params, li, field, idx, vals[idx] - step))
-                flat[idx] = (lp - lm) / (2.0 * step)
-            out[field] = g
-        grads.append(ConvLayer(out["kernel"], out["bias"]))
-    return tuple(grads)
-
-
-def max_rel_error(analytic, fd, abs_floor: float = 1e-8) -> float:
+def max_rel_error(analytic: DetectorParams, fd: DetectorParams, abs_floor: float = 1e-8) -> float:
     """Worst relative deviation; differences below abs_floor count as zero."""
-    worst = 0.0
-    for a, f in zip(analytic, fd):
-        for aa, ff in ((a.kernel, f.kernel), (a.bias, f.bias)):
-            diff = np.abs(aa - ff)
-            denom = np.maximum(np.maximum(np.abs(aa), np.abs(ff)), 1e-12)
-            rel = np.where(diff < abs_floor, 0.0, diff / denom)
-            if rel.size:
-                worst = max(worst, float(rel.max()))
-    return worst
+    a, f = analytic.flat, fd.flat
+    diff = np.abs(a - f)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-12)
+    return float(np.where(diff < abs_floor, 0.0, diff / denom).max(initial=0.0))
 
 
-def normwise_margin(analytic, fd) -> tuple[float, float]:
+def normwise_margin(analytic: DetectorParams, fd: DetectorParams) -> tuple[float, float]:
     """(max|a-f| / max(|a|,|f|) over the whole gradient, that scale)."""
-    diff = scale = 0.0
-    for a, f in zip(analytic, fd):
-        for aa, ff in ((a.kernel, f.kernel), (a.bias, f.bias)):
-            diff = max(diff, float(np.abs(aa - ff).max()))
-            scale = max(scale, float(np.abs(aa).max()), float(np.abs(ff).max()))
+    a, f = analytic.flat, fd.flat
+    diff = float(np.abs(a - f).max(initial=0.0))
+    scale = float(np.maximum(np.abs(a), np.abs(f)).max(initial=0.0))
     return (diff / scale if scale > 0 else 0.0), scale
-
-
-def _all_zero(grads) -> bool:
-    return not any(g.kernel.any() or g.bias.any() for g in grads)
 
 
 def _min_abs_preact(caches) -> float:
@@ -162,7 +135,7 @@ def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
 
 
 def _analytic_and_loss_fns(inst: _Instance):
-    """(analytic gradient tuple, loss closure) per loss family."""
+    """(analytic gradient, loss closure) per loss family."""
     pair, image = inst.pair, inst.pair.image_a
     rl_cfg = replace(inst.cfg, reg_weight=0.0)
 
@@ -201,7 +174,7 @@ def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
         if inst is None:
             continue
         checks = _analytic_and_loss_fns(inst)
-        if any(_all_zero(analytic) for analytic, _ in checks.values()):
+        if any(not analytic.flat.any() for analytic, _ in checks.values()):
             redraws += 1
             continue
         for family, (analytic, loss_fn) in checks.items():

@@ -12,6 +12,9 @@ product of the flipped kernel with the columns of the zero-padded output
 gradient.  The first layer's input gradient is never
 formed, since no parameter depends on it.  The gradients are exact and the
 test-suite checks them against central finite differences.
+Parameters, gradients and the optimizer's moments are flat float64 vectors
+of one layout, with per-layer views; summing gradients and stepping the
+optimizer are whole-vector arithmetic, and only this module knows the layout.
 The optimizer, :class:`AdamW`, is adaptive moments with decoupled multiplicative
 weight decay; training and distillation both take their settings from it.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -67,10 +71,24 @@ class ConvLayer:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """All layer tensors; the last layer is the linear 1x1 head."""
+    """Every parameter of a stack as one flat float64 vector, in
+    `_layer_shapes` order (each layer's kernel, then its bias; the linear 1x1
+    head last).  Gradients use the same type."""
 
-    layers: tuple[ConvLayer, ...]
+    flat: np.ndarray
     arch: ArchConfig
+
+    def __post_init__(self):
+        flat = np.asarray(self.flat, dtype=np.float64)
+        size = sum(math.prod(k) + b for k, (b,) in _layer_shapes(self.arch))
+        if flat.shape != (size,):
+            raise InvalidInputError(f"parameter vector {flat.shape}, arch needs ({size},)")
+        object.__setattr__(self, "flat", flat)
+
+    @cached_property
+    def layers(self) -> tuple[ConvLayer, ...]:
+        """Per-layer (kernel, bias) views of `flat`."""
+        return _views(self.flat, self.arch)
 
 
 @dataclass(frozen=True)
@@ -96,18 +114,16 @@ class AdamW:
 
 @dataclass(frozen=True)
 class OptState:
-    """Optimizer settings, step count and per-layer moment estimates."""
+    """Optimizer settings, step count and moment vectors laid out like params.flat."""
 
     opt: AdamW
     step_count: int
-    m: tuple[ConvLayer, ...]
-    v: tuple[ConvLayer, ...]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def init(cls, params: DetectorParams, opt: AdamW = AdamW()) -> "OptState":
-        zeros = tuple(
-            ConvLayer(np.zeros_like(l.kernel), np.zeros_like(l.bias)) for l in params.layers
-        )
+        zeros = np.zeros_like(params.flat)
         return cls(opt, 0, zeros, zeros)
 
 
@@ -135,15 +151,25 @@ def _layer_shapes(arch: ArchConfig) -> list[tuple[tuple[int, ...], tuple[int]]]:
     return shapes + [((1, widths[-1], 1, 1), (1,))]
 
 
+def _views(flat: np.ndarray, arch: ArchConfig) -> tuple[ConvLayer, ...]:
+    """(kernel, bias) views of a vector laid out in `_layer_shapes` order."""
+    layers, at = [], 0
+    for kshape, (blen,) in _layer_shapes(arch):
+        end = at + math.prod(kshape)
+        layers.append(ConvLayer(flat[at:end].reshape(kshape), flat[end:end + blen]))
+        at = end + blen
+    return tuple(layers)
+
+
 def init_params(cfg: ArchConfig) -> DetectorParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) kernels, zero biases, seeded."""
     rng = np.random.default_rng(cfg.seed)
-    layers = []
+    parts = []
     for kshape, bshape in _layer_shapes(cfg):
         o, i, kh, kw = kshape
         a = math.sqrt(6.0 / (i * kh * kw + o * kh * kw))
-        layers.append(ConvLayer(rng.uniform(-a, a, kshape), np.zeros(bshape)))
-    return DetectorParams(tuple(layers), cfg)
+        parts += [rng.uniform(-a, a, kshape).ravel(), np.zeros(bshape)]
+    return DetectorParams(np.concatenate(parts), cfg)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -239,48 +265,33 @@ def forward(params: DetectorParams, image) -> tuple[ScoreMap, ActivationCache]:
     return ScoreMap(logits[0]), cache
 
 
-def backward(cache: ActivationCache, grad_scoremap) -> tuple[ConvLayer, ...]:
+def backward(cache: ActivationCache, grad_scoremap) -> DetectorParams:
     """Exact parameter gradients given dLoss/dScoreMap."""
     g = np.asarray(grad_scoremap, dtype=np.float64)
     if g.shape != cache.image_shape:
         raise InvalidInputError(f"gradient shape {g.shape} != image shape {cache.image_shape}")
     layers = cache.params.layers
-    grads: list[ConvLayer | None] = [None] * len(layers)
+    grads = DetectorParams(np.zeros_like(cache.params.flat), cache.params.arch)
     gt = g[None]
     for li in reversed(range(len(layers))):
-        grads[li], g_x = _conv_backward(gt, cache.inputs[li], layers[li], want_input=li > 0)
+        layer_grads, g_x = _conv_backward(gt, cache.inputs[li], layers[li], want_input=li > 0)
+        grads.layers[li].kernel[...] = layer_grads.kernel
+        grads.layers[li].bias[...] = layer_grads.bias
         if li > 0:
             gt = g_x * (cache.preacts[li - 1] > 0)
-    return tuple(grads)  # type: ignore[arg-type]
+    return grads
 
 
-def optimizer_step(params: DetectorParams, grads, state: OptState):
+def optimizer_step(params: DetectorParams, grads: DetectorParams, state: OptState):
     """One decoupled-weight-decay adaptive-moment update; functional."""
-    if len(grads) != len(params.layers):
-        raise InvalidInputError("gradient/parameter layer count mismatch")
-    opt = state.opt
-    t = state.step_count + 1
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
-    shrink = 1.0 - opt.lr * opt.weight_decay
-
-    def upd(p, g, m, v):
-        if p.shape != g.shape:
-            raise InvalidInputError("gradient/parameter shape mismatch")
-        m2 = opt.beta1 * m + (1.0 - opt.beta1) * g
-        v2 = opt.beta2 * v + (1.0 - opt.beta2) * g * g
-        step = opt.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + opt.eps)
-        return p * shrink - step, m2, v2
-
-    new_layers, new_m, new_v = [], [], []
-    for layer, g, m, v in zip(params.layers, grads, state.m, state.v):
-        k2, mk, vk = upd(layer.kernel, g.kernel, m.kernel, v.kernel)
-        b2, mb, vb = upd(layer.bias, g.bias, m.bias, v.bias)
-        new_layers.append(ConvLayer(k2, b2))
-        new_m.append(ConvLayer(mk, mb))
-        new_v.append(ConvLayer(vk, vb))
-    new_state = replace(state, step_count=t, m=tuple(new_m), v=tuple(new_v))
-    return DetectorParams(tuple(new_layers), params.arch), new_state
+    if grads.flat.shape != params.flat.shape:
+        raise InvalidInputError("gradient/parameter size mismatch")
+    opt, t, g = state.opt, state.step_count + 1, grads.flat
+    m = opt.beta1 * state.m + (1.0 - opt.beta1) * g
+    v = opt.beta2 * state.v + (1.0 - opt.beta2) * g * g
+    step = opt.lr * (m / (1.0 - opt.beta1 ** t)) / (np.sqrt(v / (1.0 - opt.beta2 ** t)) + opt.eps)
+    flat = params.flat * (1.0 - opt.lr * opt.weight_decay) - step
+    return DetectorParams(flat, params.arch), replace(state, step_count=t, m=m, v=v)
 
 
 def save_weights(path, params: DetectorParams) -> None:
@@ -288,42 +299,42 @@ def save_weights(path, params: DetectorParams) -> None:
     the u32 kernel shape, float32 kernel, u32 bias length, float32 bias.
     Parameters that are not finite as float32 are refused before the file opens."""
     with np.errstate(over="ignore", invalid="ignore"):
-        blobs = [(l.kernel.astype("<f4"), l.bias.astype("<f4")) for l in params.layers]
-    if not all(np.isfinite(k).all() and np.isfinite(b).all() for k, b in blobs):
+        flat32 = params.flat.astype("<f4")
+    if not np.isfinite(flat32).all():
         raise InvalidInputError(f"{path}: parameters are not finite as float32; not written")
+    layers = _views(flat32, params.arch)
     with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(params.layers)))
-        for kernel, bias in blobs:
-            f.write(struct.pack("<IIII", *kernel.shape))
-            f.write(kernel.tobytes(order="C"))
-            f.write(struct.pack("<I", bias.shape[0]))
-            f.write(bias.tobytes(order="C"))
+        f.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(layers)))
+        for layer in layers:
+            f.write(struct.pack("<IIII", *layer.kernel.shape))
+            f.write(layer.kernel.tobytes(order="C"))
+            f.write(struct.pack("<I", layer.bias.shape[0]))
+            f.write(layer.bias.tobytes(order="C"))
 
 
 def load_weights(path) -> DetectorParams:
     with open(path, "rb") as f:
         (n_layers,) = read_header(f, path, WEIGHTS_MAGIC, WEIGHTS_VERSION, "<II")
-        layers = []
+        shapes, blobs = [], []
         for _ in range(n_layers):
-            shape = struct.unpack("<IIII", _read_exact(f, 16, path))
-            count = shape[0] * shape[1] * shape[2] * shape[3]
-            kernel = np.frombuffer(_read_exact(f, 4 * count, path), dtype="<f4").reshape(shape)
+            kshape = struct.unpack("<IIII", _read_exact(f, 16, path))
+            blobs.append(_read_exact(f, 4 * math.prod(kshape), path))
             (blen,) = struct.unpack("<I", _read_exact(f, 4, path))
-            bias = np.frombuffer(_read_exact(f, 4 * blen, path), dtype="<f4")
-            layers.append(ConvLayer(kernel.astype(np.float64), bias.astype(np.float64)))
+            blobs.append(_read_exact(f, 4 * blen, path))
+            shapes.append((kshape, (blen,)))
     if n_layers < 2:
         raise InvalidInputError(f"{path}: need at least one conv layer and a head")
-    if not all(np.isfinite(l.kernel).all() and np.isfinite(l.bias).all() for l in layers):
+    flat32 = np.frombuffer(b"".join(blobs), dtype="<f4")
+    if not np.isfinite(flat32).all():  # before the cast, which warns on a signaling NaN
         raise InvalidInputError(f"{path}: weights contain NaN/Inf")
     try:
-        arch = ArchConfig(tuple(l.kernel.shape[0] for l in layers[:-1]),
-                          layers[0].kernel.shape[2], seed=0)
+        arch = ArchConfig(tuple(k[0] for k, _ in shapes[:-1]), shapes[0][0][2], seed=0)
     except InvalidParameterError as e:
         raise InvalidInputError(f"{path}: {e}") from None
-    if [(l.kernel.shape, l.bias.shape) for l in layers] != _layer_shapes(arch):
+    if shapes != _layer_shapes(arch):
         raise InvalidInputError(f"{path}: layer shapes do not match widths "
                                 f"{arch.channel_widths}, kernel size {arch.kernel_size}, 1x1 head")
-    return DetectorParams(tuple(layers), arch)
+    return DetectorParams(flat32.astype(np.float64), arch)
 
 
 @dataclass(frozen=True)
@@ -386,14 +397,9 @@ def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
     return _sum_grads([backward(ca, ga), backward(cb, gb)]), report
 
 
-def _sum_grads(grad_lists):
-    """Layer-wise sum of per-layer gradient tuples, added left to right."""
-    total = grad_lists[0]
-    for grads in grad_lists[1:]:
-        total = tuple(
-            ConvLayer(t.kernel + g.kernel, t.bias + g.bias) for t, g in zip(total, grads)
-        )
-    return total
+def _sum_grads(grads: list[DetectorParams]) -> DetectorParams:
+    """Sum of parameter gradients, added left to right."""
+    return DetectorParams(sum((g.flat for g in grads[1:]), grads[0].flat), grads[0].arch)
 
 
 def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]]:

@@ -67,7 +67,8 @@ class HomographyMagnitude:
 class SceneConfig:
     """Layout and augmentation knobs, and `kind`, the generator they feed.
 
-    A toy config takes no setting that only the scene generator reads.
+    A toy config takes no setting that only the scene generator reads, and
+    no homography bound other than the default, which it echoes unread.
     """
 
     size: int = 64
@@ -106,9 +107,11 @@ class SceneConfig:
         if self.kind not in ("toy", "scene"):
             raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {self.kind!r}")
         if self.kind == "toy":  # settings the toy generator never reads
+            given = {**vars(self), **magnitude_items(self.homography_magnitude)}
             for name, unread in (("rotation_aug", False), ("negation_aug", "off"),
-                                 ("shape_palette", ("dot",)), ("noise_sigma", 0.0)):
-                if getattr(self, name) != unread:
+                                 ("shape_palette", ("dot",)), ("noise_sigma", 0.0),
+                                 *magnitude_items(HomographyMagnitude()).items()):
+                if given[name] != unread:
                     raise InvalidParameterError(f"{name} does not apply to toy pairs")
 
     @classmethod
@@ -190,20 +193,24 @@ class PairSample:
 
 
 def check_pair_consistency(pair: PairSample, tol: float = 1e-6) -> None:
-    """Construction self-check: gt centers agree with the stored transfer.
+    """Self-check: gt centers agree with the stored transfer to within tol px.
 
-    Scene pairs: every gt_a center landing inside image B must appear in
-    gt_b within tol (and nothing else may).  Toy pairs: identity pairing
-    needs equal counts and matching polarity multisets; negation is never
-    applied to toys, so labels must agree index-wise.
+    Scene pairs: gt_b holds, in order, the transfers of the gt_a centers
+    that land inside image B (and nothing else); a center whose transfer
+    lies within tol of B's border may be present or absent, since rounding
+    can move it across.  Toy pairs: identity pairing needs equal counts and
+    matching polarity multisets; negation is never applied to toys, so
+    labels must agree index-wise.
     """
     if pair.kind == "toy":
         if pair.polarity_a != pair.polarity_b:
             raise InvalidInputError("toy polarity labels must match index-wise")
         return
-    moved, inside = covisible(pair.transfer, pair.gt_keypoints_a.xy, pair.image_b.shape)
-    expect = moved[inside]
+    moved, valid = transfer_points(pair.transfer, pair.gt_keypoints_a.xy)
+    h, w = pair.image_b.shape
+    depth = np.minimum.reduce([moved[:, 0], w - 1 - moved[:, 0], moved[:, 1], h - 1 - moved[:, 1]])
     got = pair.gt_keypoints_b.xy
+    expect = moved[valid & ((depth >= tol) | ((depth >= -tol) & _covered(moved, got, tol)))]
     if len(expect) != len(got):
         raise InvalidInputError(
             f"gt_b holds {len(got)} points, transfer predicts {len(expect)} covisible"

@@ -12,8 +12,7 @@ import pytest
 from dadkit.cli import main
 from dadkit.distill import DistillConfig
 from dadkit.evaluate import EvalConfig
-from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, TrainConfig,
-                          forward, save_weights)
+from dadkit.model import AdamW, TrainConfig, forward
 from dadkit.sampler import SamplerConfig
 from dadkit.formats import read_meta
 
@@ -262,6 +261,10 @@ _BAD_SETTINGS = {
     "toy_shape_palette": (["synth", "--mode", "toy", "--shape-palette", "dot,blob"],
                           "shape_palette"),
     "toy_noise_sigma": (["synth", "--mode", "toy", "--noise-sigma", "0.01"], "noise_sigma"),
+    "toy_hm_bounds": (["synth", "--mode", "toy", "--hm-max-translation", "0.5",
+                       "--hm-max-rotation-deg", "90"], "hm_max_translation"),
+    "distill_toy_hm_bound": (["distill", "--mode", "toy", "--hm-scale-lo", "0.5"],
+                             "hm_scale_lo"),
 }
 
 
@@ -301,10 +304,12 @@ def _bad_input_case(case, ws, tmp):
         bad.write_bytes(_CORRUPT_DETECTIONS[case])
         return ["eval", "--data", str(ws["data"]), "--detections", str(tmp / "bad"),
                 "--out", str(tmp / "out")], bad
-    if case == "dadw_bias_length":
-        save_weights(bad, DetectorParams((ConvLayer(np.zeros((4, 1, 3, 3)), np.zeros(3)),
-                                          ConvLayer(np.zeros((1, 4, 1, 1)), np.zeros(1))),
-                                         ArchConfig()))
+    if case == "dadw_bias_length":  # a 4-channel layer with 3 biases, then the head
+        bad.write_bytes(b"DADW" + struct.pack("<II", 1, 2)
+                        + struct.pack("<IIII", 4, 1, 3, 3) + bytes(4 * 36)
+                        + struct.pack("<I", 3) + bytes(4 * 3)
+                        + struct.pack("<IIII", 1, 4, 1, 1) + bytes(4 * 4)
+                        + struct.pack("<I", 1) + bytes(4))
         return ["detect", "--weights", str(bad), "--image", str(img),
                 "--out", str(tmp / "k.csv")], bad
     if case == "config_not_utf8":
@@ -319,15 +324,30 @@ def _bad_input_case(case, ws, tmp):
                 flag, value], key
     if case in _BAD_SETTINGS:
         argv, key = _BAD_SETTINGS[case]
-        inputs = (["--num-pairs", "1"] if argv[0] == "synth" else
-                  ["--data", str(ws["data"]), "--widths", "4", "--kernel-size", "3"])
+        inputs = {"synth": ["--num-pairs", "1"],
+                  "distill": ["--light", str(ws["weights"]), "--dark", str(ws["weights"]),
+                              "--num-pairs", "1"]}.get(
+            argv[0], ["--data", str(ws["data"]), "--widths", "4", "--kernel-size", "3"])
         return [*argv, *inputs, "--out", str(tmp / "out")], key
-    if case == "dadw_non_finite":
+    if case in ("dadw_non_finite", "dadw_signaling_nan"):
         blob = bytearray(ws["weights"].read_bytes())
-        blob[28:32] = struct.pack("<f", float("inf"))  # the first kernel entry
+        # the first kernel entry: inf, or a NaN whose float64 cast would warn
+        blob[28:32] = (struct.pack("<f", float("inf")) if case == "dadw_non_finite"
+                       else struct.pack("<I", 0x7F800001))
         bad.write_bytes(bytes(blob))
         return ["detect", "--weights", str(bad), "--image", str(img),
                 "--out", str(tmp / "k.csv")], bad
+    if case == "gt_disagrees_with_h":
+        # a scene pair whose h.txt is shifted 3 px after its gt CSVs were written
+        assert main(["synth", "--mode", "scenes", "--num-pairs", "1",
+                     "--out", str(tmp / "data")]) == 0
+        bad = tmp / "data" / "pair_000000"
+        h = np.loadtxt(bad / "h.txt")
+        h[0] += 3.0 * h[2]
+        np.savetxt(bad / "h.txt", h, fmt="%.17g")
+        _write_detections(tmp / "dets")
+        return ["eval", "--data", str(tmp / "data"), "--detections", str(tmp / "dets"),
+                "--out", str(tmp / "out")], bad
     if case == "train_lr_1e200":
         # one step on both pairs leaves parameters near 1e200, finite only as float64
         return ["train", "--data", str(ws["data"]), "--out", str(tmp / "out"), "--widths", "4",
@@ -359,7 +379,8 @@ def _bad_input_case(case, ws, tmp):
     ("train_lr_1e200", 2), ("hm_max_translation_1e3", 2), ("train_lr_inf", 1),
     ("train_weight_decay_inf", 1), ("train_reg_weight_inf", 1), ("synth_noise_sigma_inf", 1),
     ("toy_rotation_aug", 1), ("toy_negation_aug", 1), ("toy_shape_palette", 1),
-    ("toy_noise_sigma", 1),
+    ("toy_noise_sigma", 1), ("dadw_signaling_nan", 2), ("toy_hm_bounds", 1),
+    ("distill_toy_hm_bound", 1), ("gt_disagrees_with_h", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

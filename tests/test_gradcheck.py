@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dadkit.distill
 import dadkit.model
 from dadkit.errors import InvalidParameterError
 from dadkit.gradcheck import (FAMILIES, GradCheckResult, fd_param_grads,
                               max_rel_error, normwise_margin, run_gradcheck)
-from dadkit.model import ArchConfig, ConvLayer, forward, init_params
+from dadkit.model import ArchConfig, ConvLayer, DetectorParams, forward, init_params
 
 
 def test_run_gradcheck_small_suite_passes():
@@ -36,9 +38,8 @@ def test_run_gradcheck_deterministic():
 
 
 def _doubled_second_term(sum_grads):
-    return lambda grad_lists: sum_grads([
-        grad_lists[0], tuple(ConvLayer(2.0 * g.kernel, 2.0 * g.bias) for g in grad_lists[1]),
-        *grad_lists[2:]])
+    return lambda grads: sum_grads([
+        grads[0], DetectorParams(2.0 * grads[1].flat, grads[1].arch), *grads[2:]])
 
 
 def _doubled_scoremap_grad(backward):
@@ -72,26 +73,80 @@ def test_max_rel_error_detects_sabotage():
     fd = fd_param_grads(loss_fn, params, step=1e-4)
     clean = max_rel_error(analytic, fd)
     assert clean < 1e-3
-    k = analytic[0].kernel.copy()
-    k.ravel()[0] *= 1.01  # a 1 percent error must not slip through
-    broken = (ConvLayer(k, analytic[0].bias),) + analytic[1:]
+    broken = DetectorParams(analytic.flat.copy(), analytic.arch)
+    broken.layers[0].kernel.ravel()[0] *= 1.01  # a 1 percent error must not slip through
     assert max_rel_error(broken, fd) > 5e-3
 
 
+# one 1x1 conv layer and the head: kernel, bias, head kernel, head bias
+_TINY = ArchConfig((1,), 1)
+
+
 def test_max_rel_error_abs_floor_ignores_noise():
-    a = (ConvLayer(np.array([[[[1.0]]]]), np.array([0.0])),)
-    f = (ConvLayer(np.array([[[[1.0 + 5e-9]]]]), np.array([3e-9])),)
+    a = DetectorParams(np.array([1.0, 0.0, 0.0, 0.0]), _TINY)
+    f = DetectorParams(np.array([1.0 + 5e-9, 3e-9, 0.0, 0.0]), _TINY)
     assert max_rel_error(a, f, abs_floor=1e-8) == 0.0
     assert max_rel_error(a, f, abs_floor=1e-10) > 0.0
 
 
 def test_normwise_margin_is_taken_over_the_whole_gradient():
-    a = (ConvLayer(np.array([[[[2.0, -4.0]]]]), np.array([1e-17])),)
-    f = (ConvLayer(np.array([[[[2.0, -4.0 + 4e-9]]]]), np.array([0.0])),)
+    a = DetectorParams(np.array([2.0, 1e-17, -4.0, 0.0]), _TINY)
+    f = DetectorParams(np.array([2.0, 0.0, -4.0 + 4e-9, 0.0]), _TINY)
     margin, scale = normwise_margin(a, f)
     assert scale == 4.0
     # the round-off bias, 100% off elementwise, is measured against scale 4
     assert margin == pytest.approx(1e-9, rel=1e-6)
+
+
+def _with_param_reference(params: DetectorParams, li: int, field: str, idx: int,
+                          value: float) -> DetectorParams:
+    """The per-layer perturbation, verbatim apart from building the vector
+    from the layer tuple."""
+    layers = list(params.layers)
+    arr = getattr(layers[li], field).copy()
+    arr.ravel()[idx] = value
+    if field == "kernel":
+        layers[li] = ConvLayer(arr, layers[li].bias)
+    else:
+        layers[li] = ConvLayer(layers[li].kernel, arr)
+    return DetectorParams(np.concatenate([a.ravel() for l in layers for a in (l.kernel, l.bias)]),
+                          params.arch)
+
+
+def _fd_param_grads_reference(loss_fn, params: DetectorParams, step: float = 1e-4):
+    """Central finite differences over every kernel and bias entry, layer by layer."""
+    grads = []
+    for li, layer in enumerate(params.layers):
+        out = {}
+        for field in ("kernel", "bias"):
+            base = getattr(layer, field)
+            g = np.zeros_like(base)
+            flat = g.ravel()
+            vals = base.ravel()
+            for idx in range(base.size):
+                lp = loss_fn(_with_param_reference(params, li, field, idx, vals[idx] + step))
+                lm = loss_fn(_with_param_reference(params, li, field, idx, vals[idx] - step))
+                flat[idx] = (lp - lm) / (2.0 * step)
+            out[field] = g
+        grads.append(ConvLayer(out["kernel"], out["bias"]))
+    return tuple(grads)
+
+
+@settings(deadline=None, max_examples=15)
+@given(widths=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       k=st.sampled_from([1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_fd_param_grads_equal_the_per_layer_reference(widths, k, seed):
+    params = init_params(ArchConfig(tuple(widths), k, seed=seed % 1000))
+    rng = np.random.default_rng(seed)
+    img = rng.random((8, 9))
+    g = rng.normal(size=(8, 9))
+
+    def loss_fn(p):
+        return float((forward(p, img)[0].logits * g).sum())
+
+    got = fd_param_grads(loss_fn, params)
+    want = _fd_param_grads_reference(loss_fn, params)
+    assert got.flat.tobytes() == b"".join(a.tobytes() for l in want for a in (l.kernel, l.bias))
 
 
 def test_gradcheck_result_pass_threshold():

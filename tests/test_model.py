@@ -2,7 +2,7 @@
 
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -52,14 +52,9 @@ def forward_oracle(params: DetectorParams, image: np.ndarray) -> np.ndarray:
 def fd_param_grad(loss_fn, params: DetectorParams, li: int, field: str,
                   idx: int, step: float = 1e-5) -> float:
     def poke(delta):
-        layers = list(params.layers)
-        kernel, bias = layers[li].kernel.copy(), layers[li].bias.copy()
-        if field == "kernel":
-            kernel.ravel()[idx] += delta
-        else:
-            bias.ravel()[idx] += delta
-        layers[li] = ConvLayer(kernel, bias)
-        return loss_fn(DetectorParams(tuple(layers), params.arch))
+        poked = DetectorParams(params.flat.copy(), params.arch)
+        getattr(poked.layers[li], field).ravel()[idx] += delta
+        return loss_fn(poked)
 
     return (poke(step) - poke(-step)) / (2 * step)
 
@@ -113,14 +108,14 @@ def test_backward_matches_parameter_finite_differences():
             out, _ = forward(p, img)
             return float((out.logits * g_score).sum())
 
-        for li in range(len(params.layers)):
-            kflat = grads[li].kernel.ravel()
+        for li, layer_grads in enumerate(grads.layers):
+            kflat = layer_grads.kernel.ravel()
             for idx in rng.choice(kflat.size, size=min(6, kflat.size), replace=False):
                 fd = fd_param_grad(loss_fn, params, li, "kernel", int(idx))
                 assert kflat[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
-            for idx in range(grads[li].bias.size):
+            for idx in range(layer_grads.bias.size):
                 fd = fd_param_grad(loss_fn, params, li, "bias", int(idx))
-                assert grads[li].bias[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+                assert layer_grads.bias[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
         checked += 1
     assert checked == 3
 
@@ -262,12 +257,13 @@ def test_forward_and_backward_equal_the_column_cache(data, widths, k, seed):
     side = st.integers(max(arch.receptive_field, 8), 64)
     shape = (data.draw(side, "h"), data.draw(side, "w"))
     rng = np.random.default_rng(seed)
-    layers = tuple(ConvLayer(l.kernel, rng.normal(scale=0.1, size=l.bias.shape))
-                   for l in init_params(arch).layers)
-    params = DetectorParams(layers, arch)
+    params = init_params(arch)
+    for layer in params.layers:
+        layer.bias[...] = rng.normal(scale=0.1, size=layer.bias.shape)
     images = [rng.random(shape), rng.random(shape)]
     grads = [rng.normal(size=shape), rng.normal(size=shape)]
-    got = _conv_outputs(forward, backward, params, images, grads)
+    got = _conv_outputs(forward, lambda cache, g: backward(cache, g).layers,
+                        params, images, grads)
     assert got == _conv_outputs(_forward_reference, _backward_reference, params, images, grads)
 
 
@@ -304,7 +300,7 @@ def test_backward_bias_gradient_is_spatial_sum_on_head():
     g = rng.normal(size=(9, 9))
     _, cache = forward(params, img)
     grads = backward(cache, g)
-    assert grads[-1].bias[0] == pytest.approx(g.sum(), rel=1e-12)
+    assert grads.layers[-1].bias[0] == pytest.approx(g.sum(), rel=1e-12)
 
 
 def test_backward_rejects_wrong_gradient_shape():
@@ -349,11 +345,10 @@ def test_optimizer_step_matches_manual_formula():
     state = OptState.init(params, AdamW(lr=0.01, beta1=0.9, beta2=0.99,
                                         eps=1e-8, weight_decay=0.1))
     rng = np.random.default_rng(0)
-    grads = tuple(ConvLayer(rng.normal(size=l.kernel.shape),
-                            rng.normal(size=l.bias.shape)) for l in params.layers)
+    grads = DetectorParams(rng.normal(size=params.flat.shape), params.arch)
     new, ns = optimizer_step(params, grads, state)
     assert ns.step_count == 1
-    g = grads[0].kernel
+    g = grads.layers[0].kernel
     m = 0.1 * g
     v = 0.01 * g * g
     want = params.layers[0].kernel * (1 - 0.01 * 0.1) \
@@ -367,8 +362,7 @@ def test_optimizer_step_matches_manual_formula():
 def test_optimizer_zero_gradient_only_decays():
     params = init_params(ArchConfig((2,), 3, seed=1))
     state = OptState.init(params, AdamW(lr=0.1, weight_decay=0.5))
-    zeros = tuple(ConvLayer(np.zeros_like(l.kernel), np.zeros_like(l.bias))
-                  for l in params.layers)
+    zeros = DetectorParams(np.zeros_like(params.flat), params.arch)
     new, _ = optimizer_step(params, zeros, state)
     np.testing.assert_allclose(new.layers[0].kernel,
                                params.layers[0].kernel * (1 - 0.05), rtol=1e-15)
@@ -382,7 +376,98 @@ def test_optimizer_state_validation():
         AdamW(beta1=1.0)
     state = OptState.init(params)
     with pytest.raises(InvalidInputError):
-        optimizer_step(params, (), state)
+        optimizer_step(params, init_params(ArchConfig((3,), 3, seed=0)), state)
+
+
+def _optimizer_step_reference(params: DetectorParams, grads, state: OptState):
+    """The per-layer update, verbatim apart from returning the layer tuple:
+    `grads`, `state.m` and `state.v` are tuples of ConvLayer."""
+    if len(grads) != len(params.layers):
+        raise InvalidInputError("gradient/parameter layer count mismatch")
+    opt = state.opt
+    t = state.step_count + 1
+    bc1 = 1.0 - opt.beta1 ** t
+    bc2 = 1.0 - opt.beta2 ** t
+    shrink = 1.0 - opt.lr * opt.weight_decay
+
+    def upd(p, g, m, v):
+        if p.shape != g.shape:
+            raise InvalidInputError("gradient/parameter shape mismatch")
+        m2 = opt.beta1 * m + (1.0 - opt.beta1) * g
+        v2 = opt.beta2 * v + (1.0 - opt.beta2) * g * g
+        step = opt.lr * (m2 / bc1) / (np.sqrt(v2 / bc2) + opt.eps)
+        return p * shrink - step, m2, v2
+
+    new_layers, new_m, new_v = [], [], []
+    for layer, g, m, v in zip(params.layers, grads, state.m, state.v):
+        k2, mk, vk = upd(layer.kernel, g.kernel, m.kernel, v.kernel)
+        b2, mb, vb = upd(layer.bias, g.bias, m.bias, v.bias)
+        new_layers.append(ConvLayer(k2, b2))
+        new_m.append(ConvLayer(mk, mb))
+        new_v.append(ConvLayer(vk, vb))
+    new_state = replace(state, step_count=t, m=tuple(new_m), v=tuple(new_v))
+    return tuple(new_layers), new_state
+
+
+def _sum_grads_reference(grad_lists):
+    """Layer-wise sum of per-layer gradient tuples, added left to right."""
+    total = grad_lists[0]
+    for grads in grad_lists[1:]:
+        total = tuple(
+            ConvLayer(t.kernel + g.kernel, t.bias + g.bias) for t, g in zip(total, grads)
+        )
+    return total
+
+
+def _flat_bytes(layers) -> bytes:
+    return b"".join(a.tobytes() for l in layers for a in (l.kernel, l.bias))
+
+
+@settings(deadline=None, max_examples=40)
+@given(widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       k=st.sampled_from([1, 3, 5]), batch=st.integers(1, 3), steps=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_sum_and_step_equal_the_per_layer_reference(widths, k, batch, steps, seed):
+    arch = ArchConfig(tuple(widths), k, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    opt = AdamW(lr=10 ** rng.uniform(-4, -1), weight_decay=10 ** rng.uniform(-5, -1))
+    params = init_params(arch)
+    state = OptState.init(params, opt)
+    ref_params = params
+    zeros = tuple(ConvLayer(np.zeros_like(l.kernel), np.zeros_like(l.bias))
+                  for l in params.layers)
+    ref_state = replace(state, m=zeros, v=zeros)
+    for _ in range(steps):
+        grads = [DetectorParams(rng.normal(scale=10 ** rng.uniform(-3, 1),
+                                           size=params.flat.shape), arch)
+                 for _ in range(batch)]
+        total = _sum_grads(grads)
+        ref_total = _sum_grads_reference([g.layers for g in grads])
+        assert total.flat.tobytes() == _flat_bytes(ref_total)
+        params, state = optimizer_step(params, total, state)
+        ref_layers, ref_state = _optimizer_step_reference(ref_params, ref_total, ref_state)
+        assert params.flat.tobytes() == _flat_bytes(ref_layers)
+        assert state.m.tobytes() == _flat_bytes(ref_state.m)
+        assert state.v.tobytes() == _flat_bytes(ref_state.v)
+        assert state.step_count == ref_state.step_count
+        ref_params = DetectorParams(np.frombuffer(_flat_bytes(ref_layers)), arch)
+
+
+def test_detector_params_reject_a_vector_of_the_wrong_shape():
+    arch = ArchConfig((2,), 3)
+    size = init_params(arch).flat.size  # 2*1*9 + 2 + 1*2*1*1 + 1
+    assert size == 23
+    for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros((1, size)), np.zeros(())):
+        with pytest.raises(InvalidInputError):
+            DetectorParams(flat, arch)
+
+
+def test_layers_are_views_of_the_vector_in_layout_order():
+    params = init_params(ArchConfig((2, 3), 3, seed=4))
+    parts = [a.ravel() for l in params.layers for a in (l.kernel, l.bias)]
+    assert np.concatenate(parts).tobytes() == params.flat.tobytes()
+    assert all(np.shares_memory(p, params.flat) for p in parts)
+    assert [l.kernel.shape for l in params.layers] == [(2, 1, 3, 3), (3, 2, 3, 3), (1, 3, 1, 1)]
 
 
 def test_weights_round_trip_is_a_fixpoint(tmp_path):
@@ -400,9 +485,13 @@ def test_weights_round_trip_is_a_fixpoint(tmp_path):
 
 
 def write_stack(path, layers) -> None:
-    """A weights file whose layers have the given kernel shapes and bias lengths."""
-    save_weights(path, DetectorParams(
-        tuple(ConvLayer(np.zeros(k), np.zeros(b)) for k, b in layers), ArchConfig()))
+    """A weights file whose layers have the given kernel shapes and bias lengths,
+    all zeros, in the layout save_weights writes."""
+    blob = b"DADW" + struct.pack("<II", 1, len(layers))
+    for kshape, blen in layers:
+        blob += struct.pack("<IIII", *kshape) + bytes(4 * int(np.prod(kshape)))
+        blob += struct.pack("<I", blen) + bytes(4 * blen)
+    path.write_bytes(blob)
 
 
 def test_load_weights_validates_structure(tmp_path):
@@ -411,9 +500,7 @@ def test_load_weights_validates_structure(tmp_path):
     with pytest.raises(InvalidInputError):
         load_weights(p)
     # a stack whose last layer is not a 1x1 head must be refused
-    params = init_params(ArchConfig((3,), 3, seed=0))
-    headless = DetectorParams((params.layers[0], params.layers[0]), params.arch)
-    save_weights(p, headless)
+    write_stack(p, [((3, 1, 3, 3), 3), ((3, 1, 3, 3), 3)])
     with pytest.raises(InvalidInputError):
         load_weights(p)
     # an unknown format version is reported with the file's path
@@ -460,7 +547,7 @@ def test_train_loop_batch_steps_once_on_summed_pair_gradients():
     start = init_params(tc.arch)
     results = [_pair_grads(start, pair, tc, step) for step, pair in enumerate(pairs)]
     grads = _sum_grads([g for g, _ in results])
-    assert any(g.kernel.any() for g in grads)
+    assert any(g.kernel.any() for g in grads.layers)
     expected, _ = optimizer_step(start, grads, OptState.init(start, tc.opt))
     for a, b in zip(params.layers, expected.layers):
         np.testing.assert_array_equal(a.kernel, b.kernel)

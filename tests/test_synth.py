@@ -1,6 +1,7 @@
 """Pair generators, toy-task semantics, strategy rewards, and dataset IO."""
 
 import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from dadkit.geometry import (HomographyTransfer, MatchSet, _nearest, covisibilit
 from dadkit.sampler import KeypointSet
 from dadkit.formats import (config_meta, generate_dataset, load_dataset, load_pair,
                             read_gt_csv, read_meta, read_pgm, save_pair, write_gt_csv,
-                            write_pgm)
+                            write_homography, write_pgm)
 from dadkit.synth import (HomographyMagnitude, PairSample, SceneConfig,
                           check_pair_consistency, classify_polarity,
                           expected_strategy_reward,
@@ -527,6 +528,81 @@ def test_pair_masks_derive_from_the_transfer(tmp_path, cfg):
         back = load_pair(d)
         np.testing.assert_array_equal(back.mask_a.bits, pair.mask_a.bits)
         np.testing.assert_array_equal(back.mask_b.bits, pair.mask_b.bits)
+
+
+@pytest.mark.parametrize("bound, value", [
+    ("perspective_jitter", 0.0), ("max_translation", 0.5), ("scale_range", (0.5, 1.12)),
+    ("max_rotation_deg", 90.0),
+])
+def test_toy_config_rejects_homography_bounds_it_never_reads(bound, value):
+    magnitude = replace(HomographyMagnitude(), **{bound: value})
+    key = "hm_scale_lo" if bound == "scale_range" else "hm_" + bound
+    with pytest.raises(InvalidParameterError, match=key):
+        replace(SceneConfig.toy(), homography_magnitude=magnitude)
+    # a scene config takes the same bound, and a toy config the default one
+    replace(SceneConfig.scenes(), homography_magnitude=magnitude)
+    assert SceneConfig.toy().homography_magnitude == HomographyMagnitude()
+
+
+def _shifted_pair(gt_a, gt_b):
+    """A 32x32 scene pair whose transfer moves every point 1 px to the right."""
+    shape = (32, 32)
+    transfer = HomographyTransfer(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    return PairSample(np.full(shape, 0.5), np.full(shape, 0.5), transfer,
+                      kset(gt_a, shape), kset(gt_b, shape),
+                      ("light",) * len(gt_a), ("light",) * len(gt_b), "scene")
+
+
+@pytest.mark.parametrize("x_a, x_b, inside", [(30.0000004, 31.0, False),
+                                               (29.9999996, 30.9999996, True)],
+                         ids=["just_outside", "just_inside"])
+def test_gt_within_tol_of_the_border_may_be_present_or_absent(x_a, x_b, inside):
+    # gt_a's second point transfers to 4e-7 px from B's right border (x = 31)
+    gt_a = [[10.0, 10.0], [x_a, 20.0]]
+    absent = _shifted_pair(gt_a, [[11.0, 10.0]])
+    present = _shifted_pair(gt_a, [[11.0, 10.0], [x_b, 20.0]])
+    check_pair_consistency(absent)
+    check_pair_consistency(present)
+    # with a tolerance below that gap, the side of the border decides
+    with pytest.raises(InvalidInputError, match="transfer predicts"):
+        check_pair_consistency(absent if inside else present, tol=1e-8)
+
+
+def test_gt_far_from_the_border_must_match_the_transfer():
+    inside = [[10.0, 10.0]]
+    with pytest.raises(InvalidInputError, match="transfer predicts"):  # well inside, absent
+        check_pair_consistency(_shifted_pair(inside + [[29.5, 20.0]], [[11.0, 10.0]]))
+    with pytest.raises(InvalidInputError, match="transfer predicts"):  # well outside, present
+        check_pair_consistency(_shifted_pair(inside + [[30.5, 20.0]],
+                                             [[11.0, 10.0], [31.0, 20.0]]))
+    with pytest.raises(InvalidInputError, match="disagree"):
+        check_pair_consistency(_shifted_pair(inside, [[11.1, 10.0]]))
+
+
+def test_load_pair_accepts_every_fresh_pair(tmp_path):
+    # the gt CSVs keep six decimals, so a written pair is off its transfer by
+    # about 1e-6 px: more than the construction check's tolerance, far less
+    # than the loader's
+    strict_rejects = 0
+    for name, cfg, count in (("plain", SceneConfig.scenes(), 200),
+                             ("aug", SceneConfig.scenes(rotation_aug=True, negation_aug="rgb"),
+                              100)):
+        for d in generate_dataset(tmp_path / name, cfg, count, seed=0):
+            pair = load_pair(d)
+            try:
+                check_pair_consistency(pair)
+            except InvalidInputError:
+                strict_rejects += 1
+    assert strict_rejects > 0
+
+
+def test_load_pair_names_a_pair_whose_gt_disagrees_with_h(tmp_path):
+    d = generate_dataset(tmp_path, SceneConfig.scenes(), 1, seed=0)[0]
+    pair = load_pair(d)
+    shift = np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    write_homography(d / "h.txt", HomographyTransfer(shift @ pair.transfer.h))
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(d))}: gt"):
+        load_pair(d)
 
 
 def test_singular_homography_candidates_are_redrawn():
