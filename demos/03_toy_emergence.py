@@ -38,8 +38,8 @@ def main() -> None:
     data = generate_pairs(cfg, args.pairs, seed=args.seed)
     tc = TrainConfig(arch=ArchConfig(seed=args.seed))
     params, reports = train_loop(data, tc)
-    for rep in reports[:: max(len(reports) // 8, 1)]:
-        print(f"  step {rep.step:>4}  matches {rep.num_matches:>2}  "
+    for step, rep in list(enumerate(reports))[:: max(len(reports) // 8, 1)]:
+        print(f"  step {step:>4}  matches {rep.num_matches:>2}  "
               f"rl loss {rep.rl_loss:+.3f}")
     print(f"  done in {time.time() - t0:.0f}s")
 

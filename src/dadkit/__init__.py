@@ -37,10 +37,9 @@ from .objective import (LossReport, RewardConfig, normalize_rewards, raw_reward,
                         reg_loss_and_grad, rl_loss_and_grad, total_loss_and_grad)
 from .sampler import (KeypointSet, SamplerConfig, kde_balance, nms, sample_keypoints,
                       subpixel_refine, top_k)
-from .synth import (HomographyMagnitude, PairSample, SceneConfig, check_pair_consistency,
-                    classify_polarity, expected_strategy_reward, gen_scene_pair,
-                    gen_toy_pair, generate_pairs, make_pair, pair_rng, sample_homography,
-                    toy_matches, toy_pair_hits)
+from .synth import (PairSample, SceneConfig, check_pair_consistency, classify_polarity,
+                    expected_strategy_reward, gen_scene_pair, gen_toy_pair, generate_pairs,
+                    make_pair, pair_rng, sample_homography, toy_matches, toy_pair_hits)
 
 __version__ = "0.1.0"
 

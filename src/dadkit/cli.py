@@ -32,7 +32,7 @@ from .gradcheck import FAMILIES, run_gradcheck
 from .model import AdamW, ArchConfig, TrainConfig, forward, load_weights, save_weights, train_loop
 from .objective import RewardConfig
 from .sampler import SamplerConfig, sample_keypoints
-from .synth import HM_KEYS, SceneConfig, magnitude_from_items, magnitude_items
+from .synth import SceneConfig
 
 
 REQUIRED = object()
@@ -139,10 +139,11 @@ _SCENE_KEYS = {
     "min_separation": KeySpec(_cast_float, None, "minimum center distance in pixels"),
     "margin": KeySpec(_cast_float, None, "keep-out border for centers"),
     "noise_sigma": KeySpec(_cast_float, None, "texture amplitude"),
-    **{key: KeySpec(_cast_float, None, help) for key, help in zip(HM_KEYS, (
-        "homography perspective term scale", "homography translation, fraction of size",
-        "homography scale range low end", "homography scale range high end",
-        "homography in-plane rotation bound"))},
+    "hm_perspective_jitter": KeySpec(_cast_float, None, "homography perspective term scale"),
+    "hm_max_translation": KeySpec(_cast_float, None, "homography translation, fraction of size"),
+    "hm_scale_lo": KeySpec(_cast_float, None, "homography scale range low end"),
+    "hm_scale_hi": KeySpec(_cast_float, None, "homography scale range high end"),
+    "hm_max_rotation_deg": KeySpec(_cast_float, None, "homography in-plane rotation bound"),
 }
 
 _ARCH_KEYS = {
@@ -292,10 +293,7 @@ def resolve_config(table: dict[str, KeySpec], args: argparse.Namespace) -> dict:
 
 
 def _build_scene_config(cfg: dict) -> SceneConfig:
-    base = SceneConfig.toy() if cfg["mode"] == "toy" else SceneConfig.scenes()
-    hm = {**magnitude_items(base.homography_magnitude),
-          **{k: cfg[k] for k in HM_KEYS if cfg[k] is not None}}
-    return _build(base, cfg, homography_magnitude=magnitude_from_items(hm))
+    return _build(SceneConfig.toy() if cfg["mode"] == "toy" else SceneConfig.scenes(), cfg)
 
 
 def _overlay_image(image, kps) -> np.ndarray:

@@ -26,6 +26,7 @@ from .model import (
     DetectorParams,
     OptState,
     backward,
+    finite_float32,
     forward,
     init_params,
     optimizer_step,
@@ -238,7 +239,8 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
 
     Each generated pair contributes two optimizer steps, one per image.
     Teacher maps are rendered on the fly; everything is deterministic given
-    the config.  Returns the student and the per-image loss trace.
+    the config.  Returns the student and the per-image loss trace; a student
+    that stops being finite as float32 ends the run, naming the step.
     """
     student = init_params(cfg.arch)
     state = OptState.init(student, cfg.opt)
@@ -251,5 +253,6 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
             target = distill_target(softmax_2d(s_light), softmax_2d(s_dark), cfg.r)
             loss, grads = _student_step(student, image, target)
             student, state = optimizer_step(student, grads, state)
+            finite_float32(student, f"distillation diverged at step {state.step_count}")
             losses.append(loss)
     return student, losses

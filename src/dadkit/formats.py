@@ -22,8 +22,7 @@ from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParamete
 from .evaluate import PER_PAIR_FIELDS
 from .geometry import HomographyTransfer
 from .sampler import KeypointSet
-from .synth import (POLARITIES, PairSample, SceneConfig, check_pair_consistency,
-                    magnitude_items, make_pair)
+from .synth import POLARITIES, PairSample, SceneConfig, check_pair_consistency, make_pair
 
 GRID_MAGIC = b"DADF"
 GRID_VERSION = 1
@@ -115,10 +114,8 @@ def _meta_value(v):
 
 
 def config_meta(cfg: SceneConfig) -> dict:
-    """A SceneConfig's settings for meta.txt: its fields in order without `kind`, bounds last."""
-    return {**{f.name: _meta_value(getattr(cfg, f.name)) for f in fields(cfg)
-               if f.name not in ("kind", "homography_magnitude")},
-            **magnitude_items(cfg.homography_magnitude)}
+    """A SceneConfig's settings for meta.txt: its fields in order, without `kind`."""
+    return {f.name: _meta_value(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "kind"}
 
 
 def write_command_meta(path, command: str, cfg: dict, extra: dict | None = None) -> None:
@@ -147,8 +144,8 @@ def write_csv(path, header: str, rows) -> None:
 def write_loss_csv(path, reports) -> None:
     """Training loss.csv: one LossReport row per step, floats at nine digits."""
     write_csv(path, "step,rl_loss,reg_loss,total,mean_raw_reward,num_matches",
-              (f"{r.step},{r.rl_loss:.9g},{r.reg_loss:.9g},{r.total:.9g},"
-               f"{r.mean_raw_reward:.9g},{r.num_matches}" for r in reports))
+              (f"{i},{r.rl_loss:.9g},{r.reg_loss:.9g},{r.total:.9g},"
+               f"{r.mean_raw_reward:.9g},{r.num_matches}" for i, r in enumerate(reports)))
 
 
 def write_distill_loss_csv(path, losses) -> None:

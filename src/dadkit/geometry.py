@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import Mask
 from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
-from .sampler import KeypointSet
+from .sampler import KeypointSet, border_depth
 
 
 def _homography_rule(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,10 +96,7 @@ def covisible(t: HomographyTransfer, pts, shape_dst) -> tuple[np.ndarray, np.nda
     0 <= y <= H-1 in a destination of shape (H, W).
     """
     moved, valid = transfer_points(t, pts)
-    h, w = int(shape_dst[0]), int(shape_dst[1])
-    inside = valid & (moved[:, 0] >= 0) & (moved[:, 0] <= w - 1) \
-        & (moved[:, 1] >= 0) & (moved[:, 1] <= h - 1)
-    return moved, inside
+    return moved, valid & (border_depth(moved, shape_dst) >= 0)
 
 
 def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> Mask:

@@ -45,7 +45,7 @@ from .model import (
 )
 from .objective import RewardConfig, reg_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig
-from .synth import HomographyMagnitude, PairSample, sample_homography
+from .synth import PairSample, SceneConfig, sample_homography
 
 FAMILIES = ("rl", "reg", "distill", "full")
 
@@ -121,8 +121,9 @@ def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
     sb, cb = forward(params, image_b)
     if _min_abs_preact((ca, cb)) <= 10.0 * step:
         return None
-    magnitude = HomographyMagnitude(5e-4, 0.08, (0.92, 1.08), 8.0)
-    transfer = sample_homography(rng, magnitude, (h, w))
+    bounds = SceneConfig(hm_perspective_jitter=5e-4, hm_max_translation=0.08,
+                         hm_scale_lo=0.92, hm_scale_hi=1.08, hm_max_rotation_deg=8.0)
+    transfer = sample_homography(rng, bounds, (h, w))
     no_gt = KeypointSet(np.zeros((0, 2)), np.zeros(0), (h, w))
     pair = PairSample(image_a, image_b, transfer, no_gt, no_gt, (), (), "scene")
     cfg = TrainConfig(arch, SamplerConfig(k=6), RewardConfig(tau_r=2.0), reg_weight=0.7)
@@ -146,12 +147,12 @@ def _analytic_and_loss_fns(inst: _Instance):
     sa, ca = forward(inst.params, image)
     sigma = inst.cfg.reg_sigma_frac * min(sa.shape)
     return {
-        "rl": (_pair_grads(inst.params, pair, rl_cfg, 0)[0], step_loss(rl_cfg)),
+        "rl": (_pair_grads(inst.params, pair, rl_cfg)[0], step_loss(rl_cfg)),
         "reg": (backward(ca, reg_loss_and_grad(sa, pair.mask_a, sigma)[1]),
                 lambda p: reg_loss_and_grad(forward(p, image)[0], pair.mask_a, sigma)[0]),
         "distill": (_student_step(inst.params, image, inst.target)[1],
                     lambda p: distill_loss_and_grad(inst.target, forward(p, image)[0])[0]),
-        "full": (_pair_grads(inst.params, pair, inst.cfg, 0)[0], step_loss(inst.cfg)),
+        "full": (_pair_grads(inst.params, pair, inst.cfg)[0], step_loss(inst.cfg)),
     }
 
 

@@ -294,15 +294,21 @@ def optimizer_step(params: DetectorParams, grads: DetectorParams, state: OptStat
     return DetectorParams(flat, params.arch), replace(state, step_count=t, m=m, v=v)
 
 
+def finite_float32(params: DetectorParams, where: str) -> np.ndarray:
+    """params.flat as little-endian float32, the precision weights are saved
+    at; InvalidInputError naming `where` if an entry is not finite there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat32 = params.flat.astype("<f4")
+    if not np.isfinite(flat32).all():
+        raise InvalidInputError(f"{where}: parameters are not finite as float32")
+    return flat32
+
+
 def save_weights(path, params: DetectorParams) -> None:
     """Binary weights: magic 'DADW', version, layer count, then per layer
     the u32 kernel shape, float32 kernel, u32 bias length, float32 bias.
     Parameters that are not finite as float32 are refused before the file opens."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat32 = params.flat.astype("<f4")
-    if not np.isfinite(flat32).all():
-        raise InvalidInputError(f"{path}: parameters are not finite as float32; not written")
-    layers = _views(flat32, params.arch)
+    layers = _views(finite_float32(params, f"{path} not written"), params.arch)
     with open(path, "wb") as f:
         f.write(WEIGHTS_MAGIC + struct.pack("<II", WEIGHTS_VERSION, len(layers)))
         for layer in layers:
@@ -381,19 +387,19 @@ def _select(sa: ScoreMap, sb: ScoreMap, pair, cfg: TrainConfig):
     return (ka, kb, *match_mutual_nn(ka, kb, pair.transfer, cfg.match_threshold))
 
 
-def _pair_loss(sa: ScoreMap, sb: ScoreMap, pair, selection, cfg: TrainConfig, step: int = 0):
+def _pair_loss(sa: ScoreMap, sb: ScoreMap, pair, selection, cfg: TrainConfig):
     """The loss step: (LossReport, dL/dsa, dL/dsb) with the selection held fixed."""
     return total_loss_and_grad(
         sa, sb, pair.mask_a, pair.mask_b, *selection,
-        cfg.reward, cfg.reg_sigma_frac * min(sa.shape), cfg.reg_weight, step,
+        cfg.reward, cfg.reg_sigma_frac * min(sa.shape), cfg.reg_weight,
     )
 
 
-def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig, step: int):
+def _pair_grads(params: DetectorParams, pair, cfg: TrainConfig):
     """One pair's training step: (parameter gradients, LossReport)."""
     sa, ca = forward(params, pair.image_a)
     sb, cb = forward(params, pair.image_b)
-    report, ga, gb = _pair_loss(sa, sb, pair, _select(sa, sb, pair, cfg), cfg, step)
+    report, ga, gb = _pair_loss(sa, sb, pair, _select(sa, sb, pair, cfg), cfg)
     return _sum_grads([backward(ca, ga), backward(cb, gb)]), report
 
 
@@ -407,7 +413,8 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
 
     Each optimizer step takes the next `cfg.batch` pairs: their gradients,
     all against the same parameters, are summed in pair order.  batch == 1
-    steps once per pair.
+    steps once per pair.  Parameters that stop being finite as float32 end
+    the run with InvalidInputError naming the step.
     """
     params = init_params(cfg.arch)
     state = OptState.init(params, cfg.opt)
@@ -415,8 +422,8 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
     reports: list[LossReport] = []
     for _ in range(cfg.epochs):
         for at in range(0, len(pairs), cfg.batch):
-            results = [_pair_grads(params, pair, cfg, len(reports) + i)
-                       for i, pair in enumerate(pairs[at:at + cfg.batch])]
+            results = [_pair_grads(params, pair, cfg) for pair in pairs[at:at + cfg.batch]]
             params, state = optimizer_step(params, _sum_grads([g for g, _ in results]), state)
+            finite_float32(params, f"training diverged at step {state.step_count}")
             reports.extend(r for _, r in results)
     return params, reports

@@ -40,7 +40,6 @@ class RewardConfig:
 class LossReport:
     """Per-step telemetry; total == rl_loss + reg_loss by construction."""
 
-    step: int
     rl_loss: float
     reg_loss: float
     total: float
@@ -156,7 +155,6 @@ def total_loss_and_grad(
     reward_cfg: RewardConfig,
     reg_sigma: float,
     reg_weight: float = 1.0,
-    step: int = 0,
 ) -> tuple[LossReport, np.ndarray, np.ndarray]:
     """Reinforcement + weighted coverage regularizer for both images of a pair."""
     if reg_weight < 0:
@@ -171,7 +169,6 @@ def total_loss_and_grad(
         grad_a = grad_a + reg_weight * ga
         grad_b = grad_b + reg_weight * gb
     report = LossReport(
-        step=step,
         rl_loss=float(rl),
         reg_loss=float(reg),
         total=float(rl + reg),

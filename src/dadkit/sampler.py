@@ -19,6 +19,13 @@ from .errors import InvalidInputError, InvalidParameterError
 DENSITY_FLOOR = 1e-12
 
 
+def border_depth(xy: np.ndarray, shape) -> np.ndarray:
+    """How far each (x, y) row of xy lies inside 0 <= x <= W-1, 0 <= y <= H-1
+    for a grid of shape (H, W): >= 0 exactly when inside, negative or NaN outside."""
+    h, w = shape
+    return np.minimum.reduce([xy[:, 0], w - 1 - xy[:, 0], xy[:, 1], h - 1 - xy[:, 1]])
+
+
 @dataclass(frozen=True, eq=False)
 class KeypointSet:
     """Keypoints of one image, ordered by descending score, raster tie-break.
@@ -32,8 +39,7 @@ class KeypointSet:
     source_shape: tuple[int, int]
 
     def __post_init__(self):
-        h, w = self.source_shape
-        if h < 1 or w < 1:
+        if min(self.source_shape) < 1:
             raise InvalidInputError(f"bad source shape {self.source_shape}")
         xy = np.array(self.xy, dtype=np.float64)
         if xy.size == 0:
@@ -42,7 +48,7 @@ class KeypointSet:
         if xy.ndim != 2 or xy.shape[1] != 2 or scores.shape != (len(xy),):
             raise InvalidInputError(
                 f"need (N, 2) positions and N scores, got {xy.shape} and {scores.shape}")
-        outside = ~((xy[:, 0] >= 0) & (xy[:, 0] <= w - 1) & (xy[:, 1] >= 0) & (xy[:, 1] <= h - 1))
+        outside = ~(border_depth(xy, self.source_shape) >= 0)
         if outside.any():
             x, y = xy[np.argmax(outside)]
             raise InvalidInputError(f"keypoint ({x}, {y}) outside {self.source_shape}")

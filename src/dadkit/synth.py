@@ -14,7 +14,7 @@ a stream.  A pair's covisibility masks derive from its transfer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -24,52 +24,27 @@ from .errors import (DegenerateTransferError, InvalidInputError, InvalidParamete
                      PlacementError)
 from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _sq_dists,
                        covisibility_mask, covisible, transfer_points)
-from .sampler import KeypointSet
+from .sampler import KeypointSet, border_depth
 
 POLARITIES = ("light", "dark")
 SHAPE_KINDS = ("dot", "cross", "blob", "corner")
 
 
 @dataclass(frozen=True)
-class HomographyMagnitude:
-    """Bounds for random homography components.
-
-    max_translation is a fraction of the image side, scale_range bounds a
-    uniform isotropic scale, perspective_jitter bounds the two projective
-    entries (in centered pixel coordinates).  All zero (and unit scale)
-    means the identity map.  No bound may exceed BOUND_MAX: far beyond any
-    map the covisibility test accepts, far below where composing overflows.
-    """
-
-    BOUND_MAX = 1e6
-
-    perspective_jitter: float = 0.0008
-    max_translation: float = 0.12
-    scale_range: tuple[float, float] = (0.9, 1.12)
-    max_rotation_deg: float = 12.0
-
-    def __post_init__(self):
-        lo, hi = self.scale_range
-        for name in ("perspective_jitter", "max_translation", "max_rotation_deg"):
-            if not (0 <= getattr(self, name) <= self.BOUND_MAX):
-                raise InvalidParameterError(f"{name} must be in [0, {self.BOUND_MAX:g}]")
-        if not (0 < lo <= hi <= self.BOUND_MAX):
-            raise InvalidParameterError(f"bad scale_range {self.scale_range}: "
-                                        f"need 0 < lo <= hi <= {self.BOUND_MAX:g}")
-        object.__setattr__(self, "scale_range", (float(lo), float(hi)))
-
-    @classmethod
-    def none(cls) -> "HomographyMagnitude":
-        return cls(0.0, 0.0, (1.0, 1.0), 0.0)
-
-
-@dataclass(frozen=True)
 class SceneConfig:
     """Layout and augmentation knobs, and `kind`, the generator they feed.
 
-    A toy config takes no setting that only the scene generator reads, and
-    no homography bound other than the default, which it echoes unread.
+    The `hm_*` fields bound a scene pair's random homography: its projective
+    entries (in centered pixels), translation (a fraction of the side),
+    uniform scale in [hm_scale_lo, hm_scale_hi] and rotation in degrees; zero
+    bounds and unit scale give the identity.  No bound may exceed BOUND_MAX:
+    far beyond any map the covisibility test accepts, far below where
+    composing overflows.  A toy config takes no setting that only the scene
+    generator reads, and no homography bound other than the default, which
+    it echoes unread.
     """
+
+    BOUND_MAX = 1e6
 
     size: int = 64
     num_light: int = 10
@@ -78,10 +53,14 @@ class SceneConfig:
     background_gray: float = 0.5
     rotation_aug: bool = False
     negation_aug: str = "off"  # "off" | "rgb"
-    homography_magnitude: HomographyMagnitude = field(default_factory=HomographyMagnitude)
     min_separation: float = 8.0
     margin: float = 4.0
     noise_sigma: float = 0.01
+    hm_perspective_jitter: float = 0.0008
+    hm_max_translation: float = 0.12
+    hm_scale_lo: float = 0.9
+    hm_scale_hi: float = 1.12
+    hm_max_rotation_deg: float = 12.0
     kind: str = "scene"  # "scene" | "toy": the generator of every pair
 
     def __post_init__(self):
@@ -104,27 +83,31 @@ class SceneConfig:
             raise InvalidParameterError("margin leaves no interior")
         if not (0 <= self.noise_sigma < math.inf):
             raise InvalidParameterError("noise_sigma must be finite and >= 0")
+        for name in ("hm_perspective_jitter", "hm_max_translation", "hm_max_rotation_deg"):
+            if not (0 <= getattr(self, name) <= self.BOUND_MAX):
+                raise InvalidParameterError(f"{name} must be in [0, {self.BOUND_MAX:g}]")
+        if not (0 < self.hm_scale_lo <= self.BOUND_MAX):
+            raise InvalidParameterError(f"hm_scale_lo must be in (0, {self.BOUND_MAX:g}]")
+        if not (self.hm_scale_lo <= self.hm_scale_hi <= self.BOUND_MAX):
+            raise InvalidParameterError(f"hm_scale_hi must be in [hm_scale_lo, {self.BOUND_MAX:g}]")
         if self.kind not in ("toy", "scene"):
             raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {self.kind!r}")
         if self.kind == "toy":  # settings the toy generator never reads
-            given = {**vars(self), **magnitude_items(self.homography_magnitude)}
             for name, unread in (("rotation_aug", False), ("negation_aug", "off"),
                                  ("shape_palette", ("dot",)), ("noise_sigma", 0.0),
-                                 *magnitude_items(HomographyMagnitude()).items()):
-                if given[name] != unread:
+                                 *((f.name, f.default) for f in fields(self)
+                                   if f.name.startswith("hm_"))):
+                if getattr(self, name) != unread:
                     raise InvalidParameterError(f"{name} does not apply to toy pairs")
 
     @classmethod
-    def toy(cls, size: int = 64, num_light: int = 10, num_dark: int = 10) -> "SceneConfig":
+    def toy(cls, **changes) -> "SceneConfig":
         """Single-pixel dot task: clean gray background, identity pairing."""
-        return cls(size=size, num_light=num_light, num_dark=num_dark,
-                   shape_palette=("dot",), noise_sigma=0.0, kind="toy")
+        return cls(**{"shape_palette": ("dot",), "noise_sigma": 0.0, "kind": "toy", **changes})
 
     @classmethod
-    def scenes(cls, size: int = 64, num_light: int = 6, num_dark: int = 6,
-               rotation_aug: bool = False, negation_aug: str = "off") -> "SceneConfig":
-        return cls(size=size, num_light=num_light, num_dark=num_dark,
-                   rotation_aug=rotation_aug, negation_aug=negation_aug)
+    def scenes(cls, **changes) -> "SceneConfig":
+        return cls(**{"num_light": 6, "num_dark": 6, **changes})
 
 
 @dataclass(frozen=True)
@@ -207,8 +190,7 @@ def check_pair_consistency(pair: PairSample, tol: float = 1e-6) -> None:
             raise InvalidInputError("toy polarity labels must match index-wise")
         return
     moved, valid = transfer_points(pair.transfer, pair.gt_keypoints_a.xy)
-    h, w = pair.image_b.shape
-    depth = np.minimum.reduce([moved[:, 0], w - 1 - moved[:, 0], moved[:, 1], h - 1 - moved[:, 1]])
+    depth = border_depth(moved, pair.image_b.shape)
     got = pair.gt_keypoints_b.xy
     expect = moved[valid & ((depth >= tol) | ((depth >= -tol) & _covered(moved, got, tol)))]
     if len(expect) != len(got):
@@ -382,12 +364,12 @@ def _rotation_transfer(k: int, size: int) -> HomographyTransfer:
     return HomographyTransfer(mats[k % 4])
 
 
-def sample_homography(rng: np.random.Generator, magnitude: HomographyMagnitude,
+def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
                       shape: tuple[int, int], min_covisible: float = 0.4,
                       max_tries: int = 200) -> HomographyTransfer:
     """Centered scale * rotation * translation * perspective composition.
 
-    Parameters are uniform within the magnitude bounds; candidates are
+    Parameters are uniform within cfg's `hm_*` bounds; candidates are
     rejected until at least `min_covisible` of the pixels stay covisible in
     both directions; so is one that the homography rule calls singular.
     """
@@ -397,13 +379,12 @@ def sample_homography(rng: np.random.Generator, magnitude: HomographyMagnitude,
     t_ic = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]], dtype=np.float64)
     total = h * w
     for _ in range(max_tries):
-        s = rng.uniform(*magnitude.scale_range)
-        ang = math.radians(rng.uniform(-magnitude.max_rotation_deg,
-                                       magnitude.max_rotation_deg))
-        tx = rng.uniform(-1, 1) * magnitude.max_translation * (w - 1)
-        ty = rng.uniform(-1, 1) * magnitude.max_translation * (h - 1)
-        px = rng.uniform(-1, 1) * magnitude.perspective_jitter
-        py = rng.uniform(-1, 1) * magnitude.perspective_jitter
+        s = rng.uniform(cfg.hm_scale_lo, cfg.hm_scale_hi)
+        ang = math.radians(rng.uniform(-cfg.hm_max_rotation_deg, cfg.hm_max_rotation_deg))
+        tx = rng.uniform(-1, 1) * cfg.hm_max_translation * (w - 1)
+        ty = rng.uniform(-1, 1) * cfg.hm_max_translation * (h - 1)
+        px = rng.uniform(-1, 1) * cfg.hm_perspective_jitter
+        py = rng.uniform(-1, 1) * cfg.hm_perspective_jitter
         scale = np.diag([s, s, 1.0])
         ca, sa = math.cos(ang), math.sin(ang)
         rot = np.array([[ca, -sa, 0], [sa, ca, 0], [0, 0, 1]])
@@ -442,7 +423,7 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
                                      1.0 if pol == "light" else -1.0, rho, phi))
     noise = _NoiseField.draw(rng) if cfg.noise_sigma > 0 else None
 
-    transfer = sample_homography(rng, cfg.homography_magnitude, shape)
+    transfer = sample_homography(rng, cfg, shape)
     if cfg.rotation_aug:
         k = int(rng.integers(4))
         transfer = _rotation_transfer(k, cfg.size).compose(transfer)
@@ -567,22 +548,6 @@ def expected_strategy_reward(strategy: str, cfg: SceneConfig,
             sel.append(mask)
         total += (sel[0] & sel[1]).sum(axis=1)
     return float(total.mean())
-
-
-# meta.txt and CLI names of a HomographyMagnitude's values, in field order
-# (scale_range gives two).
-HM_KEYS = ("hm_perspective_jitter", "hm_max_translation", "hm_scale_lo", "hm_scale_hi",
-           "hm_max_rotation_deg")
-
-
-def magnitude_items(m: HomographyMagnitude) -> dict:
-    return dict(zip(HM_KEYS, (m.perspective_jitter, m.max_translation, *m.scale_range,
-                              m.max_rotation_deg)))
-
-
-def magnitude_from_items(items: dict) -> HomographyMagnitude:
-    jitter, translation, lo, hi, rotation = (items[k] for k in HM_KEYS)
-    return HomographyMagnitude(jitter, translation, (lo, hi), rotation)
 
 
 def pair_rng(seed: int, index: int) -> np.random.Generator:

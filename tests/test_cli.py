@@ -1,20 +1,27 @@
 """End-to-end command checks: artifacts, exit codes, config precedence."""
 
+import contextlib
 import hashlib
+import io
 import shutil
 import struct
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dadkit.cli import main
+from dadkit.cli import (DISTILL_KEYS, SYNTH_KEYS, _build_scene_config, build_parser, main,
+                        resolve_config)
 from dadkit.distill import DistillConfig
 from dadkit.evaluate import EvalConfig
 from dadkit.model import AdamW, TrainConfig, forward
 from dadkit.sampler import SamplerConfig
 from dadkit.formats import read_meta
+from dadkit.synth import SceneConfig
 
 
 def digest_tree(root: Path) -> dict[str, str]:
@@ -240,10 +247,10 @@ def _write_detections(root):
 # most of which the homography rule calls singular.  The last column is what
 # the error line names.
 _HUGE_HOMOGRAPHY_BOUNDS = {
-    "hm_scale_hi_inf": ("--hm-scale-hi", "inf", "scale_range"),
-    "hm_max_rotation_deg_inf": ("--hm-max-rotation-deg", "inf", "max_rotation_deg"),
-    "hm_max_translation_inf": ("--hm-max-translation", "inf", "max_translation"),
-    "hm_scale_hi_1e308": ("--hm-scale-hi", "1e308", "scale_range"),
+    "hm_scale_hi_inf": ("--hm-scale-hi", "inf", "hm_scale_hi"),
+    "hm_max_rotation_deg_inf": ("--hm-max-rotation-deg", "inf", "hm_max_rotation_deg"),
+    "hm_max_translation_inf": ("--hm-max-translation", "inf", "hm_max_translation"),
+    "hm_scale_hi_1e308": ("--hm-scale-hi", "1e308", "hm_scale_hi"),
     "hm_max_translation_1e3": ("--hm-max-translation", "1e3",
                                "no homography with >= 40% covisibility in 200 tries"),
 }
@@ -348,11 +355,17 @@ def _bad_input_case(case, ws, tmp):
         _write_detections(tmp / "dets")
         return ["eval", "--data", str(tmp / "data"), "--detections", str(tmp / "dets"),
                 "--out", str(tmp / "out")], bad
-    if case == "train_lr_1e200":
-        # one step on both pairs leaves parameters near 1e200, finite only as float64
+    if case in ("train_lr_1e200", "train_lr_1e200_steps"):
+        # one step leaves parameters near 1e200, finite only as float64; a
+        # second step's forward would overflow
+        batch = "2" if case == "train_lr_1e200" else "1"
         return ["train", "--data", str(ws["data"]), "--out", str(tmp / "out"), "--widths", "4",
-                "--kernel-size", "3", "--threads", "2", "--lr", "1e200"], \
-            tmp / "out" / "weights.dadw"
+                "--kernel-size", "3", "--threads", batch, "--lr", "1e200"], \
+            "training diverged at step 1:"
+    if case == "distill_lr_1e200":
+        return ["distill", "--light", str(ws["weights"]), "--dark", str(ws["weights"]),
+                "--out", str(tmp / "out"), "--num-pairs", "2", "--widths", "4",
+                "--kernel-size", "3", "--lr", "1e200"], "distillation diverged at step 1:"
     if case == "synth_threads_0":
         return ["synth", "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], "threads"
     if case == "distill_threads_0":
@@ -380,7 +393,8 @@ def _bad_input_case(case, ws, tmp):
     ("train_weight_decay_inf", 1), ("train_reg_weight_inf", 1), ("synth_noise_sigma_inf", 1),
     ("toy_rotation_aug", 1), ("toy_negation_aug", 1), ("toy_shape_palette", 1),
     ("toy_noise_sigma", 1), ("dadw_signaling_nan", 2), ("toy_hm_bounds", 1),
-    ("distill_toy_hm_bound", 1), ("gt_disagrees_with_h", 2),
+    ("distill_toy_hm_bound", 1), ("gt_disagrees_with_h", 2), ("train_lr_1e200_steps", 2),
+    ("distill_lr_1e200", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
@@ -487,6 +501,50 @@ def test_gradcheck_command(tmp_path, capsys):
     report = dict(l.split("=", 1) for l in out.read_text().splitlines())
     assert report["passed"] == "1"
     assert float(report["max"]) < 1e-3
+
+
+def test_every_scene_config_field_is_a_synth_and_distill_key():
+    names = {f.name for f in fields(SceneConfig)} - {"kind"}
+    assert names - set(SYNTH_KEYS) == set() and names - set(DISTILL_KEYS) == set()
+
+
+# bounds whose homographies keep the default scene's pairs covisible
+_HM_VALID = {
+    "hm_perspective_jitter": st.floats(0.0, 1e-3),
+    "hm_max_translation": st.floats(0.0, 0.2),
+    "hm_scale_lo": st.floats(0.8, 1.0),
+    "hm_scale_hi": st.floats(1.0, 1.2),
+    "hm_max_rotation_deg": st.floats(0.0, 30.0),
+}
+
+
+def _hm_flags(values: dict) -> list[str]:
+    """`--key=value` flags; as a separate word, argparse would take "-inf" for an option."""
+    return [f"--{k.replace('_', '-')}={v!r}" for k, v in values.items()]
+
+
+@settings(deadline=None, max_examples=15)
+@given(values=st.fixed_dictionaries(_HM_VALID))
+def test_hm_flags_build_the_scene_config_and_meta_echoes_them(tmp_path_factory, values):
+    out = tmp_path_factory.mktemp("hm")
+    argv = ["synth", "--mode", "scenes", "--num-pairs", "1", "--out", str(out), *_hm_flags(values)]
+    scene = _build_scene_config(resolve_config(SYNTH_KEYS, build_parser().parse_args(argv)))
+    assert {k: getattr(scene, k) for k in values} == values
+    assert main(argv) == 0
+    meta = read_meta(out / "pair_000000" / "meta.txt")
+    assert {k: float(meta[k]) for k in values} == values
+
+
+@settings(deadline=None, max_examples=30)
+@given(key=st.sampled_from(sorted(_HM_VALID)),
+       value=st.sampled_from([-0.5, -np.inf, np.inf]) | st.floats(1.0000001e6, 1e308))
+def test_out_of_range_hm_flag_exits_1_naming_it(tmp_path_factory, key, value):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["synth", "--mode", "scenes", "--num-pairs", "1",
+                     "--out", str(tmp_path_factory.mktemp("hm")), *_hm_flags({key: value})]) == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"dadkit: invalid parameter: {key} ")
 
 
 def test_distill_command(workspace, tmp_path):

@@ -532,7 +532,6 @@ def test_train_loop_is_deterministic_and_reports_per_pair():
     p1, r1 = train_loop(pairs, tc)
     p2, r2 = train_loop(pairs, tc)
     assert len(r1) == 6
-    assert [r.step for r in r1] == list(range(6))
     for a, b in zip(p1.layers, p2.layers):
         np.testing.assert_array_equal(a.kernel, b.kernel)
         np.testing.assert_array_equal(a.bias, b.bias)
@@ -545,7 +544,7 @@ def test_train_loop_batch_steps_once_on_summed_pair_gradients():
     tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=0), batch=2)
     params, reports = train_loop(pairs, tc)
     start = init_params(tc.arch)
-    results = [_pair_grads(start, pair, tc, step) for step, pair in enumerate(pairs)]
+    results = [_pair_grads(start, pair, tc) for pair in pairs]
     grads = _sum_grads([g for g, _ in results])
     assert any(g.kernel.any() for g in grads.layers)
     expected, _ = optimizer_step(start, grads, OptState.init(start, tc.opt))
@@ -559,11 +558,11 @@ def test_write_loss_csv(tmp_path):
     from dadkit.objective import LossReport
     header = "step,rl_loss,reg_loss,total,mean_raw_reward,num_matches\n"
     p = tmp_path / "loss.csv"
-    write_loss_csv(p, [LossReport(0, 1.0, 0.25, 1.25, 0.5, 4),
-                       LossReport(3, 1.25, 0.5, 1.75, 0.875, 7),
-                       LossReport(4, -1 / 3, 0.0, -1 / 3, 2 / 3, 0)])
+    write_loss_csv(p, [LossReport(1.0, 0.25, 1.25, 0.5, 4),
+                       LossReport(1.25, 0.5, 1.75, 0.875, 7),
+                       LossReport(-1 / 3, 0.0, -1 / 3, 2 / 3, 0)])
     assert p.read_text() == (header + "0,1,0.25,1.25,0.5,4\n"
-                             "3,1.25,0.5,1.75,0.875,7\n"
-                             "4,-0.333333333,0,-0.333333333,0.666666667,0\n")
+                             "1,1.25,0.5,1.75,0.875,7\n"
+                             "2,-0.333333333,0,-0.333333333,0.666666667,0\n")
     write_loss_csv(p, [])
     assert p.read_text() == header

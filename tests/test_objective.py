@@ -375,11 +375,10 @@ def test_total_loss_combines_and_reports():
     cfg = RewardConfig(tau_r=1.0)
     sigma = 1.0
     report, ga, gb = total_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb,
-                                         mab, mba, cfg, sigma, reg_weight=2.5, step=17)
+                                         mab, mba, cfg, sigma, reg_weight=2.5)
     rl, ra, rb, _ = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba, cfg)
     la, gra = reg_loss_and_grad(sa, mask_a, sigma)
     lb, grb = reg_loss_and_grad(sb, mask_b, sigma)
-    assert report.step == 17
     assert report.rl_loss == pytest.approx(rl, rel=1e-12)
     assert report.reg_loss == pytest.approx(2.5 * (la + lb), rel=1e-12)
     assert report.total == pytest.approx(report.rl_loss + report.reg_loss, rel=1e-12)

@@ -19,7 +19,7 @@ from dadkit.sampler import KeypointSet
 from dadkit.formats import (config_meta, generate_dataset, load_dataset, load_pair,
                             read_gt_csv, read_meta, read_pgm, save_pair, write_gt_csv,
                             write_homography, write_pgm)
-from dadkit.synth import (HomographyMagnitude, PairSample, SceneConfig,
+from dadkit.synth import (PairSample, SceneConfig,
                           check_pair_consistency, classify_polarity,
                           expected_strategy_reward,
                           gen_scene_pair, gen_toy_pair, generate_pairs, make_pair,
@@ -136,27 +136,26 @@ def test_scene_config_validation():
         SceneConfig(min_separation=4.0)
     with pytest.raises(InvalidParameterError):
         SceneConfig(background_gray=1.0)
-    with pytest.raises(InvalidParameterError):
-        HomographyMagnitude(scale_range=(0.0, 1.0))
+    with pytest.raises(InvalidParameterError, match="hm_scale_lo"):
+        SceneConfig(hm_scale_lo=0.0)
     for field in ("noise_sigma", "margin", "min_separation"):
         with pytest.raises(InvalidParameterError):
             replace(SceneConfig.scenes(), **{field: float("nan")})
-    for field in ("perspective_jitter", "max_translation", "max_rotation_deg"):
+    for field in ("hm_perspective_jitter", "hm_max_translation", "hm_max_rotation_deg"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError, match=field):
-                HomographyMagnitude(**{field: value})
-    with pytest.raises(InvalidParameterError, match="scale_range"):
-        HomographyMagnitude(scale_range=(1.0, float("inf")))
+                SceneConfig(**{field: value})
+    with pytest.raises(InvalidParameterError, match="hm_scale_hi"):
+        SceneConfig(hm_scale_lo=1.0, hm_scale_hi=float("inf"))
 
 
 # homography sampling
 
 def test_sample_homography_respects_covisibility_floor():
     rng = np.random.default_rng(0)
-    mag = HomographyMagnitude()
     shape = (64, 64)
     for _ in range(10):
-        t = sample_homography(rng, mag, shape, min_covisible=0.4)
+        t = sample_homography(rng, SceneConfig(), shape, min_covisible=0.4)
         total = 64 * 64
         assert covisibility_mask(t, shape, shape).count() >= 0.4 * total
         assert covisibility_mask(t.inverse(), shape, shape).count() >= 0.4 * total
@@ -167,17 +166,19 @@ def test_sample_homography_respects_covisibility_floor():
         np.testing.assert_allclose(back, pts, atol=1e-9)
 
 
-def test_sample_homography_none_magnitude_is_identity():
-    t = sample_homography(np.random.default_rng(0), HomographyMagnitude.none(), (32, 32))
+def test_sample_homography_zero_bounds_give_the_identity():
+    bounds = SceneConfig(hm_perspective_jitter=0.0, hm_max_translation=0.0, hm_scale_lo=1.0,
+                         hm_scale_hi=1.0, hm_max_rotation_deg=0.0)
+    t = sample_homography(np.random.default_rng(0), bounds, (32, 32))
     np.testing.assert_allclose(t.h, np.eye(3), atol=1e-12)
 
 
 def test_sample_homography_gives_up_when_floor_is_unreachable():
-    mag = HomographyMagnitude(max_translation=0.95, scale_range=(1.0, 1.0),
-                              perspective_jitter=0.0, max_rotation_deg=0.0)
+    bounds = SceneConfig(hm_max_translation=0.95, hm_scale_lo=1.0, hm_scale_hi=1.0,
+                         hm_perspective_jitter=0.0, hm_max_rotation_deg=0.0)
     rng = np.random.default_rng(1)
     with pytest.raises(DegenerateTransferError):
-        sample_homography(rng, mag, (32, 32), min_covisible=0.9, max_tries=40)
+        sample_homography(rng, bounds, (32, 32), min_covisible=0.9, max_tries=40)
 
 
 # toy matching semantics
@@ -531,17 +532,16 @@ def test_pair_masks_derive_from_the_transfer(tmp_path, cfg):
 
 
 @pytest.mark.parametrize("bound, value", [
-    ("perspective_jitter", 0.0), ("max_translation", 0.5), ("scale_range", (0.5, 1.12)),
+    ("perspective_jitter", 0.0), ("max_translation", 0.5), ("scale_lo", 0.5),
     ("max_rotation_deg", 90.0),
 ])
 def test_toy_config_rejects_homography_bounds_it_never_reads(bound, value):
-    magnitude = replace(HomographyMagnitude(), **{bound: value})
-    key = "hm_scale_lo" if bound == "scale_range" else "hm_" + bound
+    key = "hm_" + bound
     with pytest.raises(InvalidParameterError, match=key):
-        replace(SceneConfig.toy(), homography_magnitude=magnitude)
+        SceneConfig.toy(**{key: value})
     # a scene config takes the same bound, and a toy config the default one
-    replace(SceneConfig.scenes(), homography_magnitude=magnitude)
-    assert SceneConfig.toy().homography_magnitude == HomographyMagnitude()
+    SceneConfig.scenes(**{key: value})
+    assert getattr(SceneConfig.toy(), key) == getattr(SceneConfig(), key)
 
 
 def _shifted_pair(gt_a, gt_b):
@@ -608,10 +608,9 @@ def test_load_pair_names_a_pair_whose_gt_disagrees_with_h(tmp_path):
 def test_singular_homography_candidates_are_redrawn():
     # a translation of ~6e4 px makes most candidates singular by the homography
     # rule; each is a rejected draw, and the draw as a whole fails on covisibility
-    magnitude = HomographyMagnitude(max_translation=1e3)
     with pytest.raises(DegenerateTransferError,
                        match="no homography with >= 40% covisibility in 200 tries"):
-        sample_homography(np.random.default_rng(0), magnitude, (64, 64))
+        sample_homography(np.random.default_rng(0), SceneConfig(hm_max_translation=1e3), (64, 64))
 
 
 def test_pair_rng_streams_are_stable_and_independent():

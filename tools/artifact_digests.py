@@ -16,7 +16,8 @@ one's `tools/`) and compare the output to check that a change rewrites
 every artifact byte for byte.
 
 The pipeline: toy `synth` from a config file, scene `synth`, scene `synth`
-with rotation and negation augmentation, `train` on the first two, toy
+with rotation and negation augmentation, scene `synth` with every `hm_*`
+homography bound off its default, `train` on the first two, toy
 `train` with the linear-decay reward and no regularizer, `detect --image`
 (with scoremap dump, overlay and subpixel refinement) and `detect --data`,
 `eval --detections`, `eval --weights` on toy and scene pairs with and
@@ -43,6 +44,9 @@ STAGES = [
      "--hm-scale-lo", "0.95", "--noise-sigma", "0.02"],
     ["synth", "--mode", "scenes", "--rotation-aug", "1", "--negation-aug", "rgb",
      "--num-pairs", "4", "--seed", "8", "--out", "scenes_aug"],
+    ["synth", "--mode", "scenes", "--num-pairs", "3", "--seed", "11", "--out", "scenes_hm",
+     "--hm-perspective-jitter", "0.0005", "--hm-max-translation", "0.08", "--hm-scale-lo", "0.92",
+     "--hm-scale-hi", "1.05", "--hm-max-rotation-deg", "20"],
     ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
     ["train", "--data", "toy", "--out", "train_toy_decay", "--linear-decay", "1",
      "--reg-weight", "0"],
