@@ -39,11 +39,11 @@ def main() -> None:
     logits = 16.0 * (img - 0.5)
     p = softmax_2d(logits)
     print("\nsoftmax of 16*(image - 0.5), i.e. a hand-built light detector:")
-    print(heat(p.probs))
+    print(heat(p))
 
     light_xy = [xy for xy, lab in zip(pair.gt_keypoints_a.xy, pair.polarity_a)
                 if lab == "light"]
-    mass_on_dots = sum(p.probs[int(y), int(x)] for x, y in light_xy)
+    mass_on_dots = sum(p[int(y), int(x)] for x, y in light_xy)
     print(f"\nprobability mass sitting exactly on the 6 light dots: {mass_on_dots:.3f}")
 
     # crowding: compare the most and least isolated light dot
@@ -54,8 +54,8 @@ def main() -> None:
     lonely = int(np.argmax(d.min(axis=1)))
     # a kernel on the scale of the dot spacing, so crowding is visible
     sigma = 0.15 * min(img.shape)
-    density = gaussian_blur(p.probs, sigma)
-    balanced = kde_balance(p.probs, sigma)
+    density = gaussian_blur(p, sigma)
+    balanced = kde_balance(p, sigma)
 
     def at(grid, i):
         x, y = light_xy[i]
@@ -63,7 +63,7 @@ def main() -> None:
 
     print(f"\ncrowded dot (nearest neighbor {d.min(axis=1)[crowded]:.1f}px) "
           f"vs lonely dot ({d.min(axis=1)[lonely]:.1f}px):")
-    print(f"  raw probability   {at(p.probs, crowded):.4f}  vs  {at(p.probs, lonely):.4f}")
+    print(f"  raw probability   {at(p, crowded):.4f}  vs  {at(p, lonely):.4f}")
     print(f"  local density     {at(density, crowded):.2e}  vs  {at(density, lonely):.2e}")
     print(f"  balanced score    {at(balanced, crowded):.2f}  vs  {at(balanced, lonely):.2f}")
     print("\nequal logits gave equal probabilities, but dividing by the square")

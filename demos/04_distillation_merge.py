@@ -48,8 +48,8 @@ def main() -> None:
         t = distill_target(p_light, p_dark, r)
         m = generalized_mean(p_light, p_dark, r)
         print(f"  r={r!s:<4} modes {len(local_maxima(m))}  "
-              f"target@f.mode {t.probs[f.mode]:.4f}  "
-              f"target@g.mode {t.probs[g.mode]:.4f}")
+              f"target@f.mode {t[f.mode]:.4f}  "
+              f"target@g.mode {t[g.mode]:.4f}")
     print("r=1 blends the teachers into a single mode; raising r separates")
     print("them again, and r=inf is the pointwise max, the one rule that")
     print("provably never invents a maximum neither teacher had.")

@@ -9,9 +9,8 @@ maximum of their probability maps.  Everything runs on numpy/scipy with
 hand-written gradients; a finite-difference audit ships alongside.
 """
 
-from .core import (KL_FLOOR, LogProbMap, Mask, ProbMap, ScoreMap, gaussian_blur,
-                   gaussian_kernel_1d, kl_divergence, masked_log_softmax, shifted,
-                   softmax_2d)
+from .core import (KL_FLOOR, gaussian_blur, gaussian_kernel_1d, kl_divergence,
+                   masked_log_softmax, shifted, softmax_2d)
 from .distill import (MERGE_EXPONENTS, DistillConfig, KeypointFunction,
                       check_partner_merge, distill_loss_and_grad,
                       distill_target, generalized_mean, local_maxima,

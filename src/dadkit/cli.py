@@ -372,7 +372,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             out.parent.mkdir(parents=True, exist_ok=True)
         write_keypoints_csv(out, kps)
         if cfg["dump_scoremap"] is not None:
-            write_dadf(cfg["dump_scoremap"], smap.logits)
+            write_dadf(cfg["dump_scoremap"], smap)
         if cfg["overlay"] is not None:
             write_pgm(cfg["overlay"], _overlay_image(img, kps))
         print(f"{len(kps)} keypoint(s) -> {out}")
@@ -473,10 +473,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """Each `--flag value` as one `--flag=value` word.  Every flag takes one
+    value, and argparse would read a value such as -inf as an option."""
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and out[-1] not in ("--", "--help") and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except ConfigError as e:
         print(f"dadkit: {e}", file=sys.stderr)

@@ -5,6 +5,10 @@ them into a keypoint distribution.  Everything downstream (sampling, losses,
 distillation) builds on the four operations here: stable softmax, masked
 log-softmax, separable Gaussian smoothing, and KL divergence.
 
+Grids are plain 2-D arrays: float64 for logits and probabilities, bool for
+pixel masks.  The functions here check a grid they are handed (shape, and
+finite logits or finite nonnegative probabilities) and return arrays.
+
 All arithmetic is float64.  Smoothing reflects at borders (half-sample
 reflection), which makes it preserve constants, conserve total mass, and act
 as an exactly self-adjoint operator; several gradient derivations downstream
@@ -14,7 +18,6 @@ rely on those three facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -31,140 +34,50 @@ def _as_grid(x, name: str = "grid") -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ScoreMap:
-    """Per-pixel detection logits for one image (finite, at least 8x8)."""
-
-    logits: np.ndarray
-
-    def __post_init__(self):
-        a = _as_grid(self.logits, "logits")
-        if a.shape[0] < 8 or a.shape[1] < 8:
-            raise InvalidInputError(f"scoremap smaller than 8x8: {a.shape}")
-        if not np.isfinite(a).all():
-            raise InvalidInputError("scoremap logits contain NaN/Inf")
-        object.__setattr__(self, "logits", a)
-
-    @property
-    def height(self) -> int:
-        return int(self.logits.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.logits.shape[1])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
-
-
-@dataclass(frozen=True)
-class ProbMap:
-    """Probability distribution over the pixel grid."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        a = _as_grid(self.probs, "probs")
-        if not np.isfinite(a).all():
-            raise InvalidInputError("probabilities contain NaN/Inf")
-        if np.any(a < 0):
-            raise InvalidInputError("probabilities must be nonnegative")
-        if abs(float(a.sum()) - 1.0) > 1e-9:
-            raise InvalidInputError(f"probabilities sum to {a.sum()!r}, expected 1")
-        object.__setattr__(self, "probs", a)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (int(self.probs.shape[0]), int(self.probs.shape[1]))
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Boolean pixel mask, True where a pixel participates."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.bits)
-        if a.ndim != 2 or a.size == 0:
-            raise InvalidInputError(f"mask must be a non-empty 2-D grid, got shape {a.shape}")
-        object.__setattr__(self, "bits", a.astype(bool))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (int(self.bits.shape[0]), int(self.bits.shape[1]))
-
-    def count(self) -> int:
-        return int(self.bits.sum())
-
-    @classmethod
-    def full(cls, shape) -> "Mask":
-        return cls(np.ones(shape, dtype=bool))
-
-
-@dataclass(frozen=True)
-class LogProbMap:
-    """Log-probabilities over masked pixels; -inf outside the mask."""
-
-    logprobs: np.ndarray
-    mask: Mask
-
-    def __post_init__(self):
-        a = np.asarray(self.logprobs, dtype=np.float64)
-        if a.shape != self.mask.bits.shape:
-            raise InvalidInputError("logprob grid and mask shapes differ")
-        total = float(np.exp(a[self.mask.bits]).sum()) if self.mask.count() else 0.0
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidInputError(f"masked probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "logprobs", a)
-
-    def probs(self) -> np.ndarray:
-        """Probabilities with exact zeros outside the mask."""
-        out = np.exp(self.logprobs)
-        out[~self.mask.bits] = 0.0
-        return out
-
-
-def _logits_of(scoremap, name: str = "logits") -> np.ndarray:
-    if isinstance(scoremap, ScoreMap):
-        return scoremap.logits
-    a = _as_grid(scoremap, name)
+def _logits_of(z, name: str = "logits") -> np.ndarray:
+    a = _as_grid(z, name)
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} contain NaN/Inf")
     return a
 
 
 def _probs_of(p, name: str = "probs") -> np.ndarray:
-    if isinstance(p, ProbMap):
-        return p.probs
     a = _as_grid(p, name)
     if not np.isfinite(a).all() or np.any(a < 0):
         raise InvalidInputError(f"{name} must be finite and nonnegative")
     return a
 
 
-def softmax_2d(scoremap) -> ProbMap:
+def softmax_2d(z) -> np.ndarray:
     """Softmax over all pixels, shifted by the max logit for stability."""
-    z = _logits_of(scoremap)
+    z = _logits_of(z)
     e = np.exp(z - z.max())
-    return ProbMap(e / e.sum())
+    return e / e.sum()
 
 
-def masked_log_softmax(scoremap, mask) -> LogProbMap:
-    """Log-softmax restricted to mask-true pixels; -inf elsewhere."""
-    z = _logits_of(scoremap)
-    bits = mask.bits if isinstance(mask, Mask) else np.asarray(mask, dtype=bool)
-    if bits.shape != z.shape:
-        raise InvalidInputError(f"mask shape {bits.shape} != logits shape {z.shape}")
-    if not bits.any():
+def masked_log_softmax(z, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax restricted to mask-true pixels, -inf elsewhere, and its
+    exponential: (logp, p), with p exactly 0 outside the mask.
+
+    Huge logits can make the masked mass miss 1 (the log-sum-exp absorbs the
+    log of the count of tied maxima); that raises InvalidInputError.
+    """
+    z = _logits_of(z)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != z.shape:
+        raise InvalidInputError(f"mask shape {mask.shape} != logits shape {z.shape}")
+    if not mask.any():
         raise DegenerateMaskError("mask has no true pixels")
-    zm = z[bits]
+    zm = z[mask]
     m = zm.max()
     lse = m + math.log(float(np.exp(zm - m).sum()))
-    out = np.full(z.shape, -np.inf)
-    out[bits] = z[bits] - lse
-    return LogProbMap(out, Mask(bits))
+    logp = np.full(z.shape, -np.inf)
+    logp[mask] = zm - lse
+    p = np.exp(logp)
+    total = float(p[mask].sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidInputError(f"masked probabilities sum to {total!r}, expected 1")
+    return logp, p
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:

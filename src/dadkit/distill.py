@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .core import ProbMap, _probs_of, kl_divergence, shifted, softmax_2d
+from .core import _probs_of, kl_divergence, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 from .model import (
     AdamW,
@@ -55,23 +55,22 @@ def generalized_mean(a, b, r) -> np.ndarray:
     return np.sqrt(0.5 * (pa * pa + pb * pb))
 
 
-def distill_target(p_light, p_dark, r) -> ProbMap:
+def distill_target(p_light, p_dark, r) -> np.ndarray:
     """Renormalized generalized mean of two normalized maps."""
     m = generalized_mean(p_light, p_dark, r)
     total = m.sum()
     if total <= 0:
         raise InvalidInputError("merged map sums to zero")
-    return ProbMap(m / total)
+    return m / total
 
 
 def distill_loss_and_grad(target, s) -> tuple[float, np.ndarray]:
     """KL(target || softmax(s)) and its exact logit gradient softmax(s) - target."""
     t = _probs_of(target, "target")
     p = softmax_2d(s)
-    if t.shape != p.probs.shape:
-        raise InvalidInputError(f"shape mismatch {t.shape} vs {p.probs.shape}")
-    loss = kl_divergence(t, p)
-    return loss, p.probs - t
+    if t.shape != p.shape:
+        raise InvalidInputError(f"shape mismatch {t.shape} vs {p.shape}")
+    return kl_divergence(t, p), p - t
 
 
 def _maxima_candidates(v: np.ndarray) -> np.ndarray:

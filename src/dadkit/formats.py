@@ -289,8 +289,8 @@ def save_pair(dirpath, pair: PairSample, extra_meta: dict | None = None) -> None
     write_pgm(d / "a.pgm", pair.image_a)
     write_pgm(d / "b.pgm", pair.image_b)
     write_homography(d / "h.txt", pair.transfer)
-    write_pgm(d / "mask_a.pgm", pair.mask_a.bits)
-    write_pgm(d / "mask_b.pgm", pair.mask_b.bits)
+    write_pgm(d / "mask_a.pgm", pair.mask_a)
+    write_pgm(d / "mask_b.pgm", pair.mask_b)
     write_gt_csv(d / "gt_a.csv", pair.gt_keypoints_a, pair.polarity_a)
     write_gt_csv(d / "gt_b.csv", pair.gt_keypoints_b, pair.polarity_b)
     write_meta(d / "meta.txt", {"kind": pair.kind, "seed": pair.seed, **(extra_meta or {})})

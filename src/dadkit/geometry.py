@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mask
 from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
 from .sampler import KeypointSet, border_depth
 
@@ -99,14 +98,17 @@ def covisible(t: HomographyTransfer, pts, shape_dst) -> tuple[np.ndarray, np.nda
     return moved, valid & (border_depth(moved, shape_dst) >= 0)
 
 
-def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> Mask:
-    """True where a source pixel center is covisible in the destination."""
+def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> np.ndarray:
+    """Read-only bool grid, True where a source pixel center is covisible in
+    the destination."""
     hs, ws = int(shape_src[0]), int(shape_src[1])
     if min(hs, ws, int(shape_dst[0]), int(shape_dst[1])) < 1:
         raise InvalidInputError("image shapes must be positive")
     ys, xs = np.mgrid[0:hs, 0:ws]
     pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    return Mask(covisible(t, pts, shape_dst)[1].reshape(hs, ws))
+    mask = covisible(t, pts, shape_dst)[1].reshape(hs, ws)
+    mask.flags.writeable = False
+    return mask
 
 
 @dataclass(frozen=True, eq=False)

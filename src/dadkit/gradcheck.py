@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ProbMap
 from .distill import _student_step, distill_loss_and_grad
 from .errors import InvalidParameterError
 from .model import (
@@ -104,7 +103,7 @@ class _Instance:
     params: DetectorParams
     pair: PairSample
     selection: tuple
-    target: ProbMap
+    target: np.ndarray
     cfg: TrainConfig
 
 
@@ -132,7 +131,7 @@ def _build_instance(rng: np.random.Generator, step: float) -> _Instance | None:
     if len(mab) == 0 and len(mba) == 0:  # also when no keypoint is covisible
         return None
     raw = rng.uniform(0.1, 1.0, (h, w))
-    return _Instance(params, pair, selection, ProbMap(raw / raw.sum()), cfg)
+    return _Instance(params, pair, selection, raw / raw.sum(), cfg)
 
 
 def _analytic_and_loss_fns(inst: _Instance):

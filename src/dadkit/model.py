@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Mask, ScoreMap
 from .errors import InvalidInputError, InvalidParameterError
 from .formats import _read_exact, read_header
 from .geometry import match_mutual_nn
@@ -110,6 +109,8 @@ class AdamW:
             raise InvalidParameterError("eps must be positive")
         if not (0 <= self.weight_decay < np.inf):
             raise InvalidParameterError("weight_decay must be finite and >= 0")
+        if not math.isfinite(self.lr * self.weight_decay):  # the decay factor overflows
+            raise InvalidParameterError("lr * weight_decay must be finite")
 
 
 @dataclass(frozen=True)
@@ -240,8 +241,8 @@ def _conv_backward(gy: np.ndarray, xp: np.ndarray, layer: ConvLayer, want_input:
     return grads, g_xp
 
 
-def forward(params: DetectorParams, image) -> tuple[ScoreMap, ActivationCache]:
-    """Run the stack on a grayscale image in [0, 1]; returns logits + cache."""
+def forward(params: DetectorParams, image) -> tuple[np.ndarray, ActivationCache]:
+    """Run the stack on a grayscale image in [0, 1]; returns the logit grid + cache."""
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidInputError(f"image must be 2-D, got shape {x.shape}")
@@ -261,12 +262,13 @@ def forward(params: DetectorParams, image) -> tuple[ScoreMap, ActivationCache]:
         t = np.maximum(y, 0.0)
     logits, xp = _conv_same(t, params.layers[-1])
     inputs.append(xp)
-    cache = ActivationCache(params, x.shape, tuple(inputs), tuple(preacts))
-    return ScoreMap(logits[0]), cache
+    if not np.isfinite(logits).all():
+        raise InvalidInputError("scoremap logits contain NaN/Inf")
+    return logits[0], ActivationCache(params, x.shape, tuple(inputs), tuple(preacts))
 
 
 def backward(cache: ActivationCache, grad_scoremap) -> DetectorParams:
-    """Exact parameter gradients given dLoss/dScoreMap."""
+    """Exact parameter gradients given dLoss/dlogits."""
     g = np.asarray(grad_scoremap, dtype=np.float64)
     if g.shape != cache.image_shape:
         raise InvalidInputError(f"gradient shape {g.shape} != image shape {cache.image_shape}")
@@ -371,13 +373,13 @@ class TrainConfig:
             raise InvalidParameterError("epochs and batch must be >= 1")
 
 
-def _covisible_subset(kps: KeypointSet, mask: Mask) -> KeypointSet:
+def _covisible_subset(kps: KeypointSet, mask: np.ndarray) -> KeypointSet:
     px = kps.pixels
-    keep = mask.bits[px[:, 1], px[:, 0]]
+    keep = mask[px[:, 1], px[:, 0]]
     return KeypointSet(kps.xy[keep], kps.scores[keep], kps.source_shape)
 
 
-def _select(sa: ScoreMap, sb: ScoreMap, pair, cfg: TrainConfig):
+def _select(sa: np.ndarray, sb: np.ndarray, pair, cfg: TrainConfig):
     """The selection step, not differentiated: sample both maps, keep the
     covisible keypoints, match them (toy or mutual-NN); (ka, kb, mab, mba)."""
     ka = _covisible_subset(sample_keypoints(sa, cfg.sampler, "train"), pair.mask_a)
@@ -387,7 +389,7 @@ def _select(sa: ScoreMap, sb: ScoreMap, pair, cfg: TrainConfig):
     return (ka, kb, *match_mutual_nn(ka, kb, pair.transfer, cfg.match_threshold))
 
 
-def _pair_loss(sa: ScoreMap, sb: ScoreMap, pair, selection, cfg: TrainConfig):
+def _pair_loss(sa: np.ndarray, sb: np.ndarray, pair, selection, cfg: TrainConfig):
     """The loss step: (LossReport, dL/dsa, dL/dsb) with the selection held fixed."""
     return total_loss_and_grad(
         sa, sb, pair.mask_a, pair.mask_b, *selection,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Mask, gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
+from .core import gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
 from .errors import DegenerateMaskError, InvalidInputError, InvalidParameterError
 from .geometry import MatchSet
 from .sampler import KeypointSet
@@ -80,8 +80,7 @@ def _directional_loss_and_grad(scoremap, mask, kps: KeypointSet, indices, rhat):
     Both sums run in match order, as sequential sums, so the result does not
     depend on how numpy groups a reduction; a repeated pixel accumulates.
     """
-    lp = masked_log_softmax(scoremap, mask)
-    p = lp.probs()
+    logp, p = masked_log_softmax(scoremap, mask)
     h, w = p.shape
     grad = np.zeros_like(p)
     if len(indices) == 0:
@@ -93,11 +92,11 @@ def _directional_loss_and_grad(scoremap, mask, kps: KeypointSet, indices, rhat):
     off = (x >= w) | (y >= h)
     if off.any():
         raise InvalidInputError(f"keypoint pixel ({x[off][0]}, {y[off][0]}) outside grid")
-    out = ~lp.mask.bits[y, x]
+    out = ~np.asarray(mask, dtype=bool)[y, x]
     if out.any():
         raise InvalidInputError(f"matched pixel ({x[out][0]}, {y[out][0]}) is outside the mask")
     # 0.0 - s turns a -0.0 sum of zero-reward terms into 0.0
-    loss = 0.0 - np.cumsum(rhat * lp.logprobs[y, x])[-1]
+    loss = 0.0 - np.cumsum(rhat * logp[y, x])[-1]
     np.subtract.at(grad, (y, x), rhat)
     grad += np.cumsum(rhat)[-1] * p
     return float(loss), grad
@@ -132,10 +131,10 @@ def reg_loss_and_grad(
     through the blur (self-adjoint, so the backward blur IS the blur) and
     then through the softmax Jacobian p * (u - <p, u>).
     """
-    bits = indicator.bits if isinstance(indicator, Mask) else np.asarray(indicator, dtype=bool)
+    bits = np.asarray(indicator, dtype=bool)
     if not bits.any():
         raise DegenerateMaskError("indicator has no true pixels")
-    p = softmax_2d(scoremap).probs
+    p = softmax_2d(scoremap)
     if bits.shape != p.shape:
         raise InvalidInputError(f"indicator shape {bits.shape} != scoremap shape {p.shape}")
     p_depth = bits / float(bits.sum())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProbMap, _logits_of, gaussian_blur, shifted, softmax_2d
+from .core import _logits_of, gaussian_blur, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 
 DENSITY_FLOOR = 1e-12
@@ -100,7 +100,7 @@ def kde_balance(p, sigma: float, density_floor: float = DENSITY_FLOOR) -> np.nda
     Dense clusters are flattened toward sparse ones: scaling a region's mass
     by c scales its balanced score by sqrt(c) only.  Output is unnormalized.
     """
-    pa = p.probs if isinstance(p, ProbMap) else np.asarray(p, dtype=np.float64)
+    pa = np.asarray(p, dtype=np.float64)
     if not (density_floor > 0):
         raise InvalidParameterError("density_floor must be positive")
     dens = gaussian_blur(pa, sigma)
@@ -194,14 +194,10 @@ def sample_keypoints(scoremap, cfg: SamplerConfig, mode: str = "inference") -> K
     p = softmax_2d(scoremap)
     h, w = p.shape
     balanced = mode == "train" and cfg.use_kde
+    q = kde_balance(p, cfg.kde_sigma_frac * min(h, w)) if balanced else p
+    kps = top_k(nms(q, cfg.nms_window), cfg.k)
     if balanced:
-        q = kde_balance(p, cfg.kde_sigma_frac * min(h, w))
-    else:
-        q = p.probs
-    kept = nms(q, cfg.nms_window)
-    kps = top_k(kept, cfg.k)
-    if balanced:
-        kps = _rescore(kps, p.probs)
+        kps = _rescore(kps, p)
     if mode == "inference" and cfg.subpixel:
         kps = subpixel_refine(scoremap, kps, cfg.subpixel_temp, cfg.subpixel_window)
     return kps

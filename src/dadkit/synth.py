@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Mask
 from .errors import (DegenerateTransferError, InvalidInputError, InvalidParameterError,
                      PlacementError)
 from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _sq_dists,
@@ -161,17 +160,18 @@ class PairSample:
         return self.image_a.shape
 
     @cached_property
-    def mask_a(self) -> Mask:
-        """Pixels of A covisible in B: all of them for a toy pair."""
+    def mask_a(self) -> np.ndarray:
+        """Read-only bool grid of the pixels of A covisible in B: all of them
+        for a toy pair."""
         if self.kind == "toy":
-            return Mask.full(self.image_a.shape)
+            return np.broadcast_to(True, self.image_a.shape)
         return covisibility_mask(self.transfer, self.image_a.shape, self.image_b.shape)
 
     @cached_property
-    def mask_b(self) -> Mask:
+    def mask_b(self) -> np.ndarray:
         """Pixels of B covisible in A, through the inverse transfer."""
         if self.kind == "toy":
-            return Mask.full(self.image_b.shape)
+            return np.broadcast_to(True, self.image_b.shape)
         return covisibility_mask(self.transfer.inverse(), self.image_b.shape, self.image_a.shape)
 
 
@@ -395,7 +395,7 @@ def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
             both = (t, t.inverse())
         except DegenerateTransferError:
             continue
-        if all(covisibility_mask(m, shape, shape).count() >= min_covisible * total for m in both):
+        if all(covisibility_mask(m, shape, shape).sum() >= min_covisible * total for m in both):
             return t
     raise DegenerateTransferError(
         f"no homography with >= {min_covisible:.0%} covisibility in {max_tries} tries"

@@ -138,7 +138,7 @@ def test_acceptance_sampler_properties():
         for mode in ("train", "inference"):
             cfg = SamplerConfig(k=k)
             kps = sample_keypoints(z, cfg, mode)
-            probs = softmax_2d(z).probs
+            probs = softmax_2d(z)
             if mode == "train":
                 grid = kde_balance(probs, cfg.kde_sigma_frac * min(h, w))
             else:

@@ -272,6 +272,16 @@ _BAD_SETTINGS = {
                        "--hm-max-rotation-deg", "90"], "hm_max_translation"),
     "distill_toy_hm_bound": (["distill", "--mode", "toy", "--hm-scale-lo", "0.5"],
                              "hm_scale_lo"),
+    # negative values that argparse alone would read as options
+    "hm_max_rotation_deg_spaced_minus_inf": (["synth", "--mode", "scenes",
+                                              "--hm-max-rotation-deg", "-inf"],
+                                             "hm_max_rotation_deg"),
+    "hm_max_rotation_deg_spaced_minus_1e308": (["synth", "--mode", "scenes",
+                                                "--hm-max-rotation-deg", "-1e308"],
+                                               "hm_max_rotation_deg"),
+    # each finite, but the decay factor 1 - lr * weight_decay is not
+    "train_lr_weight_decay_1e200": (["train", "--lr", "1e200", "--weight-decay", "1e200"],
+                                    "lr * weight_decay"),
 }
 
 
@@ -362,6 +372,11 @@ def _bad_input_case(case, ws, tmp):
         return ["train", "--data", str(ws["data"]), "--out", str(tmp / "out"), "--widths", "4",
                 "--kernel-size", "3", "--threads", batch, "--lr", "1e200"], \
             "training diverged at step 1:"
+    if case == "train_lr_1e4":
+        # huge logits with tied maxima: the log-sum-exp absorbs the log of
+        # their count, so the masked mass misses 1
+        return ["train", "--data", str(ws["data"]), "--out", str(tmp / "out"), "--widths", "4",
+                "--kernel-size", "3", "--lr", "1e4"], "masked probabilities sum to"
     if case == "distill_lr_1e200":
         return ["distill", "--light", str(ws["weights"]), "--dark", str(ws["weights"]),
                 "--out", str(tmp / "out"), "--num-pairs", "2", "--widths", "4",
@@ -394,7 +409,9 @@ def _bad_input_case(case, ws, tmp):
     ("toy_rotation_aug", 1), ("toy_negation_aug", 1), ("toy_shape_palette", 1),
     ("toy_noise_sigma", 1), ("dadw_signaling_nan", 2), ("toy_hm_bounds", 1),
     ("distill_toy_hm_bound", 1), ("gt_disagrees_with_h", 2), ("train_lr_1e200_steps", 2),
-    ("distill_lr_1e200", 2),
+    ("distill_lr_1e200", 2), ("hm_max_rotation_deg_spaced_minus_inf", 1),
+    ("hm_max_rotation_deg_spaced_minus_1e308", 1), ("train_lr_weight_decay_1e200", 1),
+    ("train_lr_1e4", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

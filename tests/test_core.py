@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from dadkit.core import (KL_FLOOR, LogProbMap, Mask, ProbMap, ScoreMap,
-                         gaussian_blur, gaussian_kernel_1d, kl_divergence,
+from dadkit.core import (KL_FLOOR, gaussian_blur, gaussian_kernel_1d, kl_divergence,
                          masked_log_softmax, shifted, softmax_2d)
+from dadkit.distill import distill_loss_and_grad
 from dadkit.errors import (DegenerateMaskError, InvalidInputError,
                            InvalidParameterError)
 from dadkit.formats import GRID_MAGIC, read_dadf, write_dadf
+from dadkit.model import ArchConfig, DetectorParams, forward, init_params
 
 
 def softmax_oracle(z: np.ndarray) -> np.ndarray:
@@ -57,7 +58,7 @@ def test_softmax_matches_extended_precision_oracle():
         h, w = rng.integers(8, 13, size=2)
         scale = rng.choice([1.0, 10.0, 50.0])  # stress the stabilization
         z = rng.normal(0.0, scale, size=(h, w))
-        got = softmax_2d(z).probs
+        got = softmax_2d(z)
         want = softmax_oracle(z)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-300)
 
@@ -66,16 +67,10 @@ def test_softmax_sums_to_one_and_is_shift_invariant():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(9, 11))
-        p = softmax_2d(z).probs
+        p = softmax_2d(z)
         assert abs(p.sum() - 1.0) < 1e-12
-        q = softmax_2d(z + 123.456).probs
+        q = softmax_2d(z + 123.456)
         np.testing.assert_allclose(p, q, rtol=1e-12)
-
-
-def test_softmax_accepts_scoremap_wrapper():
-    z = np.zeros((8, 8))
-    p = softmax_2d(ScoreMap(z)).probs
-    np.testing.assert_allclose(p, np.full((8, 8), 1.0 / 64.0), rtol=1e-15)
 
 
 def test_softmax_rejects_nonfinite_logits():
@@ -91,26 +86,26 @@ def test_masked_log_softmax_matches_oracle():
         z = rng.normal(0.0, 5.0, size=(10, 10))
         bits = rng.random((10, 10)) < 0.6
         bits[0, 0] = True  # never empty
-        lp = masked_log_softmax(z, Mask(bits))
-        assert np.all(np.isneginf(lp.logprobs[~bits]))
-        probs = lp.probs()
+        logp, probs = masked_log_softmax(z, bits)
+        assert np.all(np.isneginf(logp[~bits]))
+        np.testing.assert_array_equal(probs, np.exp(logp))
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs[~bits] == 0.0)
         with mp.workdps(50):
             total = mp.fsum(mp.e ** mp.mpf(float(v)) for v in z[bits])
             want = np.array([float(mp.log(mp.e ** mp.mpf(float(v)) / total))
                              for v in z[bits]])
-        np.testing.assert_allclose(lp.logprobs[bits], want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(logp[bits], want, rtol=1e-12, atol=1e-12)
 
 
 def test_masked_log_softmax_empty_mask_raises():
     with pytest.raises(DegenerateMaskError):
-        masked_log_softmax(np.zeros((8, 8)), Mask(np.zeros((8, 8), dtype=bool)))
+        masked_log_softmax(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool))
 
 
 def test_masked_log_softmax_shape_mismatch_raises():
     with pytest.raises(InvalidInputError):
-        masked_log_softmax(np.zeros((8, 8)), Mask(np.ones((8, 9), dtype=bool)))
+        masked_log_softmax(np.zeros((8, 8)), np.ones((8, 9), dtype=bool))
 
 
 def test_gaussian_kernel_matches_formula():
@@ -255,37 +250,39 @@ def test_dadf_rejects_bad_magic_and_truncation(tmp_path):
 
 
 def test_scoremap_validation():
-    with pytest.raises(InvalidInputError):
-        ScoreMap(np.zeros((7, 8)))
+    """forward checks the logit grid it returns; the softmax checks a raw one."""
+    params = init_params(ArchConfig((2,), 3))
+    with pytest.raises(InvalidInputError, match="8x8 minimum"):
+        forward(params, np.zeros((7, 8)))
+    z, _ = forward(params, np.zeros((8, 10)))
+    assert z.shape == (8, 10) and z.dtype == np.float64
+    huge = DetectorParams(np.full_like(params.flat, 1e200), params.arch)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidInputError, match="scoremap logits contain NaN/Inf"):
+        forward(huge, np.full((8, 8), 0.5))
     z = np.zeros((8, 8))
     z[0, 0] = np.inf
-    with pytest.raises(InvalidInputError):
-        ScoreMap(z)
-    s = ScoreMap(np.zeros((8, 10)))
-    assert s.shape == (8, 10) and s.height == 8 and s.width == 10
+    with pytest.raises(InvalidInputError, match="logits contain NaN/Inf"):
+        softmax_2d(z)
 
 
 def test_probmap_validation():
-    with pytest.raises(InvalidInputError):
-        ProbMap(np.full((8, 8), 0.1))  # sums to 6.4
+    """A probability grid a caller hands in must be finite and nonnegative."""
     bad = np.full((8, 8), 1.0 / 64.0)
     bad[0, 0] = -bad[0, 0]
-    with pytest.raises(InvalidInputError):
-        ProbMap(np.abs(bad) * 0 + bad)
-
-
-def test_mask_count_and_full():
-    m = Mask(np.eye(5, dtype=bool))
-    assert m.count() == 5 and m.shape == (5, 5)
-    assert Mask.full((3, 4)).count() == 12
+    for grid in (bad, np.where(bad < 0, np.nan, bad)):
+        with pytest.raises(InvalidInputError, match="target must be finite and nonnegative"):
+            distill_loss_and_grad(grid, np.zeros((8, 8)))
 
 
 def test_logprobmap_requires_masked_normalization():
     bits = np.zeros((8, 8), dtype=bool)
     bits[2, 3] = True
-    lp = LogProbMap(np.where(bits, 0.0, -np.inf), Mask(bits))
-    assert lp.probs()[2, 3] == 1.0
-    two = bits.copy()
-    two[4, 4] = True  # two pixels at logprob 0 carry mass 2, not 1
-    with pytest.raises(InvalidInputError):
-        LogProbMap(np.where(two, 0.0, -np.inf), Mask(two))
+    logp, p = masked_log_softmax(np.zeros((8, 8)), bits)
+    assert p[2, 3] == 1.0 and p.sum() == 1.0 and logp[2, 3] == 0.0
+    # two tied huge logits: the log-sum-exp absorbs log 2, so each gets
+    # probability 1 and the masked mass is 2
+    z = np.zeros((8, 8))
+    z[2, 3] = z[4, 4] = 1e17
+    with pytest.raises(InvalidInputError, match=r"masked probabilities sum to 2\.0, expected 1"):
+        masked_log_softmax(z, np.ones((8, 8), dtype=bool))

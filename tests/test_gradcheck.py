@@ -65,7 +65,7 @@ def test_max_rel_error_detects_sabotage():
 
     def loss_fn(p):
         out, _ = forward(p, img)
-        return float((out.logits * g).sum())
+        return float((out * g).sum())
 
     from dadkit.model import backward
     _, cache = forward(params, img)
@@ -142,7 +142,7 @@ def test_fd_param_grads_equal_the_per_layer_reference(widths, k, seed):
     g = rng.normal(size=(8, 9))
 
     def loss_fn(p):
-        return float((forward(p, img)[0].logits * g).sum())
+        return float((forward(p, img)[0] * g).sum())
 
     got = fd_param_grads(loss_fn, params)
     want = _fd_param_grads_reference(loss_fn, params)

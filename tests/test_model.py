@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dadkit.core import ScoreMap
 from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
                           TrainConfig, _conv_backward, _conv_same, _fold_axis, _im2col,
@@ -66,14 +65,14 @@ def test_forward_matches_loop_oracle():
         rng = np.random.default_rng(arch.seed)
         img = rng.random((11, 12))
         got, _ = forward(params, img)
-        np.testing.assert_allclose(got.logits, forward_oracle(params, img),
+        np.testing.assert_allclose(got, forward_oracle(params, img),
                                    rtol=1e-12, atol=1e-12)
 
 
 def test_forward_constant_image_gives_constant_scoremap():
     params = init_params(ArchConfig((4, 4), 5, seed=0))
     s, _ = forward(params, np.full((16, 16), 0.5))
-    assert float(np.ptp(s.logits)) < 1e-12
+    assert float(np.ptp(s)) < 1e-12
 
 
 def test_forward_validates_inputs():
@@ -106,7 +105,7 @@ def test_backward_matches_parameter_finite_differences():
 
         def loss_fn(p):
             out, _ = forward(p, img)
-            return float((out.logits * g_score).sum())
+            return float((out * g_score).sum())
 
         for li, layer_grads in enumerate(grads.layers):
             kflat = layer_grads.kernel.ravel()
@@ -194,7 +193,7 @@ def _conv_backward_reference(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer,
     return grads, g_xp
 
 
-def _forward_reference(params: DetectorParams, image) -> tuple[ScoreMap, _CacheReference]:
+def _forward_reference(params: DetectorParams, image) -> tuple[np.ndarray, _CacheReference]:
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidInputError(f"image must be 2-D, got shape {x.shape}")
@@ -215,7 +214,7 @@ def _forward_reference(params: DetectorParams, image) -> tuple[ScoreMap, _CacheR
     logits, cols = _conv_same_reference(t, params.layers[-1])
     cols_list.append(cols)
     cache = _CacheReference(params, x.shape, tuple(cols_list), tuple(preacts))
-    return ScoreMap(logits[0]), cache
+    return logits[0], cache
 
 
 def _backward_reference(cache: _CacheReference, grad_scoremap) -> tuple[ConvLayer, ...]:
@@ -242,7 +241,7 @@ def _conv_outputs(forward_fn, backward_fn, params, images, grads):
     runs = [forward_fn(params, image) for image in images]
     out = []
     for (s, cache), g in zip(runs, grads):
-        out.append(s.logits.tobytes())
+        out.append(s.tobytes())
         out.extend(p.tobytes() for p in cache.preacts)
         for layer in backward_fn(cache, g):
             out.extend((layer.kernel.tobytes(), layer.bias.tobytes()))

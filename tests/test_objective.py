@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dadkit.core import Mask, gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
+from dadkit.core import gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
 from dadkit.errors import (DadkitError, DegenerateMaskError, InvalidInputError,
                            InvalidParameterError)
 from dadkit.geometry import MatchSet
@@ -59,7 +59,7 @@ def random_case(seed: int):
     ia2 = rng.integers(0, 5, size=3)
     d2 = rng.uniform(0.0, 2.0, size=3)
     mba = MatchSet(ia2, ib2, d2)
-    return sa, sb, Mask(bits_a), Mask(bits_b), ka, kb, mab, mba
+    return sa, sb, bits_a, bits_b, ka, kb, mab, mba
 
 
 def test_raw_reward_takes_arrays_and_is_strict_at_the_radius():
@@ -112,7 +112,7 @@ def test_rl_loss_matches_manual_restatement():
             m = zm.max()
             return zm - (m + np.log(np.exp(zm[bits] - m).sum()))
 
-        lpa, lpb = logp(sa, mask_a.bits), logp(sb, mask_b.bits)
+        lpa, lpb = logp(sa, mask_a), logp(sb, mask_b)
         want = 0.0
         for i, r in zip(mab.ia, rhat[:len(mab)]):
             x, y = ka.xy[i]
@@ -140,8 +140,8 @@ def test_rl_gradient_vanishes_outside_mask_and_balances():
     sa, sb, mask_a, mask_b, ka, kb, mab, mba = random_case(3)
     _, ga, gb, _ = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba,
                                     RewardConfig())
-    assert np.all(ga[~mask_a.bits] == 0.0)
-    assert np.all(gb[~mask_b.bits] == 0.0)
+    assert np.all(ga[~mask_a] == 0.0)
+    assert np.all(gb[~mask_b] == 0.0)
     # sum of gradient = coef * sum(p) - coef = 0 per direction
     assert abs(ga.sum()) < 1e-12 and abs(gb.sum()) < 1e-12
 
@@ -164,9 +164,9 @@ def test_rl_normalization_pools_both_directions():
     cfg = RewardConfig(tau_r=1.0, eps=0.01)
     loss, _, _, _ = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba, cfg)
     x, y = ka.xy[0]
-    zm = np.where(mask_a.bits, sa, -np.inf)
+    zm = np.where(mask_a, sa, -np.inf)
     m = zm.max()
-    lp = zm[int(y), int(x)] - (m + np.log(np.exp(zm[mask_a.bits] - m).sum()))
+    lp = zm[int(y), int(x)] - (m + np.log(np.exp(zm[mask_a] - m).sum()))
     assert loss == pytest.approx(-(1.0 / 0.51) * lp, rel=1e-12)
 
 
@@ -182,7 +182,7 @@ def test_rl_no_matches_gives_zero_loss_and_gradients():
 def test_rl_rejects_matched_pixel_outside_mask():
     sa, sb, mask_a, mask_b, _, kb, _, _ = random_case(7)
     ka = KeypointSet([[0.0, 0.0]], [1.0], (10, 11))  # masked-out corner
-    assert not mask_a.bits[0, 0]
+    assert not mask_a[0, 0]
     mab = MatchSet([0], [0], [0.0])
     with pytest.raises(InvalidInputError):
         rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab,
@@ -218,8 +218,7 @@ def _pooled_raw_rewards_reference(mab: MatchSet, mba: MatchSet, cfg: RewardConfi
 
 def _directional_reference(scoremap, mask, kps: KeypointSet, indices, rhat):
     """-sum_m rhat_m log p(x_m) over keypoints kps[indices[m]], and its gradient."""
-    lp = masked_log_softmax(scoremap, mask)
-    p = lp.probs()
+    logp, p = masked_log_softmax(scoremap, mask)
     h, w = p.shape
     loss = 0.0
     grad = np.zeros_like(p)
@@ -231,9 +230,9 @@ def _directional_reference(scoremap, mask, kps: KeypointSet, indices, rhat):
         xi, yi = int(round(x)), int(round(y))
         if not (0 <= xi < w and 0 <= yi < h):
             raise InvalidInputError(f"keypoint pixel ({xi}, {yi}) outside grid")
-        if not lp.mask.bits[yi, xi]:
+        if not np.asarray(mask, dtype=bool)[yi, xi]:
             raise InvalidInputError(f"matched pixel ({xi}, {yi}) is outside the mask")
-        loss -= r * lp.logprobs[yi, xi]
+        loss -= r * logp[yi, xi]
         grad[yi, xi] -= r
         coef += r
     grad += coef * p
@@ -303,7 +302,7 @@ def _loop_case(seed, n_ab, n_ba, rewards, peaked, fault):
             if len(m):
                 x, y = k.pixels[m[0]]
                 smap[y, x] = 1e3
-    return sa, sb, Mask(bits), Mask(bits), ka, kb, mab, mba
+    return sa, sb, bits, bits, ka, kb, mab, mba
 
 
 @settings(deadline=None, max_examples=300)
@@ -332,9 +331,9 @@ def test_reg_loss_matches_direct_kl():
         bits = rng.random((12, 12)) < 0.7
         bits[5, 5] = True
         sigma = 1.1
-        loss, _ = reg_loss_and_grad(z, Mask(bits), sigma)
+        loss, _ = reg_loss_and_grad(z, bits, sigma)
         target = gaussian_blur(bits / bits.sum(), sigma)
-        blurred = gaussian_blur(softmax_2d(z).probs, sigma)
+        blurred = gaussian_blur(softmax_2d(z), sigma)
         assert loss == pytest.approx(kl_divergence(target, blurred), rel=1e-12)
 
 
@@ -345,8 +344,8 @@ def test_reg_gradient_matches_logit_finite_differences():
         bits = rng.random((10, 10)) < 0.6
         bits[4, 4] = True
         sigma = 0.9
-        _, grad = reg_loss_and_grad(z, Mask(bits), sigma)
-        fd = fd_grad(lambda zz: reg_loss_and_grad(zz, Mask(bits), sigma)[0], z)
+        _, grad = reg_loss_and_grad(z, bits, sigma)
+        fd = fd_grad(lambda zz: reg_loss_and_grad(zz, bits, sigma)[0], z)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-10)
 
 
@@ -354,20 +353,20 @@ def test_reg_gradient_sums_to_zero():
     # invariance to constant logit shifts forces a zero-sum gradient
     rng = np.random.default_rng(11)
     z = rng.normal(size=(10, 10))
-    _, grad = reg_loss_and_grad(z, Mask.full((10, 10)), sigma=1.3)
+    _, grad = reg_loss_and_grad(z, np.ones((10, 10), dtype=bool), sigma=1.3)
     assert abs(grad.sum()) < 1e-14
 
 
 def test_reg_perfect_coverage_is_minimal():
     # uniform scoremap over a full indicator: target equals blurred exactly
-    loss, grad = reg_loss_and_grad(np.zeros((9, 9)), Mask.full((9, 9)), sigma=1.0)
+    loss, grad = reg_loss_and_grad(np.zeros((9, 9)), np.ones((9, 9), dtype=bool), sigma=1.0)
     assert loss == pytest.approx(0.0, abs=1e-13)
     np.testing.assert_allclose(grad, 0.0, atol=1e-13)
 
 
 def test_reg_empty_indicator_raises():
     with pytest.raises(DegenerateMaskError):
-        reg_loss_and_grad(np.zeros((8, 8)), Mask(np.zeros((8, 8), dtype=bool)), 1.0)
+        reg_loss_and_grad(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool), 1.0)
 
 
 def test_total_loss_combines_and_reports():

@@ -121,7 +121,7 @@ def test_kde_balance_compresses_cluster_mass_ratio():
 def test_subpixel_refine_matches_direct_expectation():
     rng = np.random.default_rng(3)
     z = rng.normal(size=(12, 12))
-    kps = top_k(nms(softmax_2d(z).probs, 3), 5)
+    kps = top_k(nms(softmax_2d(z), 3), 5)
     ref = subpixel_refine(z, kps, temp=0.7, window=3)
     np.testing.assert_array_equal(ref.scores, kps.scores)
     for (kx, ky), (rx, ry) in zip(kps.xy, ref.xy):
@@ -162,7 +162,7 @@ def test_subpixel_refine_pulls_toward_heavier_side():
 def test_sample_keypoints_reports_raw_softmax_scores():
     rng = np.random.default_rng(7)
     z = rng.normal(0.0, 2.0, size=(16, 16))
-    p = softmax_2d(z).probs
+    p = softmax_2d(z)
     cfg = SamplerConfig(k=6, use_kde=True, kde_sigma_frac=0.1)
     for mode in ("train", "inference"):
         kps = sample_keypoints(z, cfg, mode)
@@ -178,7 +178,7 @@ def test_sample_keypoints_selects_nms_survivors():
         z = rng.normal(size=(14, 14))
         cfg = SamplerConfig(k=8)
         kps = sample_keypoints(z, cfg, "inference")
-        surviving = nms_oracle(softmax_2d(z).probs, 3)
+        surviving = nms_oracle(softmax_2d(z), 3)
         for x, y in kps.xy:
             assert surviving[int(y), int(x)] > 0
 

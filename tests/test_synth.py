@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dadkit.core import Mask
 from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError, PlacementError)
 from dadkit.geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask,
@@ -47,7 +46,7 @@ def test_toy_pair_layout_and_labels():
         assert pair.shape == (48, 48)
         assert pair.polarity_a == ("light",) * 4 + ("dark",) * 3
         assert pair.polarity_b == pair.polarity_a
-        assert pair.mask_a.count() == 48 * 48
+        assert pair.mask_a.sum() == 48 * 48
         np.testing.assert_array_equal(pair.transfer.h, np.eye(3))
         for img, gt in ((pair.image_a, pair.gt_keypoints_a),
                         (pair.image_b, pair.gt_keypoints_b)):
@@ -74,7 +73,7 @@ def test_scene_pair_geometry_is_self_consistent():
         inside = valid & np.all((moved >= 0) & (moved <= 47), axis=1)
         np.testing.assert_allclose(moved[inside], pair.gt_keypoints_b.xy, atol=1e-9)
         expect_mask = covisibility_mask(pair.transfer, pair.shape, pair.shape)
-        np.testing.assert_array_equal(pair.mask_a.bits, expect_mask.bits)
+        np.testing.assert_array_equal(pair.mask_a, expect_mask)
 
 
 def test_scene_negation_inverts_b_and_flips_labels():
@@ -157,8 +156,8 @@ def test_sample_homography_respects_covisibility_floor():
     for _ in range(10):
         t = sample_homography(rng, SceneConfig(), shape, min_covisible=0.4)
         total = 64 * 64
-        assert covisibility_mask(t, shape, shape).count() >= 0.4 * total
-        assert covisibility_mask(t.inverse(), shape, shape).count() >= 0.4 * total
+        assert covisibility_mask(t, shape, shape).sum() >= 0.4 * total
+        assert covisibility_mask(t.inverse(), shape, shape).sum() >= 0.4 * total
         rt = t.compose(t.inverse())
         pts = np.array([[5.0, 7.0], [40.0, 12.0], [31.0, 55.0]])
         back, valid = transfer_points(rt, pts)
@@ -451,8 +450,8 @@ def test_save_load_pair_round_trip(tmp_path):
     np.testing.assert_array_equal(back.image_a, np.round(pair.image_a * 255) / 255)
     np.testing.assert_array_equal(back.image_b, np.round(pair.image_b * 255) / 255)
     np.testing.assert_allclose(back.transfer.h, pair.transfer.h, rtol=0, atol=0)
-    np.testing.assert_array_equal(back.mask_a.bits, pair.mask_a.bits)
-    np.testing.assert_array_equal(back.mask_b.bits, pair.mask_b.bits)
+    np.testing.assert_array_equal(back.mask_a, pair.mask_a)
+    np.testing.assert_array_equal(back.mask_b, pair.mask_b)
     np.testing.assert_allclose(back.gt_keypoints_a.xy, pair.gt_keypoints_a.xy, atol=1e-6)
     assert back.polarity_b == pair.polarity_b
     check_pair_consistency(back, tol=1e-5)
@@ -501,7 +500,7 @@ def test_scene_config_rejects_unknown_kind():
 
 def _expected_masks(pair):
     if pair.kind == "toy":
-        return Mask.full(pair.image_a.shape), Mask.full(pair.image_b.shape)
+        return np.ones(pair.image_a.shape, dtype=bool), np.ones(pair.image_b.shape, dtype=bool)
     return (covisibility_mask(pair.transfer, pair.image_a.shape, pair.image_b.shape),
             covisibility_mask(pair.transfer.inverse(), pair.image_b.shape, pair.image_a.shape))
 
@@ -515,20 +514,40 @@ def test_pair_masks_derive_from_the_transfer(tmp_path, cfg):
     for i in range(4):
         pair = make_pair(cfg, 21, i)
         want_a, want_b = _expected_masks(pair)
-        np.testing.assert_array_equal(pair.mask_a.bits, want_a.bits)
-        np.testing.assert_array_equal(pair.mask_b.bits, want_b.bits)
+        np.testing.assert_array_equal(pair.mask_a, want_a)
+        np.testing.assert_array_equal(pair.mask_b, want_b)
         if cfg.kind == "scene":
-            assert 0 < pair.mask_a.count() < pair.mask_a.bits.size
+            assert 0 < pair.mask_a.sum() < pair.mask_a.size
         d = tmp_path / str(i)
         save_pair(d, pair)
-        np.testing.assert_array_equal(read_pgm(d / "mask_a.pgm") > 0.5, pair.mask_a.bits)
-        np.testing.assert_array_equal(read_pgm(d / "mask_b.pgm") > 0.5, pair.mask_b.bits)
+        np.testing.assert_array_equal(read_pgm(d / "mask_a.pgm") > 0.5, pair.mask_a)
+        np.testing.assert_array_equal(read_pgm(d / "mask_b.pgm") > 0.5, pair.mask_b)
         # the written masks are for inspection; loading derives them from h.txt
-        write_pgm(d / "mask_a.pgm", ~pair.mask_a.bits)
+        write_pgm(d / "mask_a.pgm", ~pair.mask_a)
         (d / "mask_b.pgm").unlink()
         back = load_pair(d)
-        np.testing.assert_array_equal(back.mask_a.bits, pair.mask_a.bits)
-        np.testing.assert_array_equal(back.mask_b.bits, pair.mask_b.bits)
+        np.testing.assert_array_equal(back.mask_a, pair.mask_a)
+        np.testing.assert_array_equal(back.mask_b, pair.mask_b)
+
+
+@pytest.mark.parametrize("cfg", [
+    SceneConfig.toy(size=32, num_light=2, num_dark=2),
+    SceneConfig.scenes(size=32, num_light=2, num_dark=2),
+], ids=["toy", "scene"])
+def test_pair_masks_are_read_only(cfg):
+    """A write to a cached mask raises instead of corrupting later steps."""
+    pair = make_pair(cfg, 5, 0)
+    masks = (pair.mask_a, pair.mask_b,
+             covisibility_mask(pair.transfer, pair.image_a.shape, pair.image_b.shape))
+    for mask in masks:
+        assert mask.dtype == bool
+        before = mask.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = not mask[0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            mask[...] = False
+        np.testing.assert_array_equal(mask, before)
+    assert pair.mask_a is masks[0]
 
 
 @pytest.mark.parametrize("bound, value", [
