@@ -5,7 +5,7 @@ a per-pixel logit grid.  Keypoints are sampled from the softmax of that grid
 (density balancing, non-maximum suppression, top-K), trained with a
 reinforcement objective that rewards geometric coincidence across image
 pairs, and merged across specialized detectors by distilling the pointwise
-maximum of their probability maps.  Everything runs on numpy/scipy with
+maximum of their probability maps.  Everything runs on numpy alone with
 hand-written gradients; a finite-difference audit ships alongside.
 """
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .core import _probs_of, kl_divergence, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
@@ -101,13 +100,20 @@ def local_maxima(grid) -> set[tuple[int, int]]:
     if not np.isfinite(v).all():
         raise InvalidInputError("grid contains NaN/Inf")
     cand = _maxima_candidates(v)
-    if not cand.any():
-        return set()
-    labels, _ = ndimage.label(cand, structure=np.ones((3, 3), dtype=int))
-    flat = labels.ravel()
-    ids, first = np.unique(flat, return_index=True)
-    w = v.shape[1]
-    return {(int(i // w), int(i % w)) for lab, i in zip(ids, first) if lab != 0}
+    # Min-label propagation: each candidate starts at its flat index and takes
+    # the minimum over its candidate 8-neighbours until nothing changes, so
+    # every plateau ends labelled with its raster-first pixel.
+    index = np.arange(v.size).reshape(v.shape)
+    labels = np.where(cand, index, v.size)
+    before = None
+    while not np.array_equal(labels, before):
+        before = labels.copy()
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if dy or dx:
+                    np.minimum(labels, shifted(labels, dy, dx, v.size), out=labels, where=cand)
+    ys, xs = np.nonzero(labels == index)
+    return set(zip(ys.tolist(), xs.tolist()))
 
 
 @dataclass(frozen=True)

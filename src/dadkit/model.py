@@ -416,7 +416,10 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
     Each optimizer step takes the next `cfg.batch` pairs: their gradients,
     all against the same parameters, are summed in pair order.  batch == 1
     steps once per pair.  Parameters that stop being finite as float32 end
-    the run with InvalidInputError naming the step.
+    the run with InvalidInputError naming the step.  So does an invalid
+    intermediate in any later step, such as a masked mass that misses 1
+    under huge logits: the first step runs on fresh parameters, so a later
+    failure points at the updates.
     """
     params = init_params(cfg.arch)
     state = OptState.init(params, cfg.opt)
@@ -424,7 +427,13 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
     reports: list[LossReport] = []
     for _ in range(cfg.epochs):
         for at in range(0, len(pairs), cfg.batch):
-            results = [_pair_grads(params, pair, cfg) for pair in pairs[at:at + cfg.batch]]
+            try:
+                results = [_pair_grads(params, pair, cfg) for pair in pairs[at:at + cfg.batch]]
+            except InvalidInputError as e:
+                if state.step_count == 0:
+                    raise
+                raise InvalidInputError(f"training diverged at step {state.step_count + 1}: "
+                                        f"{e}; lower lr") from None
             params, state = optimizer_step(params, _sum_grads([g for g, _ in results]), state)
             finite_float32(params, f"training diverged at step {state.step_count}")
             reports.extend(r for _, r in results)

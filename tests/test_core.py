@@ -137,6 +137,25 @@ def test_blur_matches_dense_symmetric_pad_oracle():
                                    rtol=1e-12, atol=1e-12)
 
 
+def test_blur_is_bitwise_scipy_correlate1d():
+    """The blur's summation order matches scipy's symmetric-kernel
+    correlate1d, so every artifact keeps its bits without scipy installed."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1), (1, 3), (2, 1), (3, 2), (2, 3), (3, 3), (1, 40), (40, 2), (17, 23), (64, 64)]
+    for h, w in shapes:
+        for sigma in (0.1, 0.7, 2.5, 10.0):
+            for mag in (1e-8, 1.0, 1e3):
+                a = rng.random((h, w)) * mag
+                for grid in (a, a / a.sum()):
+                    k = gaussian_kernel_1d(sigma)
+                    want = ndimage.correlate1d(grid, k, axis=0, mode="reflect")
+                    want = ndimage.correlate1d(want, k, axis=1, mode="reflect")
+                    got = gaussian_blur(grid, sigma)
+                    assert np.array_equal(got, want), (h, w, sigma, mag)
+                    assert got.flags.c_contiguous
+
+
 def test_blur_impulse_far_from_border_is_separable_kernel():
     sigma = 1.0
     k = gaussian_kernel_1d(sigma)

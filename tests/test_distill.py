@@ -150,6 +150,29 @@ def test_local_maxima_matches_oracle_on_quantized_grids():
         assert local_maxima(v) == maxima_oracle(v)
 
 
+def test_local_maxima_matches_oracle_on_hard_plateaus():
+    # a snake-shaped plateau: its raster-first pixel's label must walk the
+    # whole path, the slowest case for label propagation
+    snake = np.zeros((13, 13))
+    snake[1:12:2, 1:12] = 2.0  # six rows
+    snake[2:12:4, 11] = 2.0  # joined at the right end
+    snake[4:12:4, 1] = 2.0  # and at the left end, alternately
+    # two plateaus that touch only at a corner merge under 8-connectivity
+    diagonal = np.zeros((6, 6))
+    diagonal[1:3, 1:3] = 1.0
+    diagonal[3:5, 3:5] = 1.0
+    rng = np.random.default_rng(11)
+    grids = [snake, snake[::-1, ::-1], diagonal, diagonal[:, ::-1]]
+    for n in (1, 2, 3, 17):
+        grids += [rng.integers(0, 3, size=(1, n)).astype(np.float64),
+                  rng.integers(0, 3, size=(n, 1)).astype(np.float64)]
+    for v in grids:
+        assert local_maxima(v) == maxima_oracle(v)
+    assert len(maxima_oracle(snake)) == 1
+    assert local_maxima(diagonal) == {(1, 1)}
+    assert local_maxima(diagonal[:, ::-1]) == {(1, 3)}
+
+
 def test_local_maxima_edge_cases():
     assert local_maxima(np.zeros((6, 6))) == set()
     single = np.zeros((7, 7))
