@@ -22,8 +22,8 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from .geometry import (HomographyTransfer, _covered, _homography_rule, _sq_dists, _transfer,
-                       covisible, match_mutual_nn, transfer_points)
+from .geometry import (HomographyTransfer, _covered, _homography_rule, _sq_dist, _sq_dists,
+                       _transfer, covisible, match_mutual_nn, transfer_points)
 from .sampler import KeypointSet
 from .synth import POLARITIES, PairSample, classify_polarity, toy_pair_hits
 
@@ -83,7 +83,7 @@ def _hartley_normalization(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per point set of a (B, n, 2) stack: the similarity taking it to centroid 0
     and mean norm sqrt(2), and whether its points are spread (not all coincident)."""
     centroid = pts.mean(axis=1)
-    spread = np.sqrt(((pts - centroid[:, None]) ** 2).sum(axis=2)).mean(axis=1)
+    spread = np.sqrt(_sq_dist(pts, centroid[:, None])).mean(axis=1)
     spread_ok = spread >= 1e-12
     s = math.sqrt(2.0) / np.where(spread_ok, spread, 1.0)
     t = np.zeros((len(pts), 3, 3))
@@ -113,7 +113,9 @@ def _dlt_stack(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     a[:, 0::2, 6], a[:, 0::2, 7], a[:, 0::2, 8] = u * x, u * y, u
     a[:, 1::2, 3], a[:, 1::2, 4], a[:, 1::2, 5] = -x, -y, -1.0
     a[:, 1::2, 6], a[:, 1::2, 7], a[:, 1::2, 8] = v * x, v * y, v
-    _, sv, vt = np.linalg.svd(a)
+    # U is never read.  From 9 rows on, vt is 9x9 either way, so U is reduced;
+    # a 4-point system has 8 rows and needs the full vt for its null vector
+    _, sv, vt = np.linalg.svd(a, full_matrices=2 * n < 9)
     with np.errstate(divide="ignore", invalid="ignore"):
         flat = (sv[:, 0] > 0) & (sv[:, -2] / sv[:, 0] < 1e-10)
     h = np.linalg.inv(td) @ vt[:, -1].reshape(b, 3, 3) @ ts
@@ -158,8 +160,8 @@ def _symmetric_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray
         raise InvalidInputError("homography contains NaN/Inf")
     pf, vf = _transfer(h, src)
     pb, vb = _transfer(bwd, dst)
-    e_f = np.where(vf, np.sqrt(((pf - dst) ** 2).sum(axis=2)), np.inf)
-    e_b = np.where(vb, np.sqrt(((pb - src) ** 2).sum(axis=2)), np.inf)
+    e_f = np.where(vf, np.sqrt(_sq_dist(pf, dst)), np.inf)
+    e_b = np.where(vb, np.sqrt(_sq_dist(pb, src)), np.inf)
     return np.maximum(e_f, e_b), regular
 
 
@@ -233,7 +235,7 @@ def corner_epe(h_hat: HomographyTransfer, h_gt: HomographyTransfer, shape) -> fl
     b, vb = transfer_points(h_gt, corners)
     if not (va.all() and vb.all()):
         return float("inf")
-    dist = np.sqrt(((a - b) ** 2).sum(axis=1)).mean()
+    dist = np.sqrt(_sq_dist(a, b)).mean()
     return float(dist * 480.0 / min(h, w))
 
 

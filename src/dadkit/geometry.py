@@ -68,14 +68,19 @@ def _transfer(h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transfer (N, 2) or (B, N, 2) points by a (B, 3, 3) stack: (B, N, 2) points, (B, N) valid.
 
     A transfer is valid when it is finite and does not land on the plane at
-    infinity; invalid points are NaN.
+    infinity (|w| >= 1e-12); invalid points are NaN, and no input warns.
     """
-    v = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ h.swapaxes(1, 2)
-    w = v[..., 2]
-    valid = np.isfinite(v).all(axis=-1) & (np.abs(w) >= 1e-12)
-    out = np.full(v.shape[:-1] + (2,), np.nan)
-    np.divide(v[..., :2], w[..., None], out=out, where=valid[..., None])
-    valid &= np.isfinite(out).all(axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = np.concatenate([p, np.ones(p.shape[:-1] + (1,))], axis=-1) @ h.swapaxes(1, 2)
+        w = v[..., 2]
+        out = np.empty(w.shape + (2,))
+        x, y = out[..., 0], out[..., 1]
+        np.divide(v[..., 0], w, out=x)
+        np.divide(v[..., 1], w, out=y)
+    # over a finite w with |w| >= 1e-12, a non-finite v[..., 0] or v[..., 1]
+    # gives a non-finite quotient, so the quotients' check covers them
+    valid = np.isfinite(w) & (np.abs(w) >= 1e-12) & np.isfinite(x) & np.isfinite(y)
+    out[~valid] = np.nan
     return out, valid
 
 
@@ -141,9 +146,23 @@ class MatchSet:
         return len(self.dist)
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the points of two broadcastable (..., 2) arrays.
+
+    Computed as dx * dx + dy * dy, which is ((a - b) ** 2).sum(axis=-1) bit for
+    bit (numpy adds a length-2 axis as a0 + a1), without a (..., 2) temporary.
+    """
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def _sq_dists(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """The (N, M) squared distances between the rows of src and of dst."""
-    return ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+    return _sq_dist(src[:, None], dst[None])
 
 
 def _nearest(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

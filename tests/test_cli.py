@@ -285,6 +285,10 @@ _BAD_SETTINGS = {
     # each finite, but the decay factor 1 - lr * weight_decay is not
     "train_lr_weight_decay_1e200": (["train", "--lr", "1e200", "--weight-decay", "1e200"],
                                     "lr * weight_decay"),
+    # numpy seeds only non-negative integers
+    **{f"{command}_seed_negative": ([command, "--seed=-1"],
+                                    "bad value for key 'seed': must be >= 0, got -1")
+       for command in ("synth", "train", "distill", "eval", "gradcheck")},
 }
 
 
@@ -346,7 +350,9 @@ def _bad_input_case(case, ws, tmp):
         argv, key = _BAD_SETTINGS[case]
         inputs = {"synth": ["--num-pairs", "1"],
                   "distill": ["--light", str(ws["weights"]), "--dark", str(ws["weights"]),
-                              "--num-pairs", "1"]}.get(
+                              "--num-pairs", "1"],
+                  "eval": ["--data", str(ws["data"]), "--weights", str(ws["weights"])],
+                  "gradcheck": []}.get(
             argv[0], ["--data", str(ws["data"]), "--widths", "4", "--kernel-size", "3"])
         return [*argv, *inputs, "--out", str(tmp / "out")], key
     if case in ("dadw_non_finite", "dadw_signaling_nan"):
@@ -416,7 +422,9 @@ def _bad_input_case(case, ws, tmp):
     ("distill_toy_hm_bound", 1), ("gt_disagrees_with_h", 2), ("train_lr_1e200_steps", 2),
     ("distill_lr_1e200", 2), ("hm_max_rotation_deg_spaced_minus_inf", 1),
     ("hm_max_rotation_deg_spaced_minus_1e308", 1), ("train_lr_weight_decay_1e200", 1),
-    ("train_lr_1e4", 2), ("train_lr_1e4_names_step", 2),
+    ("train_lr_1e4", 2), ("train_lr_1e4_names_step", 2), ("synth_seed_negative", 1),
+    ("train_seed_negative", 1), ("distill_seed_negative", 1), ("eval_seed_negative", 1),
+    ("gradcheck_seed_negative", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

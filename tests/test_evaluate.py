@@ -1,20 +1,22 @@
 """Repeatability, robust homography estimation, and metric bookkeeping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dadkit.errors import (DadkitError, DegenerateInputError, DegenerateTransferError,
                            InsufficientDataError, InvalidInputError, InvalidParameterError)
-from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, auc,
+from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, _symmetric_errors, auc,
                              corner_epe, detection_recall, dlt_homography,
                              evaluate_detections, polarity_recall,
                              ransac_homography, repeatability)
 from dadkit.formats import write_report
-from dadkit.geometry import HomographyTransfer, _sq_dists, covisible, transfer_points
+from dadkit.geometry import HomographyTransfer, _sq_dists, _transfer, covisible, transfer_points
 from dadkit.sampler import KeypointSet
 from dadkit.synth import SceneConfig, gen_scene_pair, gen_toy_pair, pair_rng
 
@@ -350,6 +352,97 @@ def test_ransac_equals_the_per_sample_loop(layout, n, quarter, seed, iterations,
         assert _outcome(ransac_homography, *args) is InvalidInputError
     else:
         assert _outcome(ransac_homography, *args) == _outcome(_ransac_reference, *args)
+
+
+def _dlt_outcome(fn, src, dst):
+    try:
+        h = fn(src, dst)
+    except DadkitError as exc:
+        return type(exc)
+    return np.asarray(getattr(h, "h", h)).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(layout=st.sampled_from(["exact", "half", "outliers", "coincident", "collinear"]),
+       n=st.sampled_from([4, 5]) | st.integers(4, 300), quarter=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_dlt_equals_the_full_svd_reference(layout, n, quarter, seed):
+    # dlt_homography reduces the SVD from 5 points on; the reference never does
+    src, dst = _match_set(layout, n, quarter, seed)
+    assert _dlt_outcome(dlt_homography, src, dst) == _dlt_outcome(_dlt_reference, src, dst)
+
+
+# the geometry kernels against their summed and scalar forms, bit for bit
+
+def _sq_dists_reference(src, dst):
+    """_sq_dists as a sum over an (N, M, 2) difference."""
+    return ((src[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+
+
+def _same_bits(got, want):
+    """Equal shapes, NaN in the same places, and the same bytes everywhere else."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and (np.isnan(got) == nan).all()
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+# quarter-pixel coordinates (so distances of exactly 0.25, 1, 2, ... occur), and
+# the values where IEEE arithmetic turns: signed zeros, tiny, huge, inf and NaN
+COORDS = st.one_of(st.integers(-64, 320).map(lambda k: k / 4),
+                   st.sampled_from([0.0, -0.0, 1e-300, 1e154, 1e200, -1e300,
+                                    np.inf, -np.inf, np.nan]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(src=st.integers(0, 9).flatmap(lambda n: arrays(np.float64, (n, 2), elements=COORDS)),
+       dst=st.integers(0, 9).flatmap(lambda n: arrays(np.float64, (n, 2), elements=COORDS)))
+def test_sq_dists_is_bitwise_the_summed_form(src, dst):
+    with np.errstate(all="ignore"):
+        assert _same_bits(_sq_dists(src, dst), _sq_dists_reference(src, dst))
+
+
+# a last row [0, 0, w] puts w exactly at, just below and far from the 1e-12 cut
+W_ROWS = st.sampled_from([0.0, -0.0, 1e-12, -1e-12, np.nextafter(1e-12, 0), 1e-300, 1.0, 2.0,
+                          np.inf]).map(lambda w: np.array([0.0, 0.0, w]))
+MATRICES = st.tuples(arrays(np.float64, (3, 3), elements=COORDS | st.floats(-2, 2)),
+                     st.none() | W_ROWS).map(
+    lambda mw: mw[0] if mw[1] is None else np.vstack([mw[0][:2], mw[1]]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(h=st.lists(MATRICES, min_size=1, max_size=4), n=st.integers(0, 6), data=st.data())
+def test_transfer_stack_equals_the_scalar_transfer(h, n, data):
+    h = np.stack(h)
+    p = data.draw(arrays(np.float64, (len(h), n, 2), elements=COORDS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, valid = _transfer(h, p)
+    for b in range(len(h)):
+        with np.errstate(all="ignore"):
+            want, want_valid = _transfer_reference(h[b], p[b])
+        assert valid[b].tolist() == want_valid.tolist()
+        assert out[b][valid[b]].tobytes() == want[want_valid].tobytes()
+        assert np.isnan(out[b][~valid[b]]).all()
+
+
+# integer-translation and general models: quarter points then land at exact
+# distances such as 2.0, on a threshold
+MODELS = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).map(
+        lambda t: np.array([[1.0, 0, t[0] / 4], [0, 1.0, t[1] / 4], [0, 0, 1.0]])),
+    st.integers(0, 2**32 - 1).map(lambda seed: nice_homography(np.random.default_rng(seed)).h))
+
+
+@settings(deadline=None, max_examples=200)
+@given(h=st.lists(MODELS, min_size=1, max_size=4),
+       pts=st.integers(1, 8).flatmap(lambda n: arrays(np.float64, (2, n, 2), elements=COORDS)))
+def test_symmetric_errors_equal_the_scalar_errors(h, pts):
+    h, (src, dst) = np.stack(h), pts
+    with np.errstate(all="ignore"):
+        err, regular = _symmetric_errors(h, src, dst)
+        for b in range(len(h)):
+            assert regular[b]
+            assert _same_bits(err[b], _symmetric_errors_reference(h[b], src, dst))
 
 
 # scalar metrics

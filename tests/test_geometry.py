@@ -1,6 +1,7 @@
 """Transfer and matching layer against scalar brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError)
 from dadkit.formats import read_homography, write_homography
-from dadkit.geometry import (HomographyTransfer, MatchSet, _covered, apply_transfer,
-                             covisibility_mask, covisible, match_mutual_nn,
+from dadkit.geometry import (HomographyTransfer, MatchSet, _covered, _transfer,
+                             apply_transfer, covisibility_mask, covisible, match_mutual_nn,
                              transfer_points)
 from dadkit.sampler import KeypointSet
 
@@ -95,6 +96,29 @@ def test_transfer_points_agrees_with_scalar_map():
         else:
             assert valid[i]
             assert out[i] == pytest.approx(scalar, rel=1e-12)
+
+
+def test_transfer_validity_at_its_boundaries_and_nan_invalid_rows():
+    # stack entry i has last row [0, 0, ws[i]], so a finite point gets w = ws[i] exactly
+    ws = [0.0, np.nextafter(1e-12, 0), 1e-12, -1e-12, 1.0]
+    h = np.stack([np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, w]]) for w in ws])
+    out, valid = _transfer(h, np.array([[3.0, 1.0]]))
+    assert valid[:, 0].tolist() == [False, False, True, True, True]
+    assert out[2:, 0].tolist() == [[3e12, 1e12], [-3e12, -1e12], [3.0, 1.0]]
+    # an infinite w (the product overflows) over finite x, y: quotients 0, yet invalid
+    inf_w = np.array([[0.0, 0, 1], [0, 0, 1], [1e200, 0, 1]])
+    # a finite w whose quotient overflows: invalid, and NaN rather than inf
+    overflow = np.array([[1e299, 0, 0], [0, 1, 0], [0, 0, 1e-12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, valid = _transfer(np.stack([inf_w, overflow]),
+                               np.array([[[1e200, 1.0], [0.0, 1.0]], [[10.0, 1.0], [0.0, 1.0]]]))
+        moved, ok = transfer_points(HomographyTransfer.identity(),
+                                    np.array([[np.inf, 0.0], [np.nan, 1.0], [1.0, 2.0]]))
+    assert valid.tolist() == [[False, True], [False, True]]
+    assert np.isnan(out[~valid]).all()
+    assert out[0, 1].tolist() == [1.0, 1.0] and out[1, 1].tolist() == [0.0, 1e12]
+    assert ok.tolist() == [False, False, True] and np.isnan(moved[:2]).all()
 
 
 def test_transfer_points_rejects_bad_shape():

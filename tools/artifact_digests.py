@@ -20,8 +20,9 @@ with rotation and negation augmentation, scene `synth` with every `hm_*`
 homography bound off its default, `train` on the first two, toy
 `train` with the linear-decay reward and no regularizer, `detect --image`
 (with scoremap dump, overlay and subpixel refinement) and `detect --data`,
-`eval --detections`, `eval --weights` on toy and scene pairs with and
-without `--subpixel 1`, scene and toy `distill`, and `gradcheck --out`.
+`eval --detections` with default and with tight thresholds, `eval --weights`
+on toy and scene pairs with and without `--subpixel 1`, scene and toy
+`distill`, and `gradcheck --out`.
 Exits 1 naming the first stage that fails.
 """
 
@@ -58,6 +59,10 @@ STAGES = [
     ["detect", "--weights", DARK, "--data", "scenes", "--out", "detect_scenes"],
     ["eval", "--data", "scenes", "--detections", "detect_scenes", "--out", "eval_detections",
      "--ransac-iterations", "50"],
+    # tight thresholds, so the distance and inlier comparisons decide near their cuts
+    ["eval", "--data", "scenes", "--detections", "detect_scenes", "--out", "eval_thresholds",
+     "--match-threshold", "0.5", "--ransac-threshold", "0.75", "--ransac-iterations", "7",
+     "--recall-radius", "1"],
     *(["eval", "--data", data, "--weights", weights, "--out", f"eval_{data}{suffix}",
        "--topk", "12", *flags]
       for data, weights in (("toy", LIGHT), ("scenes", DARK))
