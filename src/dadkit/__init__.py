@@ -19,9 +19,8 @@ from .errors import (ConfigError, DadkitError, DegenerateInputError,
                      DegenerateMaskError, DegenerateTransferError,
                      InsufficientDataError, InvalidInputError,
                      InvalidParameterError, PlacementError)
-from .evaluate import (ErrorCurve, EvalConfig, auc, corner_epe,
-                       detection_recall, dlt_homography, evaluate_detections,
-                       polarity_recall, ransac_homography, repeatability)
+from .evaluate import (EvalConfig, auc, corner_epe, detection_recall, dlt_homography,
+                       evaluate_detections, polarity_recall, ransac_homography, repeatability)
 from .formats import (GRID_MAGIC, GRID_VERSION, generate_dataset, load_dataset, load_pair,
                       read_dadf, read_gt_csv, read_homography, read_keypoints_csv, read_pgm,
                       save_pair, write_dadf, write_gt_csv, write_homography,

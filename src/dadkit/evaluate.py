@@ -28,22 +28,6 @@ from .sampler import KeypointSet
 from .synth import POLARITIES, PairSample, classify_polarity, toy_pair_hits
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
-    """Per-pair nonnegative errors plus the integration threshold."""
-
-    errors: tuple[float, ...]
-    threshold: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "errors", tuple(float(e) for e in self.errors))
-        if not (self.threshold > 0) or not np.isfinite(self.threshold):
-            raise InvalidParameterError("threshold must be positive and finite")
-        for e in self.errors:
-            if math.isnan(e) or e < 0:
-                raise InvalidInputError("errors must be >= 0 (inf sentinel allowed)")
-
-
 def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
                   threshold: float) -> float:
     """Fraction of covisible A keypoints re-found in B within threshold.
@@ -122,6 +106,19 @@ def _dlt_stack(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return h, spread_s & spread_d, flat
 
 
+def _correspondences(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """src and dst as float64 arrays, checked to be (N, 2) each, N >= 4, all finite."""
+    s = np.asarray(src, dtype=np.float64)
+    d = np.asarray(dst, dtype=np.float64)
+    if s.shape != d.shape or s.ndim != 2 or s.shape[1] != 2:
+        raise InvalidInputError("src and dst must both be (N, 2)")
+    if len(s) < 4:
+        raise InsufficientDataError(f"need >= 4 correspondences, got {len(s)}")
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
+        raise InvalidInputError("correspondences contain NaN/Inf")
+    return s, d
+
+
 def dlt_homography(src, dst) -> HomographyTransfer:
     """Least-squares homography via the normalized direct linear transform.
 
@@ -129,15 +126,7 @@ def dlt_homography(src, dst) -> HomographyTransfer:
     norm sqrt(2) before solving; needs >= 4 correspondences with no three
     source points collinear.
     """
-    s = np.asarray(src, dtype=np.float64)
-    d = np.asarray(dst, dtype=np.float64)
-    if s.shape != d.shape or s.ndim != 2 or s.shape[1] != 2:
-        raise InvalidInputError("src and dst must both be (N, 2)")
-    n = s.shape[0]
-    if n < 4:
-        raise InsufficientDataError(f"need >= 4 correspondences, got {n}")
-    if not (np.isfinite(s).all() and np.isfinite(d).all()):
-        raise InvalidInputError("correspondences contain NaN/Inf")
+    s, d = _correspondences(src, dst)
     h, spread, flat = _dlt_stack(s[None], d[None])
     if not spread[0]:
         raise DegenerateInputError("points are (nearly) coincident")
@@ -179,20 +168,12 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
     only if it does not reduce the inlier count; otherwise the best sampled
     model is returned.
     """
-    s = np.asarray(src, dtype=np.float64)
-    d = np.asarray(dst, dtype=np.float64)
-    if s.shape != d.shape or s.ndim != 2 or s.shape[1] != 2:
-        raise InvalidInputError("src and dst must both be (N, 2)")
-    n = s.shape[0]
-    if n < 4:
-        raise InsufficientDataError(f"need >= 4 matches, got {n}")
-    if not (np.isfinite(s).all() and np.isfinite(d).all()):
-        raise InvalidInputError("correspondences contain NaN/Inf")
+    s, d = _correspondences(src, dst)
     if not (inlier_threshold > 0) or iterations < 1:
         raise InvalidParameterError("bad RANSAC parameters")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    idx = np.array([gen.choice(n, size=4, replace=False) for _ in range(iterations)])
+    idx = np.array([gen.choice(len(s), size=4, replace=False) for _ in range(iterations)])
     raw, spread, flat = _dlt_stack(s[idx], d[idx])
     fwd, _, regular = _homography_rule(raw)
     keep = np.flatnonzero(spread & ~flat & regular)
@@ -239,16 +220,21 @@ def corner_epe(h_hat: HomographyTransfer, h_gt: HomographyTransfer, shape) -> fl
     return float(dist * 480.0 / min(h, w))
 
 
-def auc(curve: ErrorCurve) -> float:
-    """Exact area under the cumulative accuracy curve on [0, threshold].
+def auc(errors, threshold: float) -> float:
+    """Exact area under the cumulative accuracy curve of errors on [0, threshold].
 
-    acc(tau) = fraction of errors <= tau is piecewise constant, so the
-    integral is sum(max(threshold - e, 0)) / (n * threshold).
+    Errors are >= 0, with inf as the sentinel of a failed pair.  acc(tau) =
+    fraction of errors <= tau is piecewise constant, so the integral is
+    sum(max(threshold - e, 0)) / (n * threshold).
     """
-    e = np.asarray(curve.errors, dtype=np.float64)
+    if not (threshold > 0) or not math.isfinite(threshold):
+        raise InvalidParameterError("threshold must be positive and finite")
+    e = np.asarray(errors, dtype=np.float64)
+    if not (e >= 0).all():
+        raise InvalidInputError("errors must be >= 0 (inf sentinel allowed)")
     if e.size == 0:
         raise InsufficientDataError("cannot integrate an empty error list")
-    return float(np.maximum(curve.threshold - e, 0.0).sum() / (e.size * curve.threshold))
+    return float(np.maximum(threshold - e, 0.0).sum() / (e.size * threshold))
 
 
 def detection_recall(kps: KeypointSet, gt: KeypointSet, radius: float) -> float:
@@ -292,6 +278,8 @@ class EvalConfig:
         if not all(t > 0 for t in (self.match_threshold, self.ransac_threshold,
                                    self.auc_threshold, self.recall_radius, self.hit_radius)):
             raise InvalidParameterError("thresholds must be positive")
+        if not math.isfinite(self.auc_threshold):
+            raise InvalidParameterError(f"auc_threshold must be finite, got {self.auc_threshold}")
         if self.ransac_iterations < 1:
             raise InvalidParameterError("ransac_iterations must be >= 1")
 
@@ -302,19 +290,24 @@ PER_PAIR_FIELDS = (
 )
 
 
+def _nanmean(values) -> float:
+    """np.nanmean of a 1-D sequence, by its sum and division (so the same bits),
+    and NaN with no warning when every value is NaN."""
+    v = np.asarray(values, dtype=np.float64)
+    nan = np.isnan(v)
+    n = v.size - np.count_nonzero(nan)
+    return float(np.where(nan, 0.0, v).sum() / n) if n else math.nan
+
+
 def _toy_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConfig) -> dict:
     hits = toy_pair_hits(pair, ka, kb, cfg.hit_radius)
     labels = (classify_polarity(ka, pair.gt_keypoints_a, pair.polarity_a, cfg.hit_radius)
               + classify_polarity(kb, pair.gt_keypoints_b, pair.polarity_b, cfg.hit_radius))
     total = max(len(labels), 1)
-    ra = polarity_recall(ka, pair.gt_keypoints_a, pair.polarity_a, cfg.hit_radius)
-    rb = polarity_recall(kb, pair.gt_keypoints_b, pair.polarity_b, cfg.hit_radius)
     return {
         "toy_hits": float(hits),
         "frac_light": labels.count("light") / total,
         "frac_dark": labels.count("dark") / total,
-        "recall_light": np.nanmean([ra["light"], rb["light"]]),
-        "recall_dark": np.nanmean([ra["dark"], rb["dark"]]),
     }
 
 
@@ -331,15 +324,11 @@ def _scene_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConf
             epe = corner_epe(h_hat, pair.transfer, pair.image_a.shape)
         except (DegenerateInputError, InsufficientDataError):
             pass
-    ra = polarity_recall(ka, pair.gt_keypoints_a, pair.polarity_a, cfg.recall_radius)
-    rb = polarity_recall(kb, pair.gt_keypoints_b, pair.polarity_b, cfg.recall_radius)
     return {
         "repeatability": rep,
         "num_covisible": float(covis),
         "num_matches": float(len(mab)),
         "corner_epe": epe,
-        "recall_light": np.nanmean([ra["light"], rb["light"]]),
-        "recall_dark": np.nanmean([ra["dark"], rb["dark"]]),
     }
 
 
@@ -349,7 +338,9 @@ def evaluate_detections(samples, detections, cfg: EvalConfig | None = None
 
     samples: PairSamples; detections: matching list of (ka, kb).  Scene
     pairs get repeatability / RANSAC / corner-EPE metrics, toy pairs get
-    identity-hit and polarity metrics; missing metrics are NaN in the rows.
+    identity-hit and polarity metrics, and every pair gets the polarity
+    recall of A and B averaged (within hit_radius on toy pairs, recall_radius
+    on scenes); missing metrics are NaN in the rows.
     Returns (summary, per-pair rows).
     """
     cfg = cfg or EvalConfig()
@@ -367,27 +358,33 @@ def evaluate_detections(samples, detections, cfg: EvalConfig | None = None
         row["kind"] = pair.kind
         if pair.kind == "toy":
             row.update(_toy_row(pair, ka, kb, cfg))
+            radius = cfg.hit_radius
         else:
             row.update(_scene_row(pair, ka, kb, cfg, rng))
+            radius = cfg.recall_radius
+        ra = polarity_recall(ka, pair.gt_keypoints_a, pair.polarity_a, radius)
+        rb = polarity_recall(kb, pair.gt_keypoints_b, pair.polarity_b, radius)
+        for label in POLARITIES:
+            row[f"recall_{label}"] = _nanmean([ra[label], rb[label]])
         rows.append(row)
 
     summary: dict[str, float] = {"num_pairs": float(len(rows))}
     scene_rows = [r for r in rows if r["kind"] == "scene"]
     toy_rows = [r for r in rows if r["kind"] == "toy"]
     if scene_rows:
-        reps = np.array([r["repeatability"] for r in scene_rows])
-        summary["mean_repeatability"] = float(np.nanmean(reps)) if not np.isnan(reps).all() else float("nan")
+        reps = [r["repeatability"] for r in scene_rows]
+        summary["mean_repeatability"] = _nanmean(reps)
         summary["repeatability_pairs"] = float(np.count_nonzero(~np.isnan(reps)))
         epes = [r["corner_epe"] for r in scene_rows]
-        summary["auc_epe"] = auc(ErrorCurve(tuple(epes), cfg.auc_threshold))
+        summary["auc_epe"] = auc(epes, cfg.auc_threshold)
         summary["median_epe"] = float(np.median(epes))
         summary["mean_matches"] = float(np.mean([r["num_matches"] for r in scene_rows]))
     if toy_rows:
         summary["toy_mean_hits"] = float(np.mean([r["toy_hits"] for r in toy_rows]))
         for key in ("frac_light", "frac_dark"):
             summary[f"toy_{key}"] = float(np.mean([r[key] for r in toy_rows]))
-    for key in ("recall_light", "recall_dark"):
-        vals = np.array([r[key] for r in rows], dtype=np.float64)
-        if not np.isnan(vals).all():
-            summary[key] = float(np.nanmean(vals))
+    for label in POLARITIES:
+        mean = _nanmean([r[f"recall_{label}"] for r in rows])
+        if not math.isnan(mean):  # absent when no pair holds the label
+            summary[f"recall_{label}"] = mean
     return summary, rows

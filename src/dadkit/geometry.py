@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,14 +15,14 @@ def _homography_rule(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """The homography rule on a (B, 3, 3) stack: (scaled, finite, regular).
 
     A matrix is finite when it holds no NaN/Inf, and regular when it is also
-    nonsingular: max|h| > 0 and |det h| > 1e-12 * max|h|**3.  Each matrix is
-    scaled so h[2,2] == 1, unless that entry is 0.
+    nonsingular: max|h| > 0 and |det(h / max|h|)| > 1e-12, which holds at any
+    scale.  Each matrix is scaled so h[2,2] == 1, unless that entry is 0.
     """
     finite = np.isfinite(a).all(axis=(1, 2))
     a = np.where(finite[:, None, None], a, np.eye(3))  # keeps det off NaN/Inf rows
     scale = np.abs(a).max(axis=(1, 2))
-    singular = np.abs(np.linalg.det(a)) <= 1e-12 * (scale * scale * scale)
-    regular = finite & (scale != 0) & ~singular
+    unit = a / np.where(scale != 0, scale, 1.0)[:, None, None]
+    regular = finite & (scale != 0) & (np.abs(np.linalg.det(unit)) > 1e-12)
     a22 = a[:, 2, 2]
     return a / np.where(a22 != 0, a22, 1.0)[:, None, None], finite, regular
 
@@ -56,12 +57,13 @@ class HomographyTransfer:
 
 
 def apply_transfer(t: HomographyTransfer, pt) -> tuple[float, float] | None:
-    """Map one (x, y) point; None when it lands on the plane at infinity."""
-    x, y = float(pt[0]), float(pt[1])
-    v = t.h @ np.array([x, y, 1.0])
-    if abs(v[2]) < 1e-12 or not np.isfinite(v).all():
+    """Map one (x, y) point; None where `_transfer` calls the transfer invalid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, w = (t.h @ np.array([float(pt[0]), float(pt[1]), 1.0])).tolist()
+    if not (math.isfinite(w) and abs(w) >= 1e-12):
         return None
-    return (float(v[0] / v[2]), float(v[1] / v[2]))
+    x, y = x / w, y / w  # Python float division: inf or NaN, never a warning
+    return (x, y) if math.isfinite(x) and math.isfinite(y) else None
 
 
 def _transfer(h: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

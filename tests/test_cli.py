@@ -214,6 +214,30 @@ def test_eval_source_selection_errors(workspace, tmp_path):
                         "--weights", str(workspace["weights"])]) == 1
 
 
+@pytest.mark.parametrize("mode", ["toy", "scenes"])
+def test_eval_on_one_polarity_data_has_no_warning(workspace, tmp_path, mode):
+    # no pair holds a light point, so every light recall is NaN and the summary omits it
+    data, out = tmp_path / "data", tmp_path / "eval"
+    assert main(["synth", "--out", str(data), "--mode", mode, "--num-pairs", "2",
+                 "--num-light", "0", "--num-dark", "3", "--size", "32"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--data", str(data), "--weights", str(workspace["weights"]),
+                     "--topk", "4", "--out", str(out)]) == 0
+    report = dict(l.split("=", 1) for l in (out / "report.txt").read_text().splitlines())
+    assert "recall_light" not in report and 0.0 <= float(report["recall_dark"]) <= 1.0
+    csv = (out / "per_pair.csv").read_text().splitlines()
+    light = csv[0].split(",").index("recall_light")
+    assert [row.split(",")[light] for row in csv[1:]] == ["nan", "nan"]
+
+
+def test_eval_rejects_an_infinite_auc_threshold_before_reading_data(tmp_path, capsys):
+    assert main(["eval", "--data", str(tmp_path / "nonexistent"), "--detections", str(tmp_path),
+                 "--out", str(tmp_path / "x"), "--auc-threshold", "inf"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dadkit: ") and "auc_threshold" in err[0]
+
+
 # A dataset file replaced by a corrupt one, for the cases that load a dataset.
 _CORRUPT_DATASET_FILES = {
     "gt_non_numeric": ("gt_b.csv", b"x,y,score,polarity\n1,zz,1,light\n"),

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from dadkit.errors import (DadkitError, DegenerateInputError, DegenerateTransferError,
                            InsufficientDataError, InvalidInputError, InvalidParameterError)
-from dadkit.evaluate import (ErrorCurve, EvalConfig, PER_PAIR_FIELDS, _symmetric_errors, auc,
+from dadkit.evaluate import (EvalConfig, PER_PAIR_FIELDS, _nanmean, _symmetric_errors, auc,
                              corner_epe, detection_recall, dlt_homography,
                              evaluate_detections, polarity_recall,
                              ransac_homography, repeatability)
@@ -467,27 +467,46 @@ def test_corner_epe_infinite_when_a_corner_vanishes():
 
 
 def test_auc_closed_form_and_riemann_cross_check():
-    curve = ErrorCurve((0.0, 1.5, 3.0, 97.0), 3.0)
-    assert auc(curve) == pytest.approx(0.375)
-    assert auc(ErrorCurve((0.0, 0.0), 5.0)) == 1.0
-    assert auc(ErrorCurve((5.0, math.inf), 5.0)) == 0.0
+    assert auc((0.0, 1.5, 3.0, 97.0), 3.0) == pytest.approx(0.375)
+    assert auc([0.0, 0.0], 5.0) == 1.0
+    assert auc(np.array([5.0, math.inf]), 5.0) == 0.0
     rng = np.random.default_rng(0)
     errs = tuple(rng.uniform(0, 6, size=40))
     taus = np.linspace(0, 3.0, 30001)
     acc = np.array([(np.asarray(errs) <= t).mean() for t in taus])
     riemann = float(np.trapezoid(acc, taus) / 3.0)
-    assert auc(ErrorCurve(errs, 3.0)) == pytest.approx(riemann, abs=1e-3)
+    assert auc(errs, 3.0) == pytest.approx(riemann, abs=1e-3)
 
 
-def test_error_curve_validation():
+def test_auc_validation():
     with pytest.raises(InsufficientDataError):
-        auc(ErrorCurve((), 3.0))
+        auc((), 3.0)
     with pytest.raises(InvalidInputError):
-        ErrorCurve((-1.0,), 3.0)
+        auc((-1.0,), 3.0)
     with pytest.raises(InvalidInputError):
-        ErrorCurve((float("nan"),), 3.0)
-    with pytest.raises(InvalidParameterError):
-        ErrorCurve((1.0,), 0.0)
+        auc((float("nan"),), 3.0)
+    for threshold in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParameterError):
+            auc((1.0,), threshold)
+
+
+# a value that is NaN, or one drawn from a wide range of magnitudes and signs
+NANMEAN_VALUES = st.one_of(st.just(math.nan),
+                           st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.0, -0.0, 1.0, 1e-300, 0.1, 1 / 3, 2 / 3]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(NANMEAN_VALUES, min_size=1, max_size=40))
+def test_nanmean_is_bitwise_np_nanmean(values):
+    if all(math.isnan(v) for v in values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_nanmean(values))
+    else:
+        got = _nanmean(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.nanmean(values).tobytes()
 
 
 def test_detection_recall_counts_covered_gt():
@@ -547,6 +566,25 @@ def test_evaluate_detections_scene_rows_on_ground_truth():
         assert math.isnan(row["toy_hits"])
 
 
+def test_evaluate_detections_polarity_recall_radius_by_kind():
+    # every detection 3 px off its gt point: within hit_radius (4), outside recall_radius (2)
+    def shifted(kps, shape):
+        xy = kps.xy.copy()
+        xy[:, 0] += np.where(xy[:, 0] + 3 <= shape[1] - 1, 3.0, -3.0)
+        return kset(xy, shape)
+
+    toy = [gen_toy_pair(pair_rng(4, i), SceneConfig.toy(size=48, num_light=3, num_dark=2))
+           for i in range(2)]
+    scenes = [gen_scene_pair(pair_rng(4, i), SceneConfig.scenes(size=64, num_light=5, num_dark=5))
+              for i in range(2)]
+    for pairs, want in ((toy, 1.0), (scenes, 0.0)):
+        dets = [(shifted(p.gt_keypoints_a, p.shape), shifted(p.gt_keypoints_b, p.shape))
+                for p in pairs]
+        summary, rows = evaluate_detections(pairs, dets)
+        assert summary["recall_light"] == summary["recall_dark"] == want
+        assert all(r["recall_light"] == r["recall_dark"] == want for r in rows)
+
+
 def test_evaluate_detections_validation():
     cfg = SceneConfig.toy(size=48, num_light=2, num_dark=2)
     pair = gen_toy_pair(pair_rng(0, 0), cfg)
@@ -583,3 +621,5 @@ def test_eval_config_validation():
                   "hit_radius"):
         with pytest.raises(InvalidParameterError):
             EvalConfig(**{field: math.nan})
+    with pytest.raises(InvalidParameterError, match="auc_threshold"):
+        EvalConfig(auc_threshold=math.inf)

@@ -52,6 +52,18 @@ def test_homography_normalizes_and_validates():
         HomographyTransfer(singular)
 
 
+@pytest.mark.parametrize("scale", [1e110, 1e-110, 1e300, 1e-300])
+def test_homography_rule_holds_at_every_scale(scale):
+    # the singularity test runs on h / max|h|, so no scale overflows, underflows or warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert HomographyTransfer(np.eye(3) * scale).h.tolist() == np.eye(3).tolist()
+        singular = np.eye(3) * scale
+        singular[1, 1] = 0.0
+        with pytest.raises(DegenerateTransferError):
+            HomographyTransfer(singular)
+
+
 def test_inverse_and_compose_laws():
     for seed in range(15):
         rng = np.random.default_rng(seed)
@@ -81,6 +93,18 @@ def test_apply_transfer_returns_none_at_infinity():
     t = HomographyTransfer(np.array([[1.0, 0, 0], [0, 1, 0], [0, 1, -2]]))
     assert apply_transfer(t, (3.0, 2.0)) is None
     assert apply_transfer(t, (3.0, 1.0)) is not None
+
+
+def test_apply_transfer_rejects_an_overflowing_quotient():
+    # w = 1e-10 is finite and >= 1e-12, yet x / w overflows: invalid, as in _transfer
+    t = HomographyTransfer([[1.0, 0, 0], [0, 1, 0], [0, 1e-3, 1]])
+    pt = (1e300, -999.9999999)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert apply_transfer(t, pt) is None
+        # the product itself overflows
+        assert apply_transfer(HomographyTransfer(np.diag([10.0, 1, 1])), (1e308, 0.0)) is None
+    assert not transfer_points(t, np.array([pt]))[1][0]
 
 
 def test_transfer_points_agrees_with_scalar_map():

@@ -17,12 +17,13 @@ every artifact byte for byte.
 
 The pipeline: toy `synth` from a config file, scene `synth`, scene `synth`
 with rotation and negation augmentation, scene `synth` with every `hm_*`
-homography bound off its default, `train` on the first two, toy
-`train` with the linear-decay reward and no regularizer, `detect --image`
-(with scoremap dump, overlay and subpixel refinement) and `detect --data`,
-`eval --detections` with default and with tight thresholds, `eval --weights`
-on toy and scene pairs with and without `--subpixel 1`, scene and toy
-`distill`, and `gradcheck --out`.
+homography bound off its default, scene `synth` with dark structures only,
+`train` on the first two, toy `train` with the linear-decay reward and no
+regularizer, `detect --image` (with scoremap dump, overlay and subpixel
+refinement) and `detect --data`, `eval --detections` with default and with
+tight thresholds, `eval --weights` on toy and scene pairs with and without
+`--subpixel 1` and on the dark-only scenes, scene and toy `distill`, and
+`gradcheck --out`.
 Exits 1 naming the first stage that fails.
 """
 
@@ -48,6 +49,8 @@ STAGES = [
     ["synth", "--mode", "scenes", "--num-pairs", "3", "--seed", "11", "--out", "scenes_hm",
      "--hm-perspective-jitter", "0.0005", "--hm-max-translation", "0.08", "--hm-scale-lo", "0.92",
      "--hm-scale-hi", "1.05", "--hm-max-rotation-deg", "20"],
+    ["synth", "--mode", "scenes", "--num-light", "0", "--num-pairs", "3", "--seed", "13",
+     "--out", "scenes_dark"],
     ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
     ["train", "--data", "toy", "--out", "train_toy_decay", "--linear-decay", "1",
      "--reg-weight", "0"],
@@ -67,6 +70,9 @@ STAGES = [
        "--topk", "12", *flags]
       for data, weights in (("toy", LIGHT), ("scenes", DARK))
       for suffix, flags in (("", []), ("_subpixel", ["--subpixel", "1"]))),
+    # one polarity: every light recall is NaN
+    ["eval", "--data", "scenes_dark", "--weights", DARK, "--out", "eval_scenes_dark",
+     "--topk", "12"],
     ["distill", "--light", LIGHT, "--dark", DARK, "--out", "distill", "--num-pairs", "4",
      "--r", "2"],
     ["distill", "--light", LIGHT, "--dark", DARK, "--mode", "toy", "--out", "distill_toy",
