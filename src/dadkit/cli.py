@@ -121,16 +121,23 @@ def _build(base, cfg: dict, **fixed):
     """`base` with each field whose key has a value (not None) in cfg set to it.
 
     A field holding a config is built the same way from its own value;
-    `fixed` fields are taken as given.
+    `fixed` fields are taken as given.  A config's error names the field
+    first; a renamed field's error names its key instead.
     """
-    kw = {}
+    renamed, kw = _RENAMED.get(type(base), {}), {}
     for f in fields(base):
-        value, key = getattr(base, f.name), _RENAMED.get(type(base), {}).get(f.name, f.name)
+        value, key = getattr(base, f.name), renamed.get(f.name, f.name)
         if is_dataclass(value) and f.name not in fixed:
             kw[f.name] = _build(value, cfg)
         elif cfg.get(key) is not None:
             kw[f.name] = cfg[key]
-    return replace(base, **{**kw, **fixed})
+    try:
+        return replace(base, **{**kw, **fixed})
+    except InvalidParameterError as e:
+        field, _, rest = str(e).partition(" ")
+        if field not in renamed:
+            raise
+        raise InvalidParameterError(f"{renamed[field]} {rest}") from None
 
 
 # Scene keys default to None = "inherit from the selected mode's base config".
@@ -466,17 +473,22 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; only `command`'s subparser gets its flags,
+    or every subparser when `command` is None.  argparse consults only the
+    invoked command's subparser, so building the others' flags is waste."""
     parser = _Parser(prog="dadkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (table, func, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(func=func)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", default=None, metavar="PATH",
                        help="key=value file; flags override its entries")
         for key, ks in table.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
                            metavar="V", help=ks.help)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -494,9 +506,12 @@ def _joined(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    words = _joined(sys.argv[1:] if argv is None else list(argv))
+    # the command is the first word that is not an option: the top-level
+    # parser takes no option with a value
+    parser = build_parser(next((w for w in words if not w.startswith("-")), ""))
     try:
-        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(words)
         return args.func(args)
     except ConfigError as e:
         print(f"dadkit: {e}", file=sys.stderr)

@@ -275,9 +275,10 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(t > 0 for t in (self.match_threshold, self.ransac_threshold,
-                                   self.auc_threshold, self.recall_radius, self.hit_radius)):
-            raise InvalidParameterError("thresholds must be positive")
+        for name in ("match_threshold", "ransac_threshold", "auc_threshold", "recall_radius",
+                     "hit_radius"):
+            if not (getattr(self, name) > 0):
+                raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if not math.isfinite(self.auc_threshold):
             raise InvalidParameterError(f"auc_threshold must be finite, got {self.auc_threshold}")
         if self.ransac_iterations < 1:

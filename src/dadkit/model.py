@@ -51,7 +51,8 @@ class ArchConfig:
     def __post_init__(self):
         object.__setattr__(self, "channel_widths", tuple(int(w) for w in self.channel_widths))
         if not self.channel_widths or any(w < 1 for w in self.channel_widths):
-            raise InvalidParameterError("need at least one channel width, each >= 1")
+            raise InvalidParameterError(
+                f"channel_widths must hold at least one width, each >= 1, got {self.channel_widths}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise InvalidParameterError("kernel_size must be odd and >= 1")
 
@@ -103,10 +104,11 @@ class AdamW:
     def __post_init__(self):
         if not (0 < self.lr < np.inf):
             raise InvalidParameterError("lr must be positive and finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise InvalidParameterError("betas must be in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not (0 <= getattr(self, name) < 1):
+                raise InvalidParameterError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not (self.eps > 0):
-            raise InvalidParameterError("eps must be positive")
+            raise InvalidParameterError(f"eps must be positive, got {self.eps}")
         if not (0 <= self.weight_decay < np.inf):
             raise InvalidParameterError("weight_decay must be finite and >= 0")
         if not math.isfinite(self.lr * self.weight_decay):  # the decay factor overflows
@@ -369,8 +371,9 @@ class TrainConfig:
             raise InvalidParameterError("match_threshold must be positive")
         if not (self.assign_radius > 0):
             raise InvalidParameterError("assign_radius must be positive")
-        if self.epochs < 1 or self.batch < 1:
-            raise InvalidParameterError("epochs and batch must be >= 1")
+        for name in ("epochs", "batch"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _covisible_subset(kps: KeypointSet, mask: np.ndarray) -> KeypointSet:

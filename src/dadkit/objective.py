@@ -33,7 +33,7 @@ class RewardConfig:
         if not (self.tau_r > 0):
             raise InvalidParameterError("tau_r must be positive")
         if not (self.eps > 0):
-            raise InvalidParameterError("eps must be positive")
+            raise InvalidParameterError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)

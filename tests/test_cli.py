@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dadkit import cli
 from dadkit.cli import (DISTILL_KEYS, SYNTH_KEYS, _build_scene_config, build_parser, main,
                         resolve_config)
 from dadkit.distill import DistillConfig
+from dadkit.errors import ConfigError
 from dadkit.evaluate import EvalConfig
 from dadkit.model import AdamW, TrainConfig, forward
 from dadkit.sampler import SamplerConfig
@@ -309,6 +311,12 @@ _BAD_SETTINGS = {
     # each finite, but the decay factor 1 - lr * weight_decay is not
     "train_lr_weight_decay_1e200": (["train", "--lr", "1e200", "--weight-decay", "1e200"],
                                     "lr * weight_decay"),
+    # renamed keys and split bounds name the key, not the library field
+    "detect_topk_0": (["detect", "--topk", "0"], "topk must be >= 1, got 0"),
+    "train_eps_opt_0": (["train", "--eps-opt", "0"], "eps_opt must be positive"),
+    "train_reward_eps_0": (["train", "--reward-eps", "0"], "reward_eps must be positive"),
+    "train_beta1_1": (["train", "--beta1", "1"], "beta1 must be in [0, 1)"),
+    "distill_widths_0": (["distill", "--widths", "0"], "widths must hold at least one width"),
     # numpy seeds only non-negative integers
     **{f"{command}_seed_negative": ([command, "--seed=-1"],
                                     "bad value for key 'seed': must be >= 0, got -1")
@@ -376,6 +384,7 @@ def _bad_input_case(case, ws, tmp):
                   "distill": ["--light", str(ws["weights"]), "--dark", str(ws["weights"]),
                               "--num-pairs", "1"],
                   "eval": ["--data", str(ws["data"]), "--weights", str(ws["weights"])],
+                  "detect": ["--data", str(ws["data"]), "--weights", str(ws["weights"])],
                   "gradcheck": []}.get(
             argv[0], ["--data", str(ws["data"]), "--widths", "4", "--kernel-size", "3"])
         return [*argv, *inputs, "--out", str(tmp / "out")], key
@@ -448,7 +457,8 @@ def _bad_input_case(case, ws, tmp):
     ("hm_max_rotation_deg_spaced_minus_1e308", 1), ("train_lr_weight_decay_1e200", 1),
     ("train_lr_1e4", 2), ("train_lr_1e4_names_step", 2), ("synth_seed_negative", 1),
     ("train_seed_negative", 1), ("distill_seed_negative", 1), ("eval_seed_negative", 1),
-    ("gradcheck_seed_negative", 1),
+    ("gradcheck_seed_negative", 1), ("detect_topk_0", 1), ("train_eps_opt_0", 1),
+    ("train_reward_eps_0", 1), ("train_beta1_1", 1), ("distill_widths_0", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
@@ -512,7 +522,60 @@ def test_eval_checks_its_config_before_detecting(workspace, tmp_path, capsys, mo
     assert main(["eval", "--data", str(workspace["data"]), "--weights", str(workspace["weights"]),
                  "--out", str(tmp_path / "x"), "--match-threshold", "0"]) == 1
     assert calls == []
-    assert "thresholds must be positive" in capsys.readouterr().err
+    assert "match_threshold must be positive, got 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["train", "--eps-opt=0"], ["distill", "--eps-opt=0"]])
+def test_eps_opt_error_names_the_key_on_every_command(workspace, tmp_path, capsys, argv):
+    inputs = {"train": ["--data", str(workspace["data"])],
+              "distill": ["--light", str(workspace["weights"]), "--dark", str(workspace["weights"])]}
+    assert main([*argv, *inputs[argv[0]], "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "dadkit: invalid parameter: eps_opt must be positive, got 0.0\n"
+
+
+def _build_parser_reference():
+    """The parser before per-command flags, verbatim: every command gets its flags."""
+    parser = cli._Parser(prog="dadkit", description=cli.__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=cli._Parser)
+    for name, (table, func, help_text) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.add_argument("--config", default=None, metavar="PATH",
+                       help="key=value file; flags override its entries")
+        for key, ks in table.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                           metavar="V", help=ks.help)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _parse_reference(argv):
+    """main's exit code and output for an argv that never reaches a command."""
+    try:
+        _build_parser_reference().parse_args(cli._joined(argv))
+    except ConfigError as e:
+        print(f"dadkit: {e}", file=sys.stderr)
+        return 1
+    raise AssertionError(f"{argv} parsed")
+
+
+def _cli_output(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as e:  # --help prints and exits
+            code = f"exit {e.code}"
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], *([command, "--help"] for command in cli._COMMANDS),
+    ["eval", "--topk", "3", "-h"], [], ["bogus"], ["bogus", "--help"], ["-x", "synth"],
+    ["--seed", "1", "synth"], ["synth", "--bogus", "1"], ["train", "--data", "d", "--bogus"],
+    ["detect", "--topk"], ["synth", "extra"], ["eval", "--num-pairs", "2"],
+], ids=lambda argv: " ".join(argv) or "no-args")
+def test_help_and_parse_errors_print_the_all_flags_parser_text(argv):
+    assert _cli_output(main, argv) == _cli_output(_parse_reference, argv)
 
 
 class _Stop(Exception):

@@ -619,7 +619,8 @@ def test_eval_config_validation():
         EvalConfig(ransac_iterations=0)
     for field in ("match_threshold", "ransac_threshold", "auc_threshold", "recall_radius",
                   "hit_radius"):
-        with pytest.raises(InvalidParameterError):
-            EvalConfig(**{field: math.nan})
+        for bad in (math.nan, 0.0, -math.inf):
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be positive, got "):
+                EvalConfig(**{field: bad})
     with pytest.raises(InvalidParameterError, match="auc_threshold"):
         EvalConfig(auc_threshold=math.inf)

@@ -1,5 +1,6 @@
 """Conv stack forward/backward against loop-level oracles and parameter FD."""
 
+import math
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -371,8 +372,9 @@ def test_optimizer_state_validation():
     params = init_params(ArchConfig((2,), 3, seed=0))
     with pytest.raises(InvalidParameterError):
         AdamW(lr=0.0)
-    with pytest.raises(InvalidParameterError):
-        AdamW(beta1=1.0)
+    for name, bad in (("beta1", 1.0), ("beta2", -0.5), ("beta2", math.nan)):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be in \\[0, 1\\), got "):
+            AdamW(**{name: bad})
     state = OptState.init(params)
     with pytest.raises(InvalidInputError):
         optimizer_step(params, init_params(ArchConfig((3,), 3, seed=0)), state)

@@ -1,6 +1,7 @@
 """Pair generators, toy-task semantics, strategy rewards, and dataset IO."""
 
 import hashlib
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from dadkit.errors import (DegenerateTransferError, InvalidInputError,
                            InvalidParameterError, PlacementError)
 from dadkit.geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask,
                              transfer_points)
+from dadkit import synth
 from dadkit.sampler import KeypointSet
 from dadkit.formats import (config_meta, generate_dataset, load_dataset, load_pair,
                             read_gt_csv, read_meta, read_pgm, save_pair, write_gt_csv,
@@ -638,3 +640,118 @@ def test_pair_rng_streams_are_stable_and_independent():
     c = pair_rng(3, 1).random(4)
     np.testing.assert_array_equal(a, b)
     assert np.any(a != c)
+
+
+# The renderer before structure culling and the wave-major texture, verbatim:
+# every structure on every point, four scene calls per image.
+
+def _profile_reference(st, pts):
+    dx = pts[:, 0] - st.cx
+    dy = pts[:, 1] - st.cy
+    c, s = math.cos(st.phi), math.sin(st.phi)
+    u = c * dx + s * dy
+    v = -s * dx + c * dy
+    r2 = u * u + v * v
+    inside = r2 <= st.rho * st.rho
+    if st.kind == "dot":
+        return inside.astype(np.float64)
+    if st.kind == "blob":
+        t = np.maximum(0.0, 1.0 - r2 / (st.rho * st.rho))
+        return t * t
+    if st.kind == "cross":
+        bars = (np.abs(u) <= synth._CROSS_HALF_WIDTH) | (np.abs(v) <= synth._CROSS_HALF_WIDTH)
+        return (inside & bars).astype(np.float64)
+    if st.kind == "corner":
+        return (inside & (u >= 0) & (v >= 0)).astype(np.float64)
+    raise InvalidParameterError(f"unknown structure kind {st.kind!r}")
+
+
+def _noise_eval_reference(noise, pts):
+    arg = pts[:, 0:1] * noise.freq_x + pts[:, 1:2] * noise.freq_y + noise.phases
+    return np.sin(arg) @ noise.amps
+
+
+def _scene_values_reference(pts, structures, bg, noise, noise_sigma):
+    v = np.full(len(pts), bg)
+    for st in structures:
+        v += st.sign * 0.5 * _profile_reference(st, pts)
+    if noise is not None and noise_sigma > 0:
+        v += noise_sigma * _noise_eval_reference(noise, pts)
+    return np.clip(v, 0.0, 1.0)
+
+
+def _render_reference(size, structures, bg, noise, noise_sigma, inv):
+    ys, xs = np.mgrid[0:size, 0:size]
+    centers = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+    acc = np.zeros(size * size)
+    for ox, oy in synth._SUPERSAMPLE:
+        pts = centers + (ox, oy)
+        if inv is not None:
+            pts, valid = transfer_points(inv, pts)
+            pts = np.where(valid[:, None], pts, -1e6)  # off-plane: plain background
+        acc += _scene_values_reference(pts, structures, bg, noise, noise_sigma)
+    return (acc / len(synth._SUPERSAMPLE)).reshape(size, size)
+
+
+def _scene_pair_or_error(cfg, seed, index, render):
+    """Pair `index` of stream `seed` rendered by `render`, or the error it raises."""
+    saved = synth._render
+    synth._render = render
+    try:
+        return gen_scene_pair(pair_rng(seed, index), cfg)
+    except (PlacementError, DegenerateTransferError) as e:
+        return f"{type(e).__name__}: {e}"
+    finally:
+        synth._render = saved
+
+
+def _same_scene_pair(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in ("image_a", "image_b")) and np.array_equal(a.transfer.h, b.transfer.h)
+
+
+@st.composite
+def _render_configs(draw):
+    """Scene configs up to the densest layouts: disks overlap at min_separation
+    < 2 * rho, and margin 0 puts them on the border."""
+    size = draw(st.integers(16, 64))
+    most = 3 if size < 32 else 8
+    num_light, num_dark = draw(st.integers(0, most)), draw(st.integers(0, most))
+    palette = draw(st.sampled_from([synth.SHAPE_KINDS, ("dot",), ("blob",), ("cross", "corner"),
+                                    ("corner", "dot", "blob")]))
+    return SceneConfig.scenes(
+        size=size, num_light=num_light if num_light or num_dark else 1, num_dark=num_dark,
+        shape_palette=palette, min_separation=draw(st.floats(6.0, 10.0)),
+        margin=draw(st.sampled_from([0.0, 1.5, 4.0])), noise_sigma=draw(st.floats(0.0, 0.05)),
+        rotation_aug=draw(st.booleans()), negation_aug=draw(st.sampled_from(["off", "rgb"])))
+
+
+@settings(deadline=None, max_examples=120)
+@given(cfg=_render_configs(), seed=st.integers(0, 2**20), index=st.integers(0, 50))
+def test_scene_render_matches_the_unculled_renderer_bit_for_bit(cfg, seed, index):
+    got = _scene_pair_or_error(cfg, seed, index, synth._render)
+    want = _scene_pair_or_error(cfg, seed, index, _render_reference)
+    assert _same_scene_pair(got, want)
+
+
+def test_scene_render_matches_the_unculled_renderer_on_fixed_streams():
+    # default scenes, and the densest: twelve 6 px apart with texture and
+    # both augmentations, and eight structures on the border of a 16 px image
+    for cfg in (SceneConfig.scenes(),
+                SceneConfig.scenes(min_separation=6.0, noise_sigma=0.05, rotation_aug=True,
+                                   negation_aug="rgb"),
+                SceneConfig.scenes(size=16, num_light=4, num_dark=4, min_separation=6.0,
+                                   margin=0.0)):
+        for index in range(12):
+            got = _scene_pair_or_error(cfg, 5, index, synth._render)
+            assert not isinstance(got, str), got
+            assert _same_scene_pair(got, _scene_pair_or_error(cfg, 5, index, _render_reference))
+
+
+def test_noise_field_matches_the_point_major_texture():
+    for seed, n in ((4, 257), (5, 4096), (6, 1)):
+        noise = synth._NoiseField.draw(np.random.default_rng(seed))
+        pts = np.random.default_rng(seed).uniform(-80.0, 150.0, (n, 2))
+        assert noise.eval(pts).tobytes() == _noise_eval_reference(noise, pts).tobytes()

@@ -18,12 +18,13 @@ every artifact byte for byte.
 The pipeline: toy `synth` from a config file, scene `synth`, scene `synth`
 with rotation and negation augmentation, scene `synth` with every `hm_*`
 homography bound off its default, scene `synth` with dark structures only,
-`train` on the first two, toy `train` with the linear-decay reward and no
-regularizer, `detect --image` (with scoremap dump, overlay and subpixel
-refinement) and `detect --data`, `eval --detections` with default and with
-tight thresholds, `eval --weights` on toy and scene pairs with and without
-`--subpixel 1` and on the dark-only scenes, scene and toy `distill`, and
-`gradcheck --out`.
+scene `synth` with every shape, 6 px separation, strong texture, rotation and
+negation, `train` on the first two, toy `train` with the linear-decay reward
+and no regularizer, `detect --image` (with scoremap dump, overlay and
+subpixel refinement) and `detect --data`, `eval --detections` with default
+and with tight thresholds, `eval --weights` on toy and scene pairs with and
+without `--subpixel 1`, on the dark-only scenes and on the dense scenes,
+scene and toy `distill`, and `gradcheck --out`.
 Exits 1 naming the first stage that fails.
 """
 
@@ -51,6 +52,11 @@ STAGES = [
      "--hm-scale-hi", "1.05", "--hm-max-rotation-deg", "20"],
     ["synth", "--mode", "scenes", "--num-light", "0", "--num-pairs", "3", "--seed", "13",
      "--out", "scenes_dark"],
+    # the renderer's edges: every shape, disks that overlap, strong texture,
+    # and image B rotated and negated
+    ["synth", "--mode", "scenes", "--shape-palette", "dot,cross,blob,corner",
+     "--min-separation", "6", "--noise-sigma", "0.05", "--rotation-aug", "1",
+     "--negation-aug", "rgb", "--num-pairs", "3", "--seed", "17", "--out", "scenes_dense"],
     ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
     ["train", "--data", "toy", "--out", "train_toy_decay", "--linear-decay", "1",
      "--reg-weight", "0"],
@@ -72,6 +78,8 @@ STAGES = [
       for suffix, flags in (("", []), ("_subpixel", ["--subpixel", "1"]))),
     # one polarity: every light recall is NaN
     ["eval", "--data", "scenes_dark", "--weights", DARK, "--out", "eval_scenes_dark",
+     "--topk", "12"],
+    ["eval", "--data", "scenes_dense", "--weights", DARK, "--out", "eval_scenes_dense",
      "--topk", "12"],
     ["distill", "--light", LIGHT, "--dark", DARK, "--out", "distill", "--num-pairs", "4",
      "--r", "2"],
