@@ -121,8 +121,8 @@ def _build(base, cfg: dict, **fixed):
     """`base` with each field whose key has a value (not None) in cfg set to it.
 
     A field holding a config is built the same way from its own value;
-    `fixed` fields are taken as given.  A config's error names the field
-    first; a renamed field's error names its key instead.
+    `fixed` fields are taken as given.  A renamed field's error names its
+    key in place of the field (see InvalidParameterError).
     """
     renamed, kw = _RENAMED.get(type(base), {}), {}
     for f in fields(base):
@@ -473,16 +473,16 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command; only `command`'s subparser gets its flags,
-    or every subparser when `command` is None.  argparse consults only the
-    invoked command's subparser, so building the others' flags is waste."""
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of every command; only `command`'s subparser gets its flags.
+    argparse consults only the invoked command's subparser, so building the
+    others' flags is waste."""
     parser = _Parser(prog="dadkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (table, func, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=func)
-        if command not in (None, name):
+        if name != command:
             continue
         p.add_argument("--config", default=None, metavar="PATH",
                        help="key=value file; flags override its entries")

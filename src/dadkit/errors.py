@@ -10,7 +10,12 @@ class InvalidInputError(DadkitError):
 
 
 class InvalidParameterError(DadkitError):
-    """A configuration value is outside its legal range."""
+    """A configuration value is outside its legal range.
+
+    A config class's message starts with the bare name of the field it
+    rejects ("k must be >= 1, got 0"): the command line swaps that first
+    word for the key of a field it renames (`cli._RENAMED`).
+    """
 
 
 class DegenerateMaskError(DadkitError):

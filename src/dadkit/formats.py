@@ -162,10 +162,7 @@ def write_report(report_path, csv_path, summary: dict, rows: list[dict]) -> None
 
 
 def _point_rows(kps: KeypointSet) -> list[str]:
-    """'x,y,score' rows at six decimals, formatted by one % string."""
-    n = len(kps)
-    vals = np.column_stack([kps.xy, kps.scores]).ravel().tolist()
-    return (("%.6f,%.6f,%.6f\n" * n) % tuple(vals)).splitlines()
+    return [f"{x:.6f},{y:.6f},{s:.6f}" for (x, y), s in zip(kps.xy.tolist(), kps.scores.tolist())]
 
 
 def write_keypoints_csv(path, kps: KeypointSet) -> None:
@@ -181,30 +178,22 @@ def write_gt_csv(path, kps: KeypointSet, polarity: tuple[str, ...]) -> None:
 
 
 def _read_points_csv(path, source_shape) -> tuple[KeypointSet, list[list[str]]]:
-    """Parse 'x,y,score[,...]' rows; returns the set and each row's extra cells.
-
-    numpy converts every cell with float()'s grammar in one call; the rows
-    are walked only to name the first malformed one.
-    """
+    """Parse 'x,y,score[,...]' rows; returns the set and each row's extra cells."""
     lines = _read_text(path).strip().splitlines()
     if not lines or not lines[0].startswith("x,y,score"):
         raise InvalidInputError(f"{path}: missing keypoint CSV header")
-    rows = [line.split(",") for line in lines[1:]]
-    try:  # rows of fewer than three cells leave too few values for the shape
-        v = np.array([cells[:3] for cells in rows], dtype=np.float64).reshape(len(rows), 3)
-    except ValueError:
-        bad = next(line for line, cells in zip(lines[1:], rows) if not _three_floats(cells))
-        raise InvalidInputError(f"{path}: malformed row {bad!r}") from None
+    vals, extra = [], []
+    for line in lines[1:]:
+        cells = line.split(",")
+        try:
+            x, y, score = (float(v) for v in cells[:3])
+        except ValueError:
+            raise InvalidInputError(f"{path}: malformed row {line!r}") from None
+        vals.append((x, y, score))
+        extra.append(cells[3:])
+    v = np.array(vals, dtype=np.float64).reshape(-1, 3)
     with _named(path):
-        return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), [cells[3:] for cells in rows]
-
-
-def _three_floats(cells: list[str]) -> bool:
-    """Whether a row's first three cells exist and parse as floats."""
-    try:
-        return len([float(c) for c in cells[:3]]) == 3
-    except ValueError:
-        return False
+        return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), extra
 
 
 def read_keypoints_csv(path, source_shape) -> KeypointSet:

@@ -276,7 +276,6 @@ class _Structure:
     phi: float
 
 
-_CELL = 2.0  # culling cell side in px: smaller cells cull more points, in more slices
 _BASE_RHO = {"dot": 1.6, "blob": 3.4, "cross": 3.4, "corner": 3.4}
 _CROSS_HALF_WIDTH = 0.9
 
@@ -331,51 +330,25 @@ class _NoiseField:
         return np.sin(arg, out=arg).T.copy() @ self.amps
 
 
-def _scene_values(grids: np.ndarray, structures, bg: float,
+def _scene_values(pts: np.ndarray, structures, bg: float,
                   noise: _NoiseField | None, noise_sigma: float) -> np.ndarray:
-    """The scene at (K, N, 2) grids of points, clipped to [0, 1]: (K, N)."""
-    v = _structure_values(grids.reshape(-1, 2), structures, bg).reshape(grids.shape[:-1])
-    if noise is not None and noise_sigma > 0:
-        for values, pts in zip(v, grids):
-            values += noise_sigma * noise.eval(pts)
-    return np.clip(v, 0.0, 1.0, out=v)
+    """The scene at (N, 2) points, clipped to [0, 1].
 
-
-def _structure_values(pts: np.ndarray, structures, bg: float) -> np.ndarray:
-    """bg plus each structure's signed half profile, in order, at (M, 2) points.
-
-    Each structure is evaluated only on the points in the _CELL px cells that
-    its disk's bounding box, grown by 1 px, touches.  This is exact: a
-    profile is 0 outside its disk, and adding a signed 0 never changes v,
-    which starts at bg > 0 and so is never -0.0.  Cells are clipped one
-    beyond every structure's box, so points far off the scene share edge
-    cells that no structure touches.
+    Each structure is evaluated only on the points inside its disk's
+    bounding box, grown by 1 px.  This is exact: a profile is 0 outside its
+    disk, and adding a signed 0 never changes v, which starts at bg > 0 and
+    so is never -0.0.
     """
-    boxes = [(st, *(math.floor((c - st.rho - 1.0) / _CELL) for c in (st.cx, st.cy)),
-              *(math.floor((c + st.rho + 1.0) / _CELL) for c in (st.cx, st.cy)))
-             for st in structures]
-    lo = min(min(b[1:3]) for b in boxes) - 1
-    width = max(max(b[3:]) for b in boxes) + 2 - lo
-    order, starts = _cell_order(pts, lo, width)
+    x, y = pts.T.copy()  # contiguous: the box tests run about 2x faster than on columns
     v = np.full(len(pts), bg)
-    for st, x0, y0, x1, y1 in boxes:
-        row_keys = [(y - lo) * width - lo for y in range(y0, y1 + 1)]
-        idx = np.concatenate([order[starts[k + x0]:starts[k + x1 + 1]] for k in row_keys])
+    for st in structures:
+        r = st.rho + 1.0
+        idx = np.flatnonzero((x >= st.cx - r) & (x <= st.cx + r)
+                             & (y >= st.cy - r) & (y <= st.cy + r))
         v[idx] += st.sign * 0.5 * _profile(st, pts[idx])
-    return v
-
-
-def _cell_order(pts: np.ndarray, lo: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts (M, 2) points by _CELL px cell, each cell index
-    clipped to [lo, lo + width), and where each cell's points start in that
-    order, cells taken row by row."""
-    cell = np.floor(pts / _CELL)
-    np.clip(cell, lo, lo + width - 1, out=cell)
-    key = (cell[:, 1] - lo) * width + (cell[:, 0] - lo)  # exact: small integers
-    # numpy sorts 16-bit keys by radix, 3x faster
-    key = key.astype(np.int16 if width * width < 2**15 else np.intp)
-    order = np.argsort(key, kind="stable")
-    return order, np.concatenate(([0], np.cumsum(np.bincount(key, minlength=width * width))))
+    if noise is not None and noise_sigma > 0:
+        v += noise_sigma * noise.eval(pts)
+    return np.clip(v, 0.0, 1.0)
 
 
 _SUPERSAMPLE = ((-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25))
@@ -383,21 +356,15 @@ _SUPERSAMPLE = ((-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25))
 
 def _render(size: int, structures, bg: float, noise, noise_sigma: float,
             inv: HomographyTransfer | None) -> np.ndarray:
-    """Each pixel is the mean of the scene at its four supersample points,
-    taken through `inv` when given; the four sample grids are evaluated in
-    one call and summed in _SUPERSAMPLE order."""
     ys, xs = np.mgrid[0:size, 0:size]
     centers = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    grids = np.empty((len(_SUPERSAMPLE), size * size, 2))
-    for grid, (ox, oy) in zip(grids, _SUPERSAMPLE):
+    acc = np.zeros(size * size)
+    for ox, oy in _SUPERSAMPLE:
         pts = centers + (ox, oy)
         if inv is not None:
             pts, valid = transfer_points(inv, pts)
             pts = np.where(valid[:, None], pts, -1e6)  # off-plane: plain background
-        grid[:] = pts
-    acc = np.zeros(size * size)
-    for values in _scene_values(grids, structures, bg, noise, noise_sigma):
-        acc += values
+        acc += _scene_values(pts, structures, bg, noise, noise_sigma)
     return (acc / len(_SUPERSAMPLE)).reshape(size, size)
 
 

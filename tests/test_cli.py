@@ -645,7 +645,7 @@ def _hm_flags(values: dict) -> list[str]:
 def test_hm_flags_build_the_scene_config_and_meta_echoes_them(tmp_path_factory, values):
     out = tmp_path_factory.mktemp("hm")
     argv = ["synth", "--mode", "scenes", "--num-pairs", "1", "--out", str(out), *_hm_flags(values)]
-    scene = _build_scene_config(resolve_config(SYNTH_KEYS, build_parser().parse_args(argv)))
+    scene = _build_scene_config(resolve_config(SYNTH_KEYS, build_parser("synth").parse_args(argv)))
     assert {k: getattr(scene, k) for k in values} == values
     assert main(argv) == 0
     meta = read_meta(out / "pair_000000" / "meta.txt")

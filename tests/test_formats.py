@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadkit.errors import ConfigError, InvalidInputError
-from dadkit import formats
 from dadkit.formats import (load_pair, read_config_file, read_dadf, read_gt_csv,
                             read_homography, read_keypoints_csv, read_meta, read_pgm,
                             save_pair, write_dadf, write_gt_csv, write_homography,
@@ -188,104 +187,6 @@ def test_binary_file_cut_anywhere_raises_naming_its_path(tmp_path_factory, name,
         path.write_bytes(blob[:n])
         with pytest.raises(fmt.error, match=path.name):
             fmt.read(path, value)
-
-
-# The keypoint CSV reader and row writer before one-call conversion, verbatim:
-# float() on each cell, one f-string per row.
-
-def _read_points_csv_reference(path, source_shape):
-    lines = formats._read_text(path).strip().splitlines()
-    if not lines or not lines[0].startswith("x,y,score"):
-        raise InvalidInputError(f"{path}: missing keypoint CSV header")
-    vals, extra = [], []
-    for line in lines[1:]:
-        cells = line.split(",")
-        try:
-            x, y, score = (float(v) for v in cells[:3])
-        except ValueError:
-            raise InvalidInputError(f"{path}: malformed row {line!r}") from None
-        vals.append((x, y, score))
-        extra.append(cells[3:])
-    v = np.array(vals, dtype=np.float64).reshape(-1, 3)
-    with formats._named(path):
-        return KeypointSet(v[:, :2], v[:, 2], tuple(source_shape)), extra
-
-
-def _point_rows_reference(kps):
-    return [f"{x:.6f},{y:.6f},{s:.6f}" for (x, y), s in zip(kps.xy.tolist(), kps.scores.tolist())]
-
-
-def _points_csv_outcome(read, path):
-    """The set's bytes and the extra cells, or the error text."""
-    try:
-        kps, extra = read(path, (40, 40))
-    except InvalidInputError as e:
-        return str(e)
-    return kps.xy.tobytes(), kps.scores.tobytes(), kps.source_shape, extra
-
-
-_POINTS_CSV_BODIES = [
-    "", "1,2,0.9\n3,4,0.5\n", "1,2,1,light\n3,4,1,dark,extra\n",
-    # ragged rows: one short, all short (two or one cell each), one long
-    "1,2,0.9\n3,4\n", "1,2\n3,4\n", "1,2\n3,4\n5,6\n", "1\n2\n", "1\n2\n3\n",
-    "1,2,3,4\n5,6,2\n",
-    # blank interior lines, whitespace, CRLF
-    "1,2,0.9\n\n3,4,0.5\n", "1,2,0.9\n   \n3,4,0.5\n", " 1 ,\t2, 0.9 \n",
-    "1,2,3\n   \n\n", "1,2,1\r\n3,4,0\r\n",
-    # values float() takes: inf, nan, underscores, exponents, other digits
-    "inf,2,0.9\n", "1,2,inf\n", "1,2,-inf\n", "nan,2,1\n", "1,2,nan\n", "1,2,-nan\n",
-    "1_0,2,1\n", "1,2,1e400\n", "1e1,2.5e0,.5\n", "\u0661,\u0662,1\n", "-0,-0.0,-0\n",
-    # values it refuses
-    "1,abc,1\n", "1,2,1\n3,4,zz\n", "1,2\n3,x,1\n", "1__0,2,1\n", "0x10,2,1\n",
-    "1,2,\n", ",,\n", "1,2,1 2\n", "1,2,1\n,\n",
-    # a set KeypointSet refuses: outside the image, scores out of order
-    "40,2,1\n", "1,2,0.1\n3,4,0.9\n",
-]
-
-
-@pytest.mark.parametrize("body", _POINTS_CSV_BODIES)
-def test_points_csv_reader_matches_the_per_cell_reader(tmp_path, body):
-    path = tmp_path / "k.csv"
-    for header in ("x,y,score\n", "x,y,score,polarity\n"):
-        path.write_text(header + body, encoding="utf-8")
-        assert _points_csv_outcome(formats._read_points_csv, path) == \
-            _points_csv_outcome(_read_points_csv_reference, path)
-
-
-_CELLS = st.sampled_from(["0", "1", " 2.5 ", "39", "40", "-0", "0.25", "1_0", "1e1", "inf",
-                          "-inf", "nan", "", " ", "abc", "1e400", "\t3", "light"])
-
-
-@settings(deadline=None, max_examples=300)
-@given(rows=st.lists(st.lists(_CELLS, max_size=5).map(",".join), max_size=6))
-def test_points_csv_reader_matches_the_per_cell_reader_on_drawn_rows(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("csv") / "k.csv"
-    path.write_text("x,y,score\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    assert _points_csv_outcome(formats._read_points_csv, path) == \
-        _points_csv_outcome(_read_points_csv_reference, path)
-
-
-def test_point_rows_match_the_per_row_format():
-    # signed zeros, and values whose sixth decimal rounds either way
-    xy = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0000005, 0.0000015], [1.2345675, 2.0000005],
-                   [0.9999995, 38.9999995], [1e-7, 4.4999995e-6], [39.0, 0.1234565]])
-    scores = np.array([1e300, 0.5000005, 0.0000005, 0.0, -0.0, -4e-7, -1.0000005])
-    kps = KeypointSet(xy, scores, (40, 40))
-    assert formats._point_rows(kps) == _point_rows_reference(kps)
-    assert formats._point_rows(KeypointSet(np.zeros((0, 2)), np.zeros(0), (4, 4))) == []
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data())
-def test_point_rows_match_the_per_row_format_on_drawn_sets(data):
-    n = data.draw(st.integers(0, 10))
-    coord = st.floats(0.0, 39.0)
-    xy = np.array(data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
-                  dtype=np.float64).reshape(-1, 2)
-    scores = sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)),
-                    reverse=True)
-    kps = KeypointSet(xy, np.array(scores, dtype=np.float64), (40, 40))
-    assert formats._point_rows(kps) == _point_rows_reference(kps)
 
 
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}

@@ -643,7 +643,7 @@ def test_pair_rng_streams_are_stable_and_independent():
 
 
 # The renderer before structure culling and the wave-major texture, verbatim:
-# every structure on every point, four scene calls per image.
+# every structure on every point.
 
 def _profile_reference(st, pts):
     dx = pts[:, 0] - st.cx
