@@ -29,7 +29,7 @@ from .geometry import (HomographyTransfer, MatchSet, apply_transfer, covisible,
                        covisibility_mask, match_mutual_nn, transfer_points)
 from .gradcheck import GradCheckResult, fd_param_grads, max_rel_error, run_gradcheck
 from .model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
-                    TrainConfig, backward, forward, init_params, load_weights,
+                    TrainConfig, backward, fit, forward, init_params, load_weights,
                     optimizer_step, save_weights, train_loop)
 from .objective import (LossReport, RewardConfig, normalize_rewards, raw_reward,
                         reg_loss_and_grad, rl_loss_and_grad, total_loss_and_grad)

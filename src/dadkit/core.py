@@ -122,16 +122,14 @@ def _correlate_columns(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def kl_divergence(target, p, eps_floor: float = KL_FLOOR) -> float:
-    """KL(target || p) with p floored at eps_floor; 0*log(0/x) taken as 0."""
+def kl_divergence(target, p) -> float:
+    """KL(target || p) with p floored at KL_FLOOR; 0*log(0/x) taken as 0."""
     t = _probs_of(target, "target")
     q = _probs_of(p, "p")
     if t.shape != q.shape:
         raise InvalidInputError(f"shape mismatch {t.shape} vs {q.shape}")
-    if not (eps_floor > 0):
-        raise InvalidParameterError("eps_floor must be positive")
     pos = t > 0
-    qf = np.maximum(q[pos], eps_floor)
+    qf = np.maximum(q[pos], KL_FLOOR)
     return float(np.sum(t[pos] * (np.log(t[pos]) - np.log(qf))))
 
 

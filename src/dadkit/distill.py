@@ -14,22 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import _probs_of, kl_divergence, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
-from .model import (
-    AdamW,
-    ArchConfig,
-    DetectorParams,
-    OptState,
-    backward,
-    finite_float32,
-    forward,
-    init_params,
-    optimizer_step,
-)
+from .model import AdamW, ArchConfig, DetectorParams, backward, fit, forward
 from .synth import SceneConfig, make_pair
 
 MERGE_EXPONENTS = (1, 2, math.inf)
@@ -231,11 +222,21 @@ class DistillConfig:
             raise InvalidParameterError("num_pairs must be >= 1")
 
 
-def _student_step(student: DetectorParams, image, target) -> tuple[float, DetectorParams]:
-    """One student image: (KL loss against the merged target, parameter gradients)."""
+def _student_step(student: DetectorParams, image, target) -> tuple[DetectorParams, list[float]]:
+    """One student image: (parameter gradients, [KL loss against the merged target])."""
     s, cache = forward(student, image)
     loss, grad = distill_loss_and_grad(target, s)
-    return loss, backward(cache, grad)
+    return backward(cache, grad), [loss]
+
+
+def _student_steps(light: DetectorParams, dark: DetectorParams, cfg: DistillConfig):
+    """One `_student_step` per image of each pair, its merged target made outside the step."""
+    for i in range(cfg.num_pairs):
+        pair = make_pair(cfg.scene, cfg.seed, i)
+        for image in (pair.image_a, pair.image_b):
+            p_light = softmax_2d(forward(light, image)[0])
+            p_dark = softmax_2d(forward(dark, image)[0])
+            yield partial(_student_step, image=image, target=distill_target(p_light, p_dark, cfg.r))
 
 
 def train_distilled(light: DetectorParams, dark: DetectorParams,
@@ -244,20 +245,7 @@ def train_distilled(light: DetectorParams, dark: DetectorParams,
 
     Each generated pair contributes two optimizer steps, one per image.
     Teacher maps are rendered on the fly; everything is deterministic given
-    the config.  Returns the student and the per-image loss trace; a student
-    that stops being finite as float32 ends the run, naming the step.
+    the config.  Returns the student and the per-image loss trace; a run
+    that diverges ends as `model.fit` says.
     """
-    student = init_params(cfg.arch)
-    state = OptState.init(student, cfg.opt)
-    losses: list[float] = []
-    for i in range(cfg.num_pairs):
-        pair = make_pair(cfg.scene, cfg.seed, i)
-        for image in (pair.image_a, pair.image_b):
-            s_light, _ = forward(light, image)
-            s_dark, _ = forward(dark, image)
-            target = distill_target(softmax_2d(s_light), softmax_2d(s_dark), cfg.r)
-            loss, grads = _student_step(student, image, target)
-            student, state = optimizer_step(student, grads, state)
-            finite_float32(student, f"distillation diverged at step {state.step_count}")
-            losses.append(loss)
-    return student, losses
+    return fit(cfg.arch, cfg.opt, _student_steps(light, dark, cfg), "distillation")

@@ -149,7 +149,7 @@ def _analytic_and_loss_fns(inst: _Instance):
         "rl": (_pair_grads(inst.params, pair, rl_cfg)[0], step_loss(rl_cfg)),
         "reg": (backward(ca, reg_loss_and_grad(sa, pair.mask_a, sigma)[1]),
                 lambda p: reg_loss_and_grad(forward(p, image)[0], pair.mask_a, sigma)[0]),
-        "distill": (_student_step(inst.params, image, inst.target)[1],
+        "distill": (_student_step(inst.params, image, inst.target)[0],
                     lambda p: distill_loss_and_grad(inst.target, forward(p, image)[0])[0]),
         "full": (_pair_grads(inst.params, pair, inst.cfg)[0], step_loss(inst.cfg)),
     }

@@ -16,7 +16,8 @@ Parameters, gradients and the optimizer's moments are flat float64 vectors
 of one layout, with per-layer views; summing gradients and stepping the
 optimizer are whole-vector arithmetic, and only this module knows the layout.
 The optimizer, :class:`AdamW`, is adaptive moments with decoupled multiplicative
-weight decay; training and distillation both take their settings from it.
+weight decay; :func:`fit` is the one loop that runs it, for training and
+distillation alike.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -413,31 +414,46 @@ def _sum_grads(grads: list[DetectorParams]) -> DetectorParams:
     return DetectorParams(sum((g.flat for g in grads[1:]), grads[0].flat), grads[0].arch)
 
 
+def fit(arch: ArchConfig, opt: AdamW, steps, what: str) -> tuple[DetectorParams, list]:
+    """The one optimizer loop: train a fresh `arch` detector with `opt`.
+
+    Each element of `steps` is a function params -> (gradients, records);
+    returns the parameters and every step's records in order.  Parameters
+    that stop being finite as float32 end the run with "<what> diverged at
+    step N", and so does an InvalidInputError raised by any step function but
+    the first, which runs on fresh parameters.  Errors raised while `steps`
+    makes a step function propagate unchanged.
+    """
+    params = init_params(arch)
+    state = OptState.init(params, opt)
+    records: list = []
+    for step in steps:
+        where = f"{what} diverged at step {state.step_count + 1}"
+        try:
+            grads, step_records = step(params)
+        except InvalidInputError as e:
+            if state.step_count == 0:
+                raise
+            raise InvalidInputError(f"{where}: {e}; lower lr") from None
+        params, state = optimizer_step(params, grads, state)
+        finite_float32(params, where)
+        records.extend(step_records)
+    return params, records
+
+
+def _batch_grads(params: DetectorParams, batch, cfg: TrainConfig):
+    """One step's (gradients, LossReports): the pairs' `_pair_grads`, added in pair order."""
+    results = [_pair_grads(params, pair, cfg) for pair in batch]
+    return _sum_grads([g for g, _ in results]), [r for _, r in results]
+
+
 def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]]:
     """Train a fresh detector over the pair stream; deterministic given cfg.
 
-    Each optimizer step takes the next `cfg.batch` pairs: their gradients,
-    all against the same parameters, are summed in pair order.  batch == 1
-    steps once per pair.  Parameters that stop being finite as float32 end
-    the run with InvalidInputError naming the step.  So does an invalid
-    intermediate in any later step, such as a masked mass that misses 1
-    under huge logits: the first step runs on fresh parameters, so a later
-    failure points at the updates.
+    Each optimizer step takes the next `cfg.batch` pairs (`_batch_grads`);
+    batch == 1 steps once per pair.  A run that diverges ends as `fit` says.
     """
-    params = init_params(cfg.arch)
-    state = OptState.init(params, cfg.opt)
     pairs = list(data)
-    reports: list[LossReport] = []
-    for _ in range(cfg.epochs):
-        for at in range(0, len(pairs), cfg.batch):
-            try:
-                results = [_pair_grads(params, pair, cfg) for pair in pairs[at:at + cfg.batch]]
-            except InvalidInputError as e:
-                if state.step_count == 0:
-                    raise
-                raise InvalidInputError(f"training diverged at step {state.step_count + 1}: "
-                                        f"{e}; lower lr") from None
-            params, state = optimizer_step(params, _sum_grads([g for g, _ in results]), state)
-            finite_float32(params, f"training diverged at step {state.step_count}")
-            reports.extend(r for _, r in results)
-    return params, reports
+    batches = [pairs[at:at + cfg.batch] for at in range(0, len(pairs), cfg.batch)]
+    steps = (partial(_batch_grads, batch=b, cfg=cfg) for _ in range(cfg.epochs) for b in batches)
+    return fit(cfg.arch, cfg.opt, steps, "training")

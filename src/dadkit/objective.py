@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
+from .core import KL_FLOOR, gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
 from .errors import DegenerateMaskError, InvalidInputError, InvalidParameterError
 from .geometry import MatchSet
 from .sampler import KeypointSet
@@ -122,9 +122,7 @@ def rl_loss_and_grad(
     return loss_a + loss_b, grad_a, grad_b, raw
 
 
-def reg_loss_and_grad(
-    scoremap, indicator, sigma: float, eps_floor: float = 1e-12
-) -> tuple[float, np.ndarray]:
+def reg_loss_and_grad(scoremap, indicator, sigma: float) -> tuple[float, np.ndarray]:
     """KL(blur(indicator distribution) || blur(softmax)) and its exact gradient.
 
     The chain is: d KL / d blurred = -target/blurred (floored), pulled back
@@ -140,8 +138,8 @@ def reg_loss_and_grad(
     p_depth = bits / float(bits.sum())
     target = gaussian_blur(p_depth, sigma)
     blurred = gaussian_blur(p, sigma)
-    loss = kl_divergence(target, blurred, eps_floor)
-    g_blurred = np.where(blurred > eps_floor, -target / np.maximum(blurred, eps_floor), 0.0)
+    loss = kl_divergence(target, blurred)
+    g_blurred = np.where(blurred > KL_FLOOR, -target / np.maximum(blurred, KL_FLOOR), 0.0)
     u = gaussian_blur(g_blurred, sigma)
     grad = p * (u - float((p * u).sum()))
     return loss, grad

@@ -94,17 +94,15 @@ class SamplerConfig:
             raise InvalidParameterError("subpixel_temp must be positive")
 
 
-def kde_balance(p, sigma: float, density_floor: float = DENSITY_FLOOR) -> np.ndarray:
+def kde_balance(p, sigma: float) -> np.ndarray:
     """Divide probabilities by the square root of their local smoothed density.
 
     Dense clusters are flattened toward sparse ones: scaling a region's mass
     by c scales its balanced score by sqrt(c) only.  Output is unnormalized.
     """
     pa = np.asarray(p, dtype=np.float64)
-    if not (density_floor > 0):
-        raise InvalidParameterError("density_floor must be positive")
     dens = gaussian_blur(pa, sigma)
-    return pa / np.sqrt(np.maximum(dens, density_floor))
+    return pa / np.sqrt(np.maximum(dens, DENSITY_FLOOR))
 
 
 def nms(scores, window: int = 3) -> np.ndarray:

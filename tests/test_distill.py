@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import dadkit.distill
 from dadkit.core import kl_divergence, softmax_2d
 from dadkit.distill import (DistillConfig, KeypointFunction,
                             check_partner_merge, distill_loss_and_grad,
                             distill_target, generalized_mean, local_maxima,
                             make_bump, train_distilled)
 from dadkit.errors import InvalidInputError, InvalidParameterError
-from dadkit.model import ArchConfig, init_params
-from dadkit.synth import SceneConfig
+from dadkit.model import (AdamW, ArchConfig, OptState, backward, finite_float32, forward,
+                          init_params, optimizer_step)
+from dadkit.synth import SceneConfig, make_pair
 
 
 def rand_probs(rng, shape):
@@ -284,6 +286,78 @@ def test_train_distilled_smoke_and_determinism():
         np.testing.assert_array_equal(a.kernel, b.kernel)
     init = init_params(arch)
     assert np.any(s1.layers[0].kernel != init.layers[0].kernel)
+
+
+def _student_step_reference(student, image, target):
+    """The student step before `fit`, verbatim."""
+    s, cache = forward(student, image)
+    loss, grad = distill_loss_and_grad(target, s)
+    return loss, backward(cache, grad)
+
+
+def _train_distilled_reference(light, dark, cfg: DistillConfig):
+    """The distillation loop before `fit`, verbatim apart from the step's name."""
+    student = init_params(cfg.arch)
+    state = OptState.init(student, cfg.opt)
+    losses = []
+    for i in range(cfg.num_pairs):
+        pair = make_pair(cfg.scene, cfg.seed, i)
+        for image in (pair.image_a, pair.image_b):
+            s_light, _ = forward(light, image)
+            s_dark, _ = forward(dark, image)
+            target = distill_target(softmax_2d(s_light), softmax_2d(s_dark), cfg.r)
+            loss, grads = _student_step_reference(student, image, target)
+            student, state = optimizer_step(student, grads, state)
+            finite_float32(student, f"distillation diverged at step {state.step_count}")
+            losses.append(loss)
+    return student, losses
+
+
+@pytest.mark.parametrize("r", [1, 2, math.inf])
+@pytest.mark.parametrize("scene", [SceneConfig.toy(size=32, num_light=2, num_dark=2),
+                                   SceneConfig.scenes(size=32, num_light=3, num_dark=3)],
+                         ids=["toy", "scenes"])
+def test_train_distilled_matches_the_loop_before_fit(scene, r):
+    light = init_params(ArchConfig((4,), 3, seed=1))
+    dark = init_params(ArchConfig((4,), 3, seed=2))
+    cfg = DistillConfig(scene=scene, r=r, arch=ArchConfig((4, 4), 3, seed=0), num_pairs=2,
+                        seed=5, opt=AdamW(lr=0.01))
+    student, losses = train_distilled(light, dark, cfg)
+    ref_student, ref_losses = _train_distilled_reference(light, dark, cfg)
+    assert student.flat.tobytes() == ref_student.flat.tobytes()
+    assert losses == ref_losses and len(losses) == 4
+
+
+def _raise_on_call(n, real):
+    """`real`, except that its n-th call raises InvalidInputError("boom")."""
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        if len(calls) == n:
+            raise InvalidInputError("boom")
+        return real(*args)
+    return stub
+
+
+@pytest.mark.parametrize("name, call, expected", [
+    ("distill_loss_and_grad", 2, "distillation diverged at step 2: boom; lower lr"),
+    ("distill_loss_and_grad", 1, "boom"),
+    ("distill_target", 2, "boom"),
+    ("distill_target", 1, "boom"),
+], ids=["student-step-2", "student-step-1", "target-2", "target-1"])
+def test_only_a_student_step_error_after_step_one_names_the_step(monkeypatch, name, call,
+                                                                 expected):
+    # the teachers' merged target is made outside the step, so its errors
+    # are never reported as divergence
+    monkeypatch.setattr(f"dadkit.distill.{name}",
+                        _raise_on_call(call, getattr(dadkit.distill, name)))
+    teacher = init_params(ArchConfig((4,), 3, seed=1))
+    cfg = DistillConfig(scene=SceneConfig.toy(size=32, num_light=2, num_dark=2),
+                        arch=ArchConfig((4,), 3, seed=0), num_pairs=2)
+    with pytest.raises(InvalidInputError) as e:
+        train_distilled(teacher, teacher, cfg)
+    assert str(e.value) == expected
 
 
 def test_distill_config_validation():

@@ -14,7 +14,7 @@ from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.model import (AdamW, ArchConfig, ConvLayer, DetectorParams, OptState,
                           TrainConfig, _conv_backward, _conv_same, _fold_axis, _im2col,
                           _pad, _pair_grads, _sum_grads, backward,
-                          forward, init_params,
+                          finite_float32, forward, init_params,
                           load_weights, optimizer_step, save_weights,
                           train_loop)
 from dadkit.formats import write_loss_csv
@@ -553,6 +553,45 @@ def test_train_loop_batch_steps_once_on_summed_pair_gradients():
         np.testing.assert_array_equal(a.kernel, b.kernel)
         np.testing.assert_array_equal(a.bias, b.bias)
     assert reports == [r for _, r in results]
+
+
+def _train_loop_reference(data, cfg: TrainConfig):
+    """The training loop before `fit`, verbatim."""
+    params = init_params(cfg.arch)
+    state = OptState.init(params, cfg.opt)
+    pairs = list(data)
+    reports = []
+    for _ in range(cfg.epochs):
+        for at in range(0, len(pairs), cfg.batch):
+            try:
+                results = [_pair_grads(params, pair, cfg) for pair in pairs[at:at + cfg.batch]]
+            except InvalidInputError as e:
+                if state.step_count == 0:
+                    raise
+                raise InvalidInputError(f"training diverged at step {state.step_count + 1}: "
+                                        f"{e}; lower lr") from None
+            params, state = optimizer_step(params, _sum_grads([g for g, _ in results]), state)
+            finite_float32(params, f"training diverged at step {state.step_count}")
+            reports.extend(r for _, r in results)
+    return params, reports
+
+
+@pytest.mark.parametrize("scene, count, batch, epochs", [
+    (SceneConfig.toy(size=32, num_light=2, num_dark=2), 5, 3, 2),
+    (SceneConfig.toy(size=32, num_light=2, num_dark=2), 3, 1, 1),
+    (SceneConfig.scenes(size=32, num_light=3, num_dark=3), 3, 2, 1),
+    (SceneConfig.scenes(size=32, num_light=3, num_dark=3), 2, 1, 2),
+], ids=["toy-short-last-batch-2-epochs", "toy-batch-1", "scenes-short-last-batch",
+        "scenes-2-epochs"])
+def test_train_loop_matches_the_loop_before_fit(scene, count, batch, epochs):
+    pairs = generate_pairs(scene, count, seed=4)
+    tc = TrainConfig(arch=ArchConfig((4, 4), 3, seed=2), batch=batch, epochs=epochs,
+                     opt=AdamW(lr=0.01))
+    params, reports = train_loop(pairs, tc)
+    ref_params, ref_reports = _train_loop_reference(pairs, tc)
+    assert params.flat.tobytes() == ref_params.flat.tobytes()
+    assert reports == ref_reports
+    assert len(reports) == count * epochs and any(r.num_matches for r in reports)
 
 
 def test_write_loss_csv(tmp_path):

@@ -20,11 +20,12 @@ with rotation and negation augmentation, scene `synth` with every `hm_*`
 homography bound off its default, scene `synth` with dark structures only,
 scene `synth` with every shape, 6 px separation, strong texture, rotation and
 negation, `train` on the first two, toy `train` with the linear-decay reward
-and no regularizer, `detect --image` (with scoremap dump, overlay and
+and no regularizer, toy `train` in batches of 4 over 2 epochs (so each epoch
+ends on a short batch of 2), `detect --image` (with scoremap dump, overlay and
 subpixel refinement) and `detect --data`, `eval --detections` with default
 and with tight thresholds, `eval --weights` on toy and scene pairs with and
 without `--subpixel 1`, on the dark-only scenes and on the dense scenes,
-scene and toy `distill`, and `gradcheck --out`.
+scene `distill` with r = 2 and r = 1, toy `distill`, and `gradcheck --out`.
 Exits 1 naming the first stage that fails.
 """
 
@@ -60,6 +61,7 @@ STAGES = [
     ["train", "--data", "toy", "--out", "train_toy", "--threads", "2", "--epochs", "2"],
     ["train", "--data", "toy", "--out", "train_toy_decay", "--linear-decay", "1",
      "--reg-weight", "0"],
+    ["train", "--data", "toy", "--out", "train_toy_batch4", "--threads", "4", "--epochs", "2"],
     ["train", "--data", "scenes", "--out", "train_scene", "--lr", "0.003",
      "--reward-eps", "0.02"],
     ["detect", "--weights", LIGHT, "--image", "toy/pair_000000/a.pgm",
@@ -83,6 +85,8 @@ STAGES = [
      "--topk", "12"],
     ["distill", "--light", LIGHT, "--dark", DARK, "--out", "distill", "--num-pairs", "4",
      "--r", "2"],
+    ["distill", "--light", LIGHT, "--dark", DARK, "--out", "distill_r1", "--num-pairs", "2",
+     "--r", "1"],
     ["distill", "--light", LIGHT, "--dark", DARK, "--mode", "toy", "--out", "distill_toy",
      "--num-pairs", "3"],
     ["gradcheck", "--instances", "2", "--out", "gradcheck.txt"],
