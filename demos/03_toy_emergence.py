@@ -1,8 +1,8 @@
 """Why one dot color wins the toy game, then watching a detector pick one.
 
 The toy task pairs two views of the same dot layout and pays one point per
-dot selected in both views, with a budget of half the dots. Monte Carlo
-expectations for fixed strategies show that committing the whole budget to
+dot selected in both views, with a budget of half the dots. The exact
+expectations of fixed strategies show that committing the whole budget to
 a single color doubles the mixed strategy. Training a small detector from
 scratch with that reward reproduces the choice: it converges to light-only
 or dark-only depending on the seed, never to a mixture.
@@ -30,7 +30,7 @@ def main() -> None:
     cfg = SceneConfig.toy()
     print("expected reward of fixed strategies (budget 10 of 10+10 dots):")
     for strategy in ("light-only", "dark-only", "mixed-5-5"):
-        r = expected_strategy_reward(strategy, cfg, trials=20_000)
+        r = expected_strategy_reward(strategy, cfg)
         print(f"  {strategy:<10} {r:.2f}")
 
     print(f"\ntraining on {args.pairs} toy pairs (seed {args.seed})...")

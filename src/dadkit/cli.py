@@ -24,8 +24,8 @@ import numpy as np
 from .distill import MERGE_EXPONENTS, DistillConfig, train_distilled
 from .errors import ConfigError, DadkitError, InvalidParameterError
 from .evaluate import EvalConfig, evaluate_detections
-from .formats import (config_meta, generate_dataset, load_dataset, pair_dirs, read_config_file,
-                      read_keypoints_csv, read_pgm, write_command_meta, write_dadf,
+from .formats import (config_meta, generate_dataset, load_dataset, load_pair, pair_dirs,
+                      read_config_file, read_keypoints_csv, read_pgm, write_command_meta, write_dadf,
                       write_distill_loss_csv, write_gradcheck_report, write_keypoints_csv,
                       write_loss_csv, write_pgm, write_report)
 from .gradcheck import FAMILIES, run_gradcheck
@@ -395,8 +395,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if cfg["dump_scoremap"] is not None or cfg["overlay"] is not None:
         raise ConfigError("keys 'dump_scoremap' and 'overlay' require key 'image'")
     dirs = pair_dirs(cfg["data"])
-    if not dirs:
-        raise ConfigError(f"key 'data': no pair_* directories under {cfg['data']}")
     detect = partial(_detect_pair, params, scfg, cfg["mode"])
     results = [detect((read_pgm(d / "a.pgm"), read_pgm(d / "b.pgm"))) for d in dirs]
     outd = Path(cfg["out"])
@@ -418,15 +416,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if (cfg["detections"] is None) == (cfg["weights"] is None):
         raise ConfigError("exactly one of keys 'detections' and 'weights' is required")
     scfg, ecfg = _build(SamplerConfig(), cfg), _build(EvalConfig(), cfg)
-    pairs = load_dataset(cfg["data"])
-    names = [d.name for d in pair_dirs(cfg["data"])]
+    dirs = pair_dirs(cfg["data"])
+    pairs = [load_pair(d) for d in dirs]
 
     if cfg["detections"] is not None:
         det_root = Path(cfg["detections"])
         detections = []
-        for name, pair in zip(names, pairs):
-            ka = read_keypoints_csv(det_root / name / "a.csv", pair.image_a.shape)
-            kb = read_keypoints_csv(det_root / name / "b.csv", pair.image_b.shape)
+        for d, pair in zip(dirs, pairs):
+            ka = read_keypoints_csv(det_root / d.name / "a.csv", pair.image_a.shape)
+            kb = read_keypoints_csv(det_root / d.name / "b.csv", pair.image_b.shape)
             detections.append((ka, kb))
     else:
         detect = partial(_detect_pair, load_weights(cfg["weights"]), scfg, cfg["mode"])

@@ -31,6 +31,9 @@ import numpy as np
 from .errors import DegenerateMaskError, InvalidInputError, InvalidParameterError
 
 KL_FLOOR = 1e-12
+# Below this width the outer taps, exp(-1 / (2 sigma^2)) < exp(-800), are 0: the
+# kernel is the delta, returned as such, as 2 sigma^2 may underflow to 0.
+_DELTA_SIGMA = 0.025
 
 
 def _as_grid(x, name: str = "grid") -> np.ndarray:
@@ -90,6 +93,8 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian kernel truncated at radius ceil(3*sigma)."""
     if not (sigma > 0) or not math.isfinite(sigma):
         raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
+    if sigma < _DELTA_SIGMA:
+        return np.array([0.0, 1.0, 0.0])
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))

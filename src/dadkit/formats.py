@@ -325,24 +325,30 @@ def load_pair(dirpath) -> PairSample:
 
 def generate_dataset(root, cfg: SceneConfig, count: int, seed: int) -> list[Path]:
     """Write pairs 0..count-1 of stream `seed` as directories pair_000000.. under
-    `root`; returns their paths.  The root's meta.txt is the caller's to write."""
+    `root`; returns their paths.  The root's meta.txt is the caller's to write.
+    Later commands would read any other pair_* directory under `root` with
+    them, so one is refused before a pair is written; nothing is deleted."""
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
     paths = [rootp / f"pair_{i:06d}" for i in range(count)]
+    extra = sorted({p for p in rootp.glob("pair_*") if p.is_dir()} - set(paths))
+    if extra:
+        raise InvalidInputError(f"{extra[0]}: not one of the {count} pair(s) to write; "
+                                f"write into an empty directory")
     for i, d in enumerate(paths):
         save_pair(d, make_pair(cfg, seed, i), {"index": i, **config_meta(cfg)})
     return paths
 
 
 def pair_dirs(root) -> list[Path]:
-    """The pair_* directories of a dataset root, in name order."""
-    return sorted(p for p in Path(root).iterdir() if p.is_dir() and p.name.startswith("pair_"))
+    """The pair_* directories of a dataset root, in name order; none is an error."""
+    dirs = sorted(p for p in Path(root).iterdir() if p.is_dir() and p.name.startswith("pair_"))
+    if not dirs:
+        raise InvalidInputError(f"{root}: no pair_* directories")
+    return dirs
 
 
 def load_dataset(root) -> list[PairSample]:
-    dirs = pair_dirs(root)
-    if not dirs:
-        raise InvalidInputError(f"{root}: no pair_* directories")
-    return [load_pair(d) for d in dirs]
+    return [load_pair(d) for d in pair_dirs(root)]

@@ -195,24 +195,23 @@ def match_mutual_nn(
         raise InvalidParameterError("threshold must be positive")
     if len(ka) == 0 or len(kb) == 0:
         return MatchSet((), (), ()), MatchSet((), (), ())
-    pa, pb = ka.xy, kb.xy
-    fa, va = transfer_points(t, pa)
-    fb, vb = transfer_points(t.inverse(), pb)
-
-    nn_ab = np.full(len(ka), -1)
-    d_ab = np.full(len(ka), np.inf)
-    if va.any():
-        idx, d = _nearest(fa[va], pb)
-        nn_ab[va], d_ab[va] = idx, d
-    nn_ba = np.full(len(kb), -1)
-    d_ba = np.full(len(kb), np.inf)
-    if vb.any():
-        idx, d = _nearest(fb[vb], pa)
-        nn_ba[vb], d_ba[vb] = idx, d
-
+    nn_ab, d_ab = _nearest_transferred(t, ka.xy, kb.xy)
+    nn_ba, d_ba = _nearest_transferred(t.inverse(), kb.xy, ka.xy)
     qa = _mutual(nn_ab, d_ab, nn_ba, threshold)
     qb = _mutual(nn_ba, d_ba, nn_ab, threshold)
     return MatchSet(qa, nn_ab[qa], d_ab[qa]), MatchSet(nn_ba[qb], qb, d_ba[qb])
+
+
+def _nearest_transferred(t: HomographyTransfer, src: np.ndarray,
+                         dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per src row: the nearest dst row to its transfer by t and that distance;
+    -1 and inf where the transfer is not valid."""
+    moved, valid = transfer_points(t, src)
+    nn = np.full(len(src), -1)
+    d = np.full(len(src), np.inf)
+    if valid.any():
+        nn[valid], d[valid] = _nearest(moved[valid], dst)
+    return nn, d
 
 
 def _mutual(nn: np.ndarray, d: np.ndarray, back: np.ndarray, threshold: float) -> np.ndarray:

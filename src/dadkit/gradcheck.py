@@ -47,6 +47,7 @@ from .sampler import KeypointSet, SamplerConfig
 from .synth import PairSample, SceneConfig, sample_homography
 
 FAMILIES = ("rl", "reg", "distill", "full")
+ABS_FLOOR = 1e-8  # the pass rule's absolute floor: smaller differences are round-off
 
 
 @dataclass(frozen=True)
@@ -77,12 +78,12 @@ def fd_param_grads(loss_fn, params: DetectorParams, step: float = 1e-4) -> Detec
     return DetectorParams(fd, params.arch)
 
 
-def max_rel_error(analytic: DetectorParams, fd: DetectorParams, abs_floor: float = 1e-8) -> float:
-    """Worst relative deviation; differences below abs_floor count as zero."""
+def max_rel_error(analytic: DetectorParams, fd: DetectorParams) -> float:
+    """Worst relative deviation; differences below ABS_FLOOR count as zero."""
     a, f = analytic.flat, fd.flat
     diff = np.abs(a - f)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-12)
-    return float(np.where(diff < abs_floor, 0.0, diff / denom).max(initial=0.0))
+    return float(np.where(diff < ABS_FLOOR, 0.0, diff / denom).max(initial=0.0))
 
 
 def normwise_margin(analytic: DetectorParams, fd: DetectorParams) -> tuple[float, float]:
@@ -156,7 +157,7 @@ def _analytic_and_loss_fns(inst: _Instance):
 
 
 def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
-                  tolerance: float = 1e-3, abs_floor: float = 1e-8) -> GradCheckResult:
+                  tolerance: float = 1e-3) -> GradCheckResult:
     """Run the randomized suite; deterministic given the seed."""
     if instances < 1 or step <= 0 or tolerance <= 0:
         raise InvalidParameterError("bad gradcheck parameters")
@@ -179,7 +180,7 @@ def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
             continue
         for family, (analytic, loss_fn) in checks.items():
             fd = fd_param_grads(loss_fn, inst.params, step)
-            err = max_rel_error(analytic, fd, abs_floor)
+            err = max_rel_error(analytic, fd)
             family_errors[family] = max(family_errors[family], err)
             margin, scale = normwise_margin(analytic, fd)
             family_margins[family] = max(family_margins[family], margin)

@@ -364,8 +364,8 @@ class TrainConfig:
     batch: int = 1
 
     def __post_init__(self):
-        if not (self.reg_sigma_frac > 0):
-            raise InvalidParameterError("reg_sigma_frac must be positive")
+        if not (0 < self.reg_sigma_frac <= 1):
+            raise InvalidParameterError(f"reg_sigma_frac must be in (0, 1], got {self.reg_sigma_frac}")
         if not (0 <= self.reg_weight < np.inf):
             raise InvalidParameterError("reg_weight must be finite and >= 0")
         if not (self.match_threshold > 0):

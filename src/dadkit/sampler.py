@@ -88,8 +88,8 @@ class SamplerConfig:
             v = getattr(self, name)
             if v < 3 or v % 2 == 0:
                 raise InvalidParameterError(f"{name} must be odd and >= 3, got {v}")
-        if not (self.kde_sigma_frac > 0):
-            raise InvalidParameterError("kde_sigma_frac must be positive")
+        if not (0 < self.kde_sigma_frac <= 1):
+            raise InvalidParameterError(f"kde_sigma_frac must be in (0, 1], got {self.kde_sigma_frac}")
         if not (self.subpixel_temp > 0):
             raise InvalidParameterError("subpixel_temp must be positive")
 

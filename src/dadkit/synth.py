@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -278,6 +279,7 @@ class _Structure:
 
 _BASE_RHO = {"dot": 1.6, "blob": 3.4, "cross": 3.4, "corner": 3.4}
 _CROSS_HALF_WIDTH = 0.9
+_NOISE_WAVES = 6
 
 
 def _profile(st: _Structure, pts: np.ndarray) -> np.ndarray:
@@ -311,14 +313,14 @@ class _NoiseField:
     phases: np.ndarray
 
     @classmethod
-    def draw(cls, rng: np.random.Generator, waves: int = 6) -> "_NoiseField":
-        raw = rng.uniform(0.5, 1.0, waves)
+    def draw(cls, rng: np.random.Generator) -> "_NoiseField":
+        raw = rng.uniform(0.5, 1.0, _NOISE_WAVES)
         amps = raw / raw.sum()
-        lam = rng.uniform(8.0, 32.0, waves)
-        theta = rng.uniform(0.0, math.pi, waves)
+        lam = rng.uniform(8.0, 32.0, _NOISE_WAVES)
+        theta = rng.uniform(0.0, math.pi, _NOISE_WAVES)
         k = 2.0 * math.pi / lam
         return cls(amps, k * np.cos(theta), k * np.sin(theta),
-                   rng.uniform(0.0, 2.0 * math.pi, waves))
+                   rng.uniform(0.0, 2.0 * math.pi, _NOISE_WAVES))
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
         """The texture at (N, 2) points.  The argument is built wave-major, as
@@ -380,21 +382,25 @@ def _rotation_transfer(k: int, size: int) -> HomographyTransfer:
     return HomographyTransfer(mats[k % 4])
 
 
+_MIN_COVISIBLE = 0.4
+_HOMOGRAPHY_TRIES = 200
+
+
 def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
-                      shape: tuple[int, int], min_covisible: float = 0.4,
-                      max_tries: int = 200) -> HomographyTransfer:
+                      shape: tuple[int, int]) -> HomographyTransfer:
     """Centered scale * rotation * translation * perspective composition.
 
     Parameters are uniform within cfg's `hm_*` bounds; candidates are
-    rejected until at least `min_covisible` of the pixels stay covisible in
-    both directions; so is one that the homography rule calls singular.
+    rejected until at least _MIN_COVISIBLE of the pixels stay covisible in
+    both directions, and so is one that the homography rule calls singular,
+    for at most _HOMOGRAPHY_TRIES candidates.
     """
     h, w = int(shape[0]), int(shape[1])
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     t_c = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1]], dtype=np.float64)
     t_ic = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]], dtype=np.float64)
     total = h * w
-    for _ in range(max_tries):
+    for _ in range(_HOMOGRAPHY_TRIES):
         s = rng.uniform(cfg.hm_scale_lo, cfg.hm_scale_hi)
         ang = math.radians(rng.uniform(-cfg.hm_max_rotation_deg, cfg.hm_max_rotation_deg))
         tx = rng.uniform(-1, 1) * cfg.hm_max_translation * (w - 1)
@@ -411,10 +417,10 @@ def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
             both = (t, t.inverse())
         except DegenerateTransferError:
             continue
-        if all(covisibility_mask(m, shape, shape).sum() >= min_covisible * total for m in both):
+        if all(covisibility_mask(m, shape, shape).sum() >= _MIN_COVISIBLE * total for m in both):
             return t
     raise DegenerateTransferError(
-        f"no homography with >= {min_covisible:.0%} covisibility in {max_tries} tries"
+        f"no homography with >= {_MIN_COVISIBLE:.0%} covisibility in {_HOMOGRAPHY_TRIES} tries"
     )
 
 
@@ -526,23 +532,18 @@ def classify_polarity(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ..
     )
 
 
-def expected_strategy_reward(strategy: str, cfg: SceneConfig,
-                             trials: int = 100_000,
-                             rng: np.random.Generator | None = None) -> float:
-    """Monte Carlo expected matched-pair count for a fixed selection policy.
+def expected_strategy_reward(strategy: str, cfg: SceneConfig) -> float:
+    """Exact expected matched-pair count for a fixed selection policy.
 
     Both images independently select a budget of (num_light+num_dark)/2
     dots: "light-only"/"dark-only" draw the whole budget from one polarity,
     "mixed-5-5" splits it evenly.  A dot identity scores 1 when selected in
-    both images.  With the default 10+10 layout the single-polarity policies
-    select every dot of that polarity, so their reward is exactly 10.
+    both images.  Two independent uniform m-subsets of n dots share m*m/n
+    dots in expectation: the reward sums that over the polarity groups,
+    rounded once (10, 10 and 5 on the default 10+10 layout).
     """
     if strategy not in ("mixed-5-5", "light-only", "dark-only"):
         raise InvalidParameterError(f"unknown strategy {strategy!r}")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     budget = (cfg.num_light + cfg.num_dark) // 2
     if strategy == "light-only":
         groups = [(cfg.num_light, min(budget, cfg.num_light))]
@@ -552,18 +553,7 @@ def expected_strategy_reward(strategy: str, cfg: SceneConfig,
         kl = min(budget // 2, cfg.num_light)
         kd = min(budget - budget // 2, cfg.num_dark)
         groups = [(cfg.num_light, kl), (cfg.num_dark, kd)]
-    total = np.zeros(trials)
-    for n, m in groups:
-        if n == 0 or m == 0:
-            continue
-        sel = []
-        for _ in range(2):
-            order = np.argsort(rng.random((trials, n)), axis=1)
-            mask = np.zeros((trials, n), dtype=bool)
-            np.put_along_axis(mask, order[:, :m], True, axis=1)
-            sel.append(mask)
-        total += (sel[0] & sel[1]).sum(axis=1)
-    return float(total.mean())
+    return float(sum(Fraction(m * m, n) for n, m in groups if m))
 
 
 def pair_rng(seed: int, index: int) -> np.random.Generator:

@@ -65,15 +65,15 @@ def test_acceptance_analytic_gradients():
 def test_acceptance_toy_strategy_rewards():
     t0 = time.time()
     cfg = SceneConfig.toy()
-    light = expected_strategy_reward("light-only", cfg, trials=100_000)
-    dark = expected_strategy_reward("dark-only", cfg, trials=100_000)
-    mixed = expected_strategy_reward("mixed-5-5", cfg, trials=100_000)
+    light = expected_strategy_reward("light-only", cfg)
+    dark = expected_strategy_reward("dark-only", cfg)
+    mixed = expected_strategy_reward("mixed-5-5", cfg)
     dt = time.time() - t0
-    ok = light == 10.0 and dark == 10.0 and abs(mixed - 5.0) <= 0.1 and dt < 30
+    ok = light == 10.0 and dark == 10.0 and mixed == 5.0 and dt < 30
     _verdict(
         "toy strategy rewards",
         ok,
-        f"light {light:.4g}, dark {dark:.4g} (exact 10), mixed {mixed:.4f} = 5 +/- 0.1, {dt:.0f}s",
+        f"light {light:.4g}, dark {dark:.4g} (exact 10), mixed {mixed:.4f} (exact 5), {dt:.0f}s",
     )
 
 

@@ -80,6 +80,33 @@ def test_synth_zero_pairs_is_a_valid_empty_dataset(tmp_path):
     assert not [p for p in out.iterdir() if p.is_dir()]
 
 
+def test_synth_refuses_a_directory_holding_more_pairs(tmp_path, capsys):
+    out = tmp_path / "d"
+    small = ["--size", "32", "--num-light", "2", "--num-dark", "2"]
+    assert main(["synth", "--out", str(out), "--num-pairs", "4", "--seed", "1", *small]) == 0
+    before = digest_tree(out)
+    capsys.readouterr()
+    # eval would score all four pairs under a meta.txt that says two
+    assert main(["synth", "--out", str(out), "--num-pairs", "2", "--seed", "2", *small]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"dadkit: {out / 'pair_000002'}: not one of the 2 pair(s) to write; "
+        "write into an empty directory"]
+    assert digest_tree(out) == before  # nothing written, nothing deleted
+    assert main(["synth", "--out", str(out), "--num-pairs", "5", "--seed", "1", *small]) == 0
+    assert {k: v for k, v in digest_tree(out).items() if k in before and k != "meta.txt"} == \
+        {k: v for k, v in before.items() if k != "meta.txt"}
+
+
+@pytest.mark.parametrize("frac", ["1e-320", "1"])
+def test_blur_width_fractions_run_from_subnormal_to_one(workspace, tmp_path, frac):
+    # a subnormal width blurs with the delta kernel; 1 is the largest width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "out"),
+                     "--widths", "4", "--kernel-size", "3", "--topk", "4",
+                     "--kde-sigma-frac", frac, "--reg-sigma-frac", frac]) == 0
+
+
 def test_unknown_flag_exits_1_naming_it(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "x"), "--bogus", "1"])
     assert rc == 1
@@ -317,6 +344,15 @@ _BAD_SETTINGS = {
     "train_reward_eps_0": (["train", "--reward-eps", "0"], "reward_eps must be positive"),
     "train_beta1_1": (["train", "--beta1", "1"], "beta1 must be in [0, 1)"),
     "distill_widths_0": (["distill", "--widths", "0"], "widths must hold at least one width"),
+    # a blur wider than the image side; 1e12 would allocate petabytes
+    "train_kde_sigma_frac_1e12": (["train", "--kde-sigma-frac", "1e12"],
+                                  "kde_sigma_frac must be in (0, 1], got 1000000000000.0"),
+    "train_kde_sigma_frac_1e308": (["train", "--kde-sigma-frac", "1e308"],
+                                   "kde_sigma_frac must be in (0, 1], got 1e+308"),
+    "train_reg_sigma_frac_1e308": (["train", "--reg-sigma-frac", "1e308"],
+                                   "reg_sigma_frac must be in (0, 1], got 1e+308"),
+    "detect_kde_sigma_frac_2": (["detect", "--kde-sigma-frac", "2"],
+                                "kde_sigma_frac must be in (0, 1], got 2.0"),
     # numpy seeds only non-negative integers
     **{f"{command}_seed_negative": ([command, "--seed=-1"],
                                     "bad value for key 'seed': must be >= 0, got -1")
@@ -425,6 +461,9 @@ def _bad_input_case(case, ws, tmp):
         return ["distill", "--light", str(ws["weights"]), "--dark", str(ws["weights"]),
                 "--out", str(tmp / "out"), "--num-pairs", "2", "--widths", "4",
                 "--kernel-size", "3", "--lr", "1e200"], "distillation diverged at step 1:"
+    if case == "detect_data_without_pairs":
+        assert main(["synth", "--out", str(bad), "--num-pairs", "0"]) == 0
+        return detect + ["--data", str(bad)], f"{bad}: no pair_* directories"
     if case == "synth_threads_0":
         return ["synth", "--out", str(tmp / "out"), "--num-pairs", "1", "--threads", "0"], "threads"
     if case == "distill_threads_0":
@@ -459,6 +498,9 @@ def _bad_input_case(case, ws, tmp):
     ("train_seed_negative", 1), ("distill_seed_negative", 1), ("eval_seed_negative", 1),
     ("gradcheck_seed_negative", 1), ("detect_topk_0", 1), ("train_eps_opt_0", 1),
     ("train_reward_eps_0", 1), ("train_beta1_1", 1), ("distill_widths_0", 1),
+    ("detect_data_without_pairs", 2), ("train_kde_sigma_frac_1e12", 1),
+    ("train_kde_sigma_frac_1e308", 1), ("train_reg_sigma_frac_1e308", 1),
+    ("detect_kde_sigma_frac_2", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

@@ -7,6 +7,8 @@ self-adjointness) get their own property loops because downstream gradients
 assume them exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -119,6 +121,19 @@ def test_gaussian_kernel_matches_formula():
         np.testing.assert_allclose(k, want, rtol=1e-15)
         assert abs(k.sum() - 1.0) < 1e-14
         np.testing.assert_array_equal(k, k[::-1])
+
+
+def test_gaussian_kernel_of_a_tiny_sigma_is_the_delta():
+    delta = np.array([0.0, 1.0, 0.0]).tobytes()
+    # subnormal widths, where 2 sigma^2 underflows or 1 / (2 sigma^2) overflows
+    for sigma in (5e-324, 1e-320, 1e-160, 1e-100, 0.01, 0.0249):
+        assert gaussian_kernel_1d(sigma).tobytes() == delta
+    # wherever the formula runs without a warning, the taps keep its bits
+    for sigma in (1e-150, 1e-100, 0.01, 0.0249, 0.025, 0.026, 0.03, 0.1, 0.5, 1.7):
+        radius = math.ceil(3.0 * sigma)
+        xs = np.arange(-radius, radius + 1, dtype=np.float64)
+        want = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
+        assert gaussian_kernel_1d(sigma).tobytes() == (want / want.sum()).tobytes()
 
 
 def test_gaussian_kernel_rejects_bad_sigma():

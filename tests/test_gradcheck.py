@@ -85,8 +85,9 @@ _TINY = ArchConfig((1,), 1)
 def test_max_rel_error_abs_floor_ignores_noise():
     a = DetectorParams(np.array([1.0, 0.0, 0.0, 0.0]), _TINY)
     f = DetectorParams(np.array([1.0 + 5e-9, 3e-9, 0.0, 0.0]), _TINY)
-    assert max_rel_error(a, f, abs_floor=1e-8) == 0.0
-    assert max_rel_error(a, f, abs_floor=1e-10) > 0.0
+    assert max_rel_error(a, f) == 0.0  # both differences are below the 1e-8 floor
+    above = DetectorParams(np.array([1.0 + 5e-9, 3e-8, 0.0, 0.0]), _TINY)
+    assert max_rel_error(a, above) == 1.0  # 3e-8 against a zero gradient
 
 
 def test_normwise_margin_is_taken_over_the_whole_gradient():
