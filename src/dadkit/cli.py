@@ -15,7 +15,6 @@ import inspect
 import math
 import sys
 from dataclasses import fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -328,8 +327,7 @@ def _detect_pair(params, scfg: SamplerConfig, mode: str, images) -> tuple:
     return tuple(sample_keypoints(forward(params, img)[0], scfg, mode) for img in images)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = resolve_config(SYNTH_KEYS, args)
+def cmd_synth(cfg: dict) -> int:
     scene = _build_scene_config(cfg)
     paths = generate_dataset(cfg["out"], scene, cfg["num_pairs"], cfg["seed"])
     write_command_meta(Path(cfg["out"]) / "meta.txt", "synth", cfg,
@@ -338,8 +336,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = resolve_config(TRAIN_KEYS, args)
+def cmd_train(cfg: dict) -> int:
     tc = _build(TrainConfig(), cfg)
     pairs = load_dataset(cfg["data"])
     params, reports = train_loop(pairs, tc)
@@ -356,8 +353,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_distill(args: argparse.Namespace) -> int:
-    cfg = resolve_config(DISTILL_KEYS, args)
+def cmd_distill(cfg: dict) -> int:
     dc = _build(DistillConfig(), cfg, scene=_build_scene_config(cfg), r=float(cfg["r"]))
     student, losses = train_distilled(load_weights(cfg["light"]), load_weights(cfg["dark"]), dc)
     outd = Path(cfg["out"])
@@ -370,8 +366,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = resolve_config(DETECT_KEYS, args)
+def cmd_detect(cfg: dict) -> int:
     if (cfg["image"] is None) == (cfg["data"] is None):
         raise ConfigError("exactly one of keys 'image' and 'data' is required")
     scfg = _build(SamplerConfig(), cfg)
@@ -395,8 +390,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if cfg["dump_scoremap"] is not None or cfg["overlay"] is not None:
         raise ConfigError("keys 'dump_scoremap' and 'overlay' require key 'image'")
     dirs = pair_dirs(cfg["data"])
-    detect = partial(_detect_pair, params, scfg, cfg["mode"])
-    results = [detect((read_pgm(d / "a.pgm"), read_pgm(d / "b.pgm"))) for d in dirs]
+    results = [_detect_pair(params, scfg, cfg["mode"],
+                            (read_pgm(d / "a.pgm"), read_pgm(d / "b.pgm"))) for d in dirs]
     outd = Path(cfg["out"])
     outd.mkdir(parents=True, exist_ok=True)
     total = 0
@@ -411,8 +406,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(EVAL_KEYS, args)
+def cmd_eval(cfg: dict) -> int:
     if (cfg["detections"] is None) == (cfg["weights"] is None):
         raise ConfigError("exactly one of keys 'detections' and 'weights' is required")
     scfg, ecfg = _build(SamplerConfig(), cfg), _build(EvalConfig(), cfg)
@@ -427,8 +421,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             kb = read_keypoints_csv(det_root / d.name / "b.csv", pair.image_b.shape)
             detections.append((ka, kb))
     else:
-        detect = partial(_detect_pair, load_weights(cfg["weights"]), scfg, cfg["mode"])
-        detections = [detect((p.image_a, p.image_b)) for p in pairs]
+        params = load_weights(cfg["weights"])
+        detections = [_detect_pair(params, scfg, cfg["mode"], (p.image_a, p.image_b))
+                      for p in pairs]
 
     summary, rows = evaluate_detections(pairs, detections, ecfg)
     outd = Path(cfg["out"])
@@ -440,8 +435,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = resolve_config(GRADCHECK_KEYS, args)
+def cmd_gradcheck(cfg: dict) -> int:
     res = run_gradcheck(instances=cfg["instances"], seed=cfg["seed"],
                         step=cfg["step"], tolerance=cfg["tolerance"])
     for fam in FAMILIES:
@@ -477,9 +471,8 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     others' flags is waste."""
     parser = _Parser(prog="dadkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (table, func, help_text) in _COMMANDS.items():
+    for name, (table, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
         if name != command:
             continue
         p.add_argument("--config", default=None, metavar="PATH",
@@ -510,7 +503,8 @@ def main(argv=None) -> int:
     parser = build_parser(next((w for w in words if not w.startswith("-")), ""))
     try:
         args = parser.parse_args(words)
-        return args.func(args)
+        table, run, _ = _COMMANDS[args.command]
+        return run(resolve_config(table, args))
     except ConfigError as e:
         print(f"dadkit: {e}", file=sys.stderr)
         return 1

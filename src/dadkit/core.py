@@ -138,6 +138,11 @@ def kl_divergence(target, p) -> float:
     return float(np.sum(t[pos] * (np.log(t[pos]) - np.log(qf))))
 
 
+def _window_offsets(r: int) -> list[tuple[int, int]]:
+    """(dy, dx) of each neighbour in a (2r+1)-square window, in raster order."""
+    return [(dy, dx) for dy in range(-r, r + 1) for dx in range(-r, r + 1) if dy or dx]
+
+
 def shifted(a: np.ndarray, dy: int, dx: int, fill: float) -> np.ndarray:
     """out[y, x] = a[y+dy, x+dx] where that index exists, else fill."""
     h, w = a.shape

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _probs_of, kl_divergence, shifted, softmax_2d
+from .core import _probs_of, _window_offsets, kl_divergence, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 from .model import AdamW, ArchConfig, DetectorParams, backward, fit, forward
 from .synth import SceneConfig, make_pair
@@ -67,12 +67,9 @@ def _maxima_candidates(v: np.ndarray) -> np.ndarray:
     """Pixels >= all existing 8-neighbors and > at least one of them."""
     ge_all = np.ones(v.shape, dtype=bool)
     gt_any = np.zeros(v.shape, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            ge_all &= v >= shifted(v, dy, dx, -np.inf)
-            gt_any |= v > shifted(v, dy, dx, np.inf)
+    for dy, dx in _window_offsets(1):
+        ge_all &= v >= shifted(v, dy, dx, -np.inf)
+        gt_any |= v > shifted(v, dy, dx, np.inf)
     return ge_all & gt_any
 
 
@@ -99,10 +96,8 @@ def local_maxima(grid) -> set[tuple[int, int]]:
     before = None
     while not np.array_equal(labels, before):
         before = labels.copy()
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if dy or dx:
-                    np.minimum(labels, shifted(labels, dy, dx, v.size), out=labels, where=cand)
+        for dy, dx in _window_offsets(1):
+            np.minimum(labels, shifted(labels, dy, dx, v.size), out=labels, where=cand)
     ys, xs = np.nonzero(labels == index)
     return set(zip(ys.tolist(), xs.tolist()))
 

@@ -171,7 +171,7 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
     s, d = _correspondences(src, dst)
     if not (inlier_threshold > 0) or iterations < 1:
         raise InvalidParameterError("bad RANSAC parameters")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)  # a Generator comes back unchanged
 
     idx = np.array([gen.choice(len(s), size=4, replace=False) for _ in range(iterations)])
     raw, spread, flat = _dlt_stack(s[idx], d[idx])

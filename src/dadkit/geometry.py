@@ -105,15 +105,19 @@ def covisible(t: HomographyTransfer, pts, shape_dst) -> tuple[np.ndarray, np.nda
     return moved, valid & (border_depth(moved, shape_dst) >= 0)
 
 
+def _pixel_centers(h: int, w: int) -> np.ndarray:
+    """The (H*W, 2) float (x, y) centers of an (H, W) grid's pixels, in raster order."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    return np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+
+
 def covisibility_mask(t: HomographyTransfer, shape_src, shape_dst) -> np.ndarray:
     """Read-only bool grid, True where a source pixel center is covisible in
     the destination."""
     hs, ws = int(shape_src[0]), int(shape_src[1])
     if min(hs, ws, int(shape_dst[0]), int(shape_dst[1])) < 1:
         raise InvalidInputError("image shapes must be positive")
-    ys, xs = np.mgrid[0:hs, 0:ws]
-    pts = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    mask = covisible(t, pts, shape_dst)[1].reshape(hs, ws)
+    mask = covisible(t, _pixel_centers(hs, ws), shape_dst)[1].reshape(hs, ws)
     mask.flags.writeable = False
     return mask
 

@@ -209,19 +209,12 @@ def _conv_same(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]
 
 def _fold_axis(g: np.ndarray, r: int, axis: int) -> np.ndarray:
     """Adjoint of half-sample reflection padding along one axis."""
-    n = g.shape[axis] - 2 * r
-
-    def seg(arr, a, b):
-        s = [slice(None)] * arr.ndim
-        s[axis] = slice(a, b)
-        return arr[tuple(s)]
-
-    core = seg(g, r, r + n).copy()
-    head = seg(core, 0, r)
-    head += np.flip(seg(g, 0, r), axis=axis)
-    tail = seg(core, n - r, n)
-    tail += np.flip(seg(g, r + n, r + n + r), axis=axis)
-    return core
+    g = np.moveaxis(g, axis, 0)
+    n = len(g) - 2 * r
+    core = g[r:r + n].copy(order="K")  # the input's memory order, so the result gets its layout
+    core[:r] += g[:r][::-1]
+    core[n - r:] += g[r + n:][::-1]
+    return np.moveaxis(core, 0, axis)
 
 
 def _conv_backward(gy: np.ndarray, xp: np.ndarray, layer: ConvLayer, want_input: bool):

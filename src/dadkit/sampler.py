@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _logits_of, gaussian_blur, shifted, softmax_2d
+from .core import _logits_of, _window_offsets, gaussian_blur, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 
 DENSITY_FLOOR = 1e-12
@@ -116,17 +116,10 @@ def nms(scores, window: int = 3) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise InvalidInputError(f"scores must be 2-D, got shape {s.shape}")
-    r = window // 2
     keep = np.ones(s.shape, dtype=bool)
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx == 0:
-                continue
-            nb = shifted(s, dy, dx, -np.inf)
-            if dy < 0 or (dy == 0 and dx < 0):  # neighbor is raster-earlier
-                keep &= nb < s
-            else:
-                keep &= nb <= s
+    for dy, dx in _window_offsets(window // 2):
+        nb = shifted(s, dy, dx, -np.inf)
+        keep &= (nb < s) if (dy, dx) < (0, 0) else (nb <= s)  # a raster-earlier neighbor wins ties
     return np.where(keep, s, 0.0)
 
 
@@ -150,6 +143,8 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
 
     The window is clipped at image borders; the displacement is bounded by
     the window radius by construction.  Scores and ordering are unchanged.
+    A window whose tempered logits overflow is shifted by its maximum logit
+    before the division, so any positive temperature gives a finite position.
     """
     if not (temp > 0):
         raise InvalidParameterError("temp must be positive")
@@ -159,15 +154,21 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
     h, w = z.shape
     r = window // 2
     out = np.empty_like(kps.xy)
-    for n, (xi, yi) in enumerate(kps.pixels.tolist()):
-        y0, y1 = max(0, yi - r), min(h, yi + r + 1)
-        x0, x1 = max(0, xi - r), min(w, xi + r + 1)
-        patch = z[y0:y1, x0:x1] / temp
-        wgt = np.exp(patch - patch.max())
-        wgt /= wgt.sum()
-        dy = float(wgt.sum(axis=1) @ (np.arange(y0, y1) - yi))
-        dx = float(wgt.sum(axis=0) @ (np.arange(x0, x1) - xi))
-        out[n] = (xi + dx, yi + dy)
+    with np.errstate(over="ignore"):  # a quotient or difference that overflows to -inf weighs 0
+        tempered = z / temp
+        overflow = not np.isfinite(tempered).all()
+        for n, (xi, yi) in enumerate(kps.pixels.tolist()):
+            y0, y1 = max(0, yi - r), min(h, yi + r + 1)
+            x0, x1 = max(0, xi - r), min(w, xi + r + 1)
+            patch = tempered[y0:y1, x0:x1]
+            if overflow and not np.isfinite(patch).all():  # take the max out before dividing
+                zw = z[y0:y1, x0:x1]
+                patch = (zw - zw.max()) / temp
+            wgt = np.exp(patch - patch.max())
+            wgt /= wgt.sum()
+            dy = float(wgt.sum(axis=1) @ (np.arange(y0, y1) - yi))
+            dx = float(wgt.sum(axis=0) @ (np.arange(x0, x1) - xi))
+            out[n] = (xi + dx, yi + dy)
     return KeypointSet(out, kps.scores, kps.source_shape)
 
 

@@ -17,13 +17,14 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 
 import numpy as np
 
 from .errors import (DegenerateTransferError, InvalidInputError, InvalidParameterError,
                      PlacementError)
-from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _sq_dists,
-                       covisibility_mask, covisible, transfer_points)
+from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _pixel_centers,
+                       _sq_dists, covisibility_mask, covisible, transfer_points)
 from .sampler import KeypointSet, border_depth
 
 POLARITIES = ("light", "dark")
@@ -119,7 +120,8 @@ class PairSample:
     correspondence is by index (identity pairing) and `transfer` is the
     identity placeholder; for scene pairs gt_keypoints_b holds the transfers
     of exactly the covisible entries of gt_keypoints_a, in the same order.
-    The covisibility masks mask_a/mask_b are derived on first use.
+    The covisibility masks mask_a/mask_b are derived on first use, unless
+    the generator hands over the ones it accepted the transfer with.
     """
 
     image_a: np.ndarray
@@ -358,8 +360,7 @@ _SUPERSAMPLE = ((-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25))
 
 def _render(size: int, structures, bg: float, noise, noise_sigma: float,
             inv: HomographyTransfer | None) -> np.ndarray:
-    ys, xs = np.mgrid[0:size, 0:size]
-    centers = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
+    centers = _pixel_centers(size, size)
     acc = np.zeros(size * size)
     for ox, oy in _SUPERSAMPLE:
         pts = centers + (ox, oy)
@@ -371,15 +372,11 @@ def _render(size: int, structures, bg: float, noise, noise_sigma: float,
 
 
 def _rotation_transfer(k: int, size: int) -> HomographyTransfer:
-    """Pixel-exact 90k-degree rotation of a square image, corners to corners."""
-    n = size - 1
-    mats = {
-        0: np.eye(3),
-        1: np.array([[0.0, -1.0, n], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-        2: np.array([[-1.0, 0.0, n], [0.0, -1.0, n], [0.0, 0.0, 1.0]]),
-        3: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, n], [0.0, 0.0, 1.0]]),
-    }
-    return HomographyTransfer(mats[k % 4])
+    """Pixel-exact 90k-degree rotation of a square image, corners to corners:
+    k quarter turns (x, y) -> (size - 1 - y, x).  The entries are small
+    integers, so the power is exact."""
+    quarter = np.array([[0.0, -1.0, size - 1], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return HomographyTransfer(np.linalg.matrix_power(quarter, k % 4))
 
 
 _MIN_COVISIBLE = 0.4
@@ -395,6 +392,11 @@ def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
     both directions, and so is one that the homography rule calls singular,
     for at most _HOMOGRAPHY_TRIES candidates.
     """
+    return _covisible_homography(rng, cfg, shape)[0]
+
+
+def _covisible_homography(rng: np.random.Generator, cfg: SceneConfig, shape: tuple[int, int]):
+    """`sample_homography`'s transfer, with its and its inverse's covisibility masks."""
     h, w = int(shape[0]), int(shape[1])
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     t_c = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1]], dtype=np.float64)
@@ -417,8 +419,10 @@ def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
             both = (t, t.inverse())
         except DegenerateTransferError:
             continue
-        if all(covisibility_mask(m, shape, shape).sum() >= _MIN_COVISIBLE * total for m in both):
-            return t
+        masks = tuple(takewhile(lambda mask: mask.sum() >= _MIN_COVISIBLE * total,
+                                (covisibility_mask(m, shape, shape) for m in both)))
+        if len(masks) == 2:
+            return t, masks
     raise DegenerateTransferError(
         f"no homography with >= {_MIN_COVISIBLE:.0%} covisibility in {_HOMOGRAPHY_TRIES} tries"
     )
@@ -445,7 +449,7 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
                                      1.0 if pol == "light" else -1.0, rho, phi))
     noise = _NoiseField.draw(rng) if cfg.noise_sigma > 0 else None
 
-    transfer = sample_homography(rng, cfg, shape)
+    transfer, masks = _covisible_homography(rng, cfg, shape)
     if cfg.rotation_aug:
         k = int(rng.integers(4))
         transfer = _rotation_transfer(k, cfg.size).compose(transfer)
@@ -465,6 +469,8 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
 
     pair = PairSample(image_a, image_b, transfer, _gt_set(centers, shape), gt_b,
                       labels, labels_b, kind="scene", seed=seed)
+    if not cfg.rotation_aug:  # seed the cached properties with the masks already made
+        vars(pair).update(mask_a=masks[0], mask_b=masks[1])
     check_pair_consistency(pair)
     return pair
 

@@ -107,6 +107,16 @@ def test_blur_width_fractions_run_from_subnormal_to_one(workspace, tmp_path, fra
                      "--kde-sigma-frac", frac, "--reg-sigma-frac", frac]) == 0
 
 
+@pytest.mark.parametrize("temp", ["1e-320", "1e-300", "0.25"])
+def test_subpixel_temperatures_run_down_to_subnormal(workspace, tmp_path, temp):
+    # below about 1e-308 times the largest logit, logits / temp overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--data", str(workspace["data"]),
+                     "--weights", str(workspace["weights"]), "--out", str(tmp_path / "out"),
+                     "--topk", "4", "--subpixel", "1", "--subpixel-temp", temp]) == 0
+
+
 def test_unknown_flag_exits_1_naming_it(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "x"), "--bogus", "1"])
     assert rc == 1

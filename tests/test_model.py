@@ -190,8 +190,38 @@ def _conv_backward_reference(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer,
     wt = np.flip(layer.kernel, axis=(2, 3)).transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
     g_xp = (wt @ _im2col(gp, kh, kw)).reshape(c, h + 2 * r, w + 2 * r)
     if r:
-        g_xp = _fold_axis(_fold_axis(g_xp, r, 2), r, 1)
+        g_xp = _fold_axis_reference(_fold_axis_reference(g_xp, r, 2), r, 1)
     return grads, g_xp
+
+
+def _fold_axis_reference(g: np.ndarray, r: int, axis: int) -> np.ndarray:
+    """The fold through slice tuples, verbatim from before `_fold_axis` moved
+    the axis to the front."""
+    n = g.shape[axis] - 2 * r
+
+    def seg(arr, a, b):
+        s = [slice(None)] * arr.ndim
+        s[axis] = slice(a, b)
+        return arr[tuple(s)]
+
+    core = seg(g, r, r + n).copy()
+    head = seg(core, 0, r)
+    head += np.flip(seg(g, 0, r), axis=axis)
+    tail = seg(core, n - r, n)
+    tail += np.flip(seg(g, r + n, r + n + r), axis=axis)
+    return core
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_fold_axis_equals_the_slice_tuple_fold_bit_for_bit(r, axis):
+    rng = np.random.default_rng(10 * r + axis)
+    for h, w in ((3 * r, 3 * r), (3 * r + 1, 3 * r + 2), (2 * r + 9, 2 * r + 8)):
+        g = rng.normal(size=(3, h, w))
+        got = _fold_axis(g, r, axis)
+        assert got.flags.c_contiguous
+        assert got.shape == _fold_axis_reference(g, r, axis).shape
+        assert got.tobytes() == _fold_axis_reference(g, r, axis).tobytes()
 
 
 def _forward_reference(params: DetectorParams, image) -> tuple[np.ndarray, _CacheReference]:

@@ -6,10 +6,12 @@ the tempered local expectation directly.  Quantized random grids force tied
 scores so the tie-break actually gets exercised.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from dadkit.core import softmax_2d
+from dadkit.core import _logits_of, softmax_2d
 from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.formats import read_keypoints_csv, write_keypoints_csv
 from dadkit.sampler import (KeypointSet, SamplerConfig, kde_balance,
@@ -135,6 +137,49 @@ def test_subpixel_refine_matches_direct_expectation():
         assert rx == pytest.approx(ex, abs=1e-12)
         assert ry == pytest.approx(ey, abs=1e-12)
         assert abs(rx - kx) <= 1.0 and abs(ry - ky) <= 1.0
+
+
+def _subpixel_refine_reference(scoremap, kps: KeypointSet, temp: float = 0.5,
+                               window: int = 3) -> KeypointSet:
+    """Refinement that divides before it shifts, verbatim from before the overflow fallback."""
+    if not (temp > 0):
+        raise InvalidParameterError("temp must be positive")
+    if window < 3 or window % 2 == 0:
+        raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
+    z = _logits_of(scoremap)
+    h, w = z.shape
+    r = window // 2
+    out = np.empty_like(kps.xy)
+    for n, (xi, yi) in enumerate(kps.pixels.tolist()):
+        y0, y1 = max(0, yi - r), min(h, yi + r + 1)
+        x0, x1 = max(0, xi - r), min(w, xi + r + 1)
+        patch = z[y0:y1, x0:x1] / temp
+        wgt = np.exp(patch - patch.max())
+        wgt /= wgt.sum()
+        dy = float(wgt.sum(axis=1) @ (np.arange(y0, y1) - yi))
+        dx = float(wgt.sum(axis=0) @ (np.arange(x0, x1) - xi))
+        out[n] = (xi + dx, yi + dy)
+    return KeypointSet(out, kps.scores, kps.source_shape)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e300])
+@pytest.mark.parametrize("temp", [4.0, 0.7, 0.5, 0.25, 1e-3, 1e-300, 1e-320])
+def test_subpixel_refine_keeps_the_reference_bits_wherever_it_ran_clean(temp, scale):
+    z = np.random.default_rng(8).normal(size=(16, 16)) * scale
+    kps = top_k(nms(softmax_2d(z), 3), 20)
+    got = subpixel_refine(z, kps, temp)  # a RuntimeWarning fails the test
+    assert np.isfinite(got.xy).all() and np.abs(got.xy - kps.xy).max() <= 1.0
+    if temp <= 1e-300:  # the tempered softmax is the window's hard maximum: the keypoint
+        np.testing.assert_array_equal(got.xy, kps.xy)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _subpixel_refine_reference(z, kps, temp)
+    except RuntimeWarning:  # the reference has no answer where the tempered logits overflow
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(z / temp).all()
+        return
+    assert got.xy.tobytes() == want.xy.tobytes()
 
 
 def test_subpixel_refine_is_exact_on_symmetric_peak():

@@ -22,7 +22,7 @@ from dadkit.sampler import KeypointSet
 from dadkit.formats import (config_meta, generate_dataset, load_dataset, load_pair,
                             read_gt_csv, read_meta, read_pgm, save_pair, write_gt_csv,
                             write_homography, write_pgm)
-from dadkit.synth import (PairSample, SceneConfig,
+from dadkit.synth import (PairSample, SceneConfig, _rotation_transfer,
                           check_pair_consistency, classify_polarity,
                           expected_strategy_reward,
                           gen_scene_pair, gen_toy_pair, generate_pairs, make_pair,
@@ -557,6 +557,40 @@ def test_pair_masks_derive_from_the_transfer(tmp_path, cfg):
         back = load_pair(d)
         np.testing.assert_array_equal(back.mask_a, pair.mask_a)
         np.testing.assert_array_equal(back.mask_b, pair.mask_b)
+
+
+@pytest.mark.parametrize("rotation_aug, calls", [(False, 2), (True, 4)])
+def test_save_pair_makes_an_unrotated_pairs_masks_once(tmp_path, monkeypatch, rotation_aug, calls):
+    """An unrotated pair keeps the masks its homography was accepted with; a
+    rotated pair's transfer is not that homography, so it derives its own."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return covisibility_mask(*args)
+
+    monkeypatch.setattr(synth, "covisibility_mask", counted)
+    save_pair(tmp_path, make_pair(SceneConfig.scenes(rotation_aug=rotation_aug), 7, 4))
+    assert len(made) == calls
+
+
+def _rotation_transfer_reference(k: int, size: int) -> HomographyTransfer:
+    """The four matrices written out, verbatim from before `_rotation_transfer` took powers."""
+    n = size - 1
+    mats = {
+        0: np.eye(3),
+        1: np.array([[0.0, -1.0, n], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        2: np.array([[-1.0, 0.0, n], [0.0, -1.0, n], [0.0, 0.0, 1.0]]),
+        3: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, n], [0.0, 0.0, 1.0]]),
+    }
+    return HomographyTransfer(mats[k % 4])
+
+
+def test_rotation_transfer_equals_the_written_out_matrices_bit_for_bit():
+    for size in range(16, 129):
+        for k in range(-8, 9):
+            got, want = _rotation_transfer(k, size).h, _rotation_transfer_reference(k, size).h
+            assert got.tobytes() == want.tobytes(), (size, k)
 
 
 @pytest.mark.parametrize("cfg", [

@@ -22,10 +22,12 @@ scene `synth` with every shape, 6 px separation, strong texture, rotation and
 negation, `train` on the first two, toy `train` with the linear-decay reward
 and no regularizer, toy `train` in batches of 4 over 2 epochs (so each epoch
 ends on a short batch of 2), `detect --image` (with scoremap dump, overlay and
-subpixel refinement) and `detect --data`, `eval --detections` with default
-and with tight thresholds, `eval --weights` on toy and scene pairs with and
-without `--subpixel 1`, on the dark-only scenes and on the dense scenes,
-scene `distill` with r = 2 and r = 1, toy `distill`, and `gradcheck --out`.
+subpixel refinement), `detect --data` in inference and in training mode,
+`eval --detections` with default and with tight thresholds, `eval --weights`
+on toy and scene pairs with and without `--subpixel 1`, on scene pairs in
+training mode and with `--subpixel-temp 0.25`, on the dark-only scenes and on
+the dense scenes, scene `distill` with r = 2 and r = 1, toy `distill`, and
+`gradcheck --out`.
 Exits 1 naming the first stage that fails.
 """
 
@@ -68,6 +70,8 @@ STAGES = [
      "--out", "detect_image/a.csv", "--dump-scoremap", "detect_image/a.dadf",
      "--overlay", "detect_image/a_overlay.pgm", "--subpixel", "1"],
     ["detect", "--weights", DARK, "--data", "scenes", "--out", "detect_scenes"],
+    ["detect", "--weights", DARK, "--data", "scenes", "--out", "detect_scenes_train",
+     "--mode", "train"],
     ["eval", "--data", "scenes", "--detections", "detect_scenes", "--out", "eval_detections",
      "--ransac-iterations", "50"],
     # tight thresholds, so the distance and inlier comparisons decide near their cuts
@@ -78,6 +82,10 @@ STAGES = [
        "--topk", "12", *flags]
       for data, weights in (("toy", LIGHT), ("scenes", DARK))
       for suffix, flags in (("", []), ("_subpixel", ["--subpixel", "1"]))),
+    ["eval", "--data", "scenes", "--weights", DARK, "--out", "eval_scenes_train", "--topk", "12",
+     "--mode", "train"],
+    ["eval", "--data", "scenes", "--weights", DARK, "--out", "eval_scenes_subpixel_temp",
+     "--topk", "12", "--subpixel", "1", "--subpixel-temp", "0.25"],
     # one polarity: every light recall is NaN
     ["eval", "--data", "scenes_dark", "--weights", DARK, "--out", "eval_scenes_dark",
      "--topk", "12"],
