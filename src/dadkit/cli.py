@@ -27,7 +27,7 @@ from .formats import (config_meta, generate_dataset, load_dataset, load_pair, pa
                       read_config_file, read_keypoints_csv, read_pgm, write_command_meta, write_dadf,
                       write_distill_loss_csv, write_gradcheck_report, write_keypoints_csv,
                       write_loss_csv, write_pgm, write_report)
-from .gradcheck import FAMILIES, run_gradcheck
+from .gradcheck import FAMILIES, MARGIN_GATE, run_gradcheck
 from .model import AdamW, ArchConfig, TrainConfig, forward, load_weights, save_weights, train_loop
 from .objective import RewardConfig
 from .sampler import SamplerConfig, sample_keypoints
@@ -273,8 +273,11 @@ _GRADCHECK = {name: p.default for name, p in inspect.signature(run_gradcheck).pa
 GRADCHECK_KEYS = {
     "instances": KeySpec(_cast_int, _GRADCHECK["instances"], "randomized instances to check"),
     "seed": KeySpec(_cast_seed, _GRADCHECK["seed"], "suite seed"),
-    "step": KeySpec(_cast_float, _GRADCHECK["step"], "central-difference step"),
-    "tolerance": KeySpec(_cast_float, _GRADCHECK["tolerance"], "max relative error allowed"),
+    "step": KeySpec(_cast_float, _GRADCHECK["step"],
+                    "central-difference step; the margin gate was set for 1e-6 to 2e-4"),
+    "tolerance": KeySpec(_cast_float, _GRADCHECK["tolerance"],
+                         "max elementwise relative error allowed; the normwise margin "
+                         f"gate stays {MARGIN_GATE:g}"),
     "out": KeySpec(_cast_str, None, "optional report file"),
 }
 
@@ -444,7 +447,8 @@ def cmd_gradcheck(cfg: dict) -> int:
     print(f"smallest gradient scale {res.min_grad_scale:.3e}; "
           f"{res.zero_grad_redraws} zero-gradient instance(s) redrawn")
     print(f"overall: {res.max_rel_error:.3e} over {res.instances} instance(s), "
-          f"tolerance {res.tolerance:g}: {'PASS' if res.passed else 'FAIL'}")
+          f"tolerance {res.tolerance:g}, normwise margin gate {MARGIN_GATE:g}: "
+          f"{'PASS' if res.passed else 'FAIL'}")
     if cfg["out"] is not None:
         write_gradcheck_report(cfg["out"], res)
     return 0 if res.passed else 2

@@ -15,12 +15,12 @@ since they test nothing; everything else about the instance is kept random.
 
 Gradients are `DetectorParams`, so the finite differences perturb the flat
 parameter vector one entry at a time, in order, and every comparison is one
-expression over the whole vector.  The pass rule uses an elementwise
-relative error whose small absolute floor hides round-off.  Alongside it the
-audit reports each family's normwise margin, max|a - f| / max(|a|, |f|) with
-both maxima taken over every parameter of the instance, which shows how far
-inside the tolerance the gradients really are, and the smallest such
-gradient scale.
+expression over the whole vector.  The pass rule has two parts.  One is an
+elementwise relative error whose small absolute floor hides round-off.  The
+other gates each family's normwise margin, max|a - f| / max(|a|, |f|) with
+both maxima taken over every parameter of the instance, at MARGIN_GATE: the
+floored error passes a gradient that is 1e-4 off, the margin does not.  The
+audit also reports the smallest such gradient scale.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ from .synth import PairSample, SceneConfig, sample_homography
 
 FAMILIES = ("rl", "reg", "distill", "full")
 ABS_FLOOR = 1e-8  # the pass rule's absolute floor: smaller differences are round-off
+# the largest normwise margin a pass allows: the worst real one over 400
+# instances was 3.7e-8, a first-layer kernel gradient 1e-5 off reads 9e-6
+MARGIN_GATE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,8 @@ class GradCheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return (self.max_rel_error < self.tolerance
+                and max(self.family_margins.values(), default=0.0) < MARGIN_GATE)
 
 
 def fd_param_grads(loss_fn, params: DetectorParams, step: float = 1e-4) -> DetectorParams:

@@ -23,7 +23,7 @@ from dadkit.distill import (
     train_distilled,
 )
 from dadkit.evaluate import EvalConfig, evaluate_detections, polarity_recall
-from dadkit.gradcheck import run_gradcheck
+from dadkit.gradcheck import MARGIN_GATE, run_gradcheck
 from dadkit.model import ArchConfig, TrainConfig, forward, train_loop
 from dadkit.objective import RewardConfig, raw_reward
 from dadkit.sampler import SamplerConfig, kde_balance, nms, sample_keypoints
@@ -55,7 +55,8 @@ def test_acceptance_analytic_gradients():
     _verdict(
         "analytic gradients",
         ok,
-        f"50 instances, max rel err {res.max_rel_error:.2e} < 1e-3 ({fams}), {dt:.0f}s",
+        f"50 instances, max rel err {res.max_rel_error:.2e} < 1e-3, every margin < "
+        f"{MARGIN_GATE:g} ({fams}), {dt:.0f}s",
     )
 
 

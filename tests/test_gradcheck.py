@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import dadkit.distill
 import dadkit.model
 from dadkit.errors import InvalidParameterError
-from dadkit.gradcheck import (FAMILIES, GradCheckResult, fd_param_grads,
+from dadkit.gradcheck import (FAMILIES, MARGIN_GATE, GradCheckResult, fd_param_grads,
                               max_rel_error, normwise_margin, run_gradcheck)
 from dadkit.model import ArchConfig, ConvLayer, DetectorParams, forward, init_params
 
@@ -46,15 +46,41 @@ def _doubled_scoremap_grad(backward):
     return lambda cache, grad: backward(cache, 2.0 * grad)
 
 
-@pytest.mark.parametrize("module, name, sabotage, broken", [
-    (dadkit.model, "_sum_grads", _doubled_second_term, {"rl", "full"}),
-    (dadkit.distill, "backward", _doubled_scoremap_grad, {"distill"}),
-], ids=["training_step", "student_step"])
-def test_run_gradcheck_audits_the_training_code(monkeypatch, module, name, sabotage, broken):
-    # a fault that only the trainers reach, through their own module globals
+def _scaled_first_kernel_grad(factor):
+    def sabotage(conv_backward):
+        def scaled(gy, xp, layer, want_input):
+            grads, g_x = conv_backward(gy, xp, layer, want_input)
+            if not want_input:  # the first layer, whose input gradient is never formed
+                grads = ConvLayer(grads.kernel * factor, grads.bias)
+            return grads, g_x
+        return scaled
+    return sabotage
+
+
+@pytest.mark.parametrize("module, name, sabotage, broken_err, broken_margin", [
+    (dadkit.model, "_sum_grads", _doubled_second_term, {"rl", "full"}, {"rl", "full"}),
+    (dadkit.distill, "backward", _doubled_scoremap_grad, {"distill"}, {"distill"}),
+    # small enough for the floored elementwise error, not for the margin gate
+    (dadkit.model, "_conv_backward", _scaled_first_kernel_grad(1 + 1e-4), set(), set(FAMILIES)),
+    (dadkit.model, "_conv_backward", _scaled_first_kernel_grad(1 + 1e-5), set(), set(FAMILIES)),
+], ids=["training_step", "student_step", "first_kernel_1e-4", "first_kernel_1e-5"])
+def test_run_gradcheck_audits_the_training_code(monkeypatch, module, name, sabotage,
+                                                broken_err, broken_margin):
+    # a fault planted through a module global of the trainers or the conv engine
     monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
-    errors = run_gradcheck(instances=2, seed=0).family_errors
-    assert {family for family, err in errors.items() if err > 1e-3} == broken
+    res = run_gradcheck(instances=2, seed=0)
+    assert {f for f, err in res.family_errors.items() if err > 1e-3} == broken_err
+    assert {f for f, m in res.family_margins.items() if m >= MARGIN_GATE} == broken_margin
+    assert not res.passed
+
+
+@pytest.mark.parametrize("step", [1e-6, 2e-4])
+def test_margin_gate_holds_away_from_the_default_step(step):
+    # below 1e-6 round-off fails the elementwise rule first; from about 2e-4
+    # up, almost every draw has a pre-activation within 10 steps of zero
+    res = run_gradcheck(instances=10, seed=0, step=step)
+    assert res.passed
+    assert max(res.family_margins.values()) < 0.1 * MARGIN_GATE
 
 
 def test_max_rel_error_detects_sabotage():
@@ -154,6 +180,10 @@ def test_gradcheck_result_pass_threshold():
     r = GradCheckResult(2e-3, {f: 2e-3 for f in FAMILIES}, 1, 1e-3)
     assert not r.passed
     assert GradCheckResult(5e-4, {f: 5e-4 for f in FAMILIES}, 1, 1e-3).passed
+    below = {f: 0.5 * MARGIN_GATE for f in FAMILIES}
+    assert GradCheckResult(0.0, {f: 0.0 for f in FAMILIES}, 1, 1e-3, below).passed
+    at_gate = {**below, "reg": MARGIN_GATE}
+    assert not GradCheckResult(0.0, {f: 0.0 for f in FAMILIES}, 1, 1e-3, at_gate).passed
 
 
 def test_run_gradcheck_validation():

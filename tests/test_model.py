@@ -3,10 +3,14 @@
 import math
 import re
 import struct
+import sys
+import threading
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -167,11 +171,32 @@ class _CacheReference:
     preacts: tuple[np.ndarray, ...]
 
 
+def _im2col_reference(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Channel-major columns (C*kh*kw, H*W) of a padded (C, H+kh-1, W+kw-1) stack,
+    verbatim from before the per-thread workspace: a fresh array per call, so
+    the column cache can keep it."""
+    c, hp, wp = xp.shape
+    v = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C, H, W, kh, kw)
+    h, w = hp - kh + 1, wp - kw + 1
+    return v.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h * w)
+
+
+def test_im2col_columns_are_aligned_views_of_one_workspace():
+    rng = np.random.default_rng(3)
+    large, small = rng.random((3, 14, 14)), rng.random((2, 9, 9))
+    first = _im2col(large, 5, 5)
+    second = _im2col(small, 3, 3)  # overwrites the start of the first call's columns
+    assert second.ctypes.data == first.ctypes.data
+    assert second.ctypes.data % 64 == 0
+    assert second.flags.c_contiguous
+    assert second.tobytes() == _im2col_reference(small, 3, 3).tobytes()
+
+
 def _conv_same_reference(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
     o, c, kh, kw = layer.kernel.shape
     r = kh // 2
     xp = np.pad(x, ((0, 0), (r, r), (r, r)), mode="symmetric") if r else x
-    cols = _im2col(xp, kh, kw)
+    cols = _im2col_reference(xp, kh, kw)
     y = layer.kernel.reshape(o, c * kh * kw) @ cols + layer.bias[:, None]
     return y.reshape(o, x.shape[1], x.shape[2]), cols
 
@@ -188,7 +213,7 @@ def _conv_backward_reference(gy: np.ndarray, cols: np.ndarray, layer: ConvLayer,
     r = kh // 2
     gp = np.pad(gy, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
     wt = np.flip(layer.kernel, axis=(2, 3)).transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-    g_xp = (wt @ _im2col(gp, kh, kw)).reshape(c, h + 2 * r, w + 2 * r)
+    g_xp = (wt @ _im2col_reference(gp, kh, kw)).reshape(c, h + 2 * r, w + 2 * r)
     if r:
         g_xp = _fold_axis_reference(_fold_axis_reference(g_xp, r, 2), r, 1)
     return grads, g_xp
@@ -320,6 +345,58 @@ def _owned_bytes(a: np.ndarray) -> int:
 def test_activation_cache_keeps_no_columns():
     _, cache = forward(init_params(ArchConfig()), np.full((64, 64), 0.5))
     assert sum(_owned_bytes(a) for a in (*cache.inputs, *cache.preacts)) < 3 * 2**20
+
+
+def _forward_backward_bytes(params: DetectorParams, image, grad, repeats: int,
+                            barrier=None) -> list[bytes]:
+    if barrier is not None:
+        barrier.wait()
+    out = []
+    for _ in range(repeats):
+        s, cache = forward(params, image)
+        out += [s.tobytes(), backward(cache, grad).flat.tobytes()]
+    return out
+
+
+def test_forward_and_backward_are_thread_safe():
+    # each thread writes its columns into its own workspace
+    params = init_params(ArchConfig())
+    rng = np.random.default_rng(7)
+    work = [(rng.random((64, 64)), rng.normal(size=(64, 64))) for _ in range(2)]
+    alone = [_forward_backward_bytes(params, image, grad, 20) for image, grad in work]
+    together: list = [None, None]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        together[i] = _forward_backward_bytes(params, *work[i], 20, barrier)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so interleaved columns show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
+
+
+def test_a_training_steps_live_memory_stays_small():
+    # the columns of every layer share one kept buffer, so a step allocates no column matrix
+    pair = generate_pairs(SceneConfig.toy(), 1, seed=0)[0]
+    cfg = TrainConfig()
+    params = init_params(cfg.arch)
+    _pair_grads(params, pair, cfg)  # warm-up: the workspace grows here
+    tracemalloc.start()
+    try:
+        _pair_grads(params, pair, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_backward_bias_gradient_is_spatial_sum_on_head():
