@@ -16,10 +16,9 @@ from .distill import (MERGE_EXPONENTS, DistillConfig, KeypointFunction,
                       distill_target, generalized_mean, local_maxima,
                       make_bump, train_distilled)
 from .errors import (ConfigError, DadkitError, DegenerateInputError,
-                     DegenerateMaskError, DegenerateTransferError,
-                     InsufficientDataError, InvalidInputError,
-                     InvalidParameterError, PlacementError)
-from .evaluate import (EvalConfig, auc, corner_epe, detection_recall, dlt_homography,
+                     DegenerateTransferError, InvalidInputError,
+                     InvalidParameterError)
+from .evaluate import (EvalConfig, auc, corner_epe, dlt_homography,
                        evaluate_detections, polarity_recall, ransac_homography, repeatability)
 from .formats import (GRID_MAGIC, GRID_VERSION, generate_dataset, load_dataset, load_pair,
                       read_dadf, read_gt_csv, read_homography, read_keypoints_csv, read_pgm,

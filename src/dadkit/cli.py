@@ -91,18 +91,11 @@ def _choice(*options: str) -> Callable[[str], str]:
     return cast
 
 
-def _at_least(lo: int) -> Callable[[str], int]:
-    def cast(s: str) -> int:
-        v = _cast_int(s)
-        if v < lo:
-            raise ValueError(f"must be >= {lo}, got {v}")
-        return v
-
-    return cast
-
-
-_cast_count = _at_least(1)
-_cast_seed = _at_least(0)  # numpy seeds only non-negative integers
+def _cast_count(s: str) -> int:
+    v = _cast_int(s)
+    if v < 1:
+        raise ValueError(f"must be >= 1, got {v}")
+    return v
 
 
 # A library-backed key is named after its field, defaults to the field's
@@ -193,7 +186,7 @@ _THREADS = KeySpec(_cast_count, 1, "accepted for compatibility (>= 1); runs sequ
 SYNTH_KEYS = {
     "out": KeySpec(_cast_str, REQUIRED, "dataset directory to create"),
     "num_pairs": KeySpec(_cast_int, 100, "pairs to generate (0 = just the meta)"),
-    "seed": KeySpec(_cast_seed, 0, "stream seed; pair i draws from (seed, i)"),
+    "seed": KeySpec(_cast_int, 0, "stream seed; pair i draws from (seed, i)"),
     "threads": _THREADS,
     **_SCENE_KEYS,
 }
@@ -201,7 +194,7 @@ SYNTH_KEYS = {
 TRAIN_KEYS = {
     "data": KeySpec(_cast_str, REQUIRED, "dataset directory from synth"),
     "out": KeySpec(_cast_str, REQUIRED, "output directory for weights/loss/meta"),
-    "seed": KeySpec(_cast_seed, ArchConfig.seed, "weight initialization seed"),
+    "seed": KeySpec(_cast_int, ArchConfig.seed, "weight initialization seed"),
     "threads": KeySpec(_cast_count, TrainConfig.batch, "batch size: pairs per optimizer step"),
     "epochs": KeySpec(_cast_int, TrainConfig.epochs, "sweeps over the dataset"),
     **{k: v for k, v in _sampler_keys(TrainConfig().sampler).items() if not k.startswith("subpixel")},
@@ -225,7 +218,7 @@ DISTILL_KEYS = {
     "light": KeySpec(_cast_str, REQUIRED, "light-biased teacher weights file"),
     "dark": KeySpec(_cast_str, REQUIRED, "dark-biased teacher weights file"),
     "out": KeySpec(_cast_str, REQUIRED, "output directory for student/loss/meta"),
-    "seed": KeySpec(_cast_seed, DistillConfig.seed, "student init and data stream seed"),
+    "seed": KeySpec(_cast_int, DistillConfig.seed, "student init and data stream seed"),
     "threads": _THREADS,
     # kept as text, so that meta.txt echoes it as given
     "r": KeySpec(_choice(*(f"{r:g}" for r in MERGE_EXPONENTS)), f"{DistillConfig.r:g}",
@@ -253,7 +246,7 @@ EVAL_KEYS = {
     "out": KeySpec(_cast_str, REQUIRED, "output directory for report.txt/per_pair.csv/meta"),
     "detections": KeySpec(_cast_str, None, "directory of per-pair a.csv/b.csv keypoints"),
     "weights": KeySpec(_cast_str, None, "detector weights to run instead of stored detections"),
-    "seed": KeySpec(_cast_seed, EvalConfig.seed, "robust-fit sampling seed"),
+    "seed": KeySpec(_cast_int, EvalConfig.seed, "robust-fit sampling seed"),
     "threads": _THREADS,
     "mode": KeySpec(_choice("train", "inference"), "inference", "sampling mode (with --weights)"),
     **_sampler_keys(SamplerConfig()),
@@ -272,7 +265,7 @@ EVAL_KEYS = {
 _GRADCHECK = {name: p.default for name, p in inspect.signature(run_gradcheck).parameters.items()}
 GRADCHECK_KEYS = {
     "instances": KeySpec(_cast_int, _GRADCHECK["instances"], "randomized instances to check"),
-    "seed": KeySpec(_cast_seed, _GRADCHECK["seed"], "suite seed"),
+    "seed": KeySpec(_cast_int, _GRADCHECK["seed"], "suite seed"),
     "step": KeySpec(_cast_float, _GRADCHECK["step"],
                     "central-difference step; the margin gate was set for 1e-6 to 2e-4"),
     "tolerance": KeySpec(_cast_float, _GRADCHECK["tolerance"],

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateMaskError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 
 KL_FLOOR = 1e-12
 # Below this width the outer taps, exp(-1 / (2 sigma^2)) < exp(-800), are 0: the
@@ -76,7 +76,7 @@ def masked_log_softmax(z, mask) -> tuple[np.ndarray, np.ndarray]:
     if mask.shape != z.shape:
         raise InvalidInputError(f"mask shape {mask.shape} != logits shape {z.shape}")
     if not mask.any():
-        raise DegenerateMaskError("mask has no true pixels")
+        raise InvalidInputError("mask has no true pixels")
     zm = z[mask]
     m = zm.max()
     lse = m + math.log(float(np.exp(zm - m).sum()))

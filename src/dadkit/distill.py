@@ -215,6 +215,8 @@ class DistillConfig:
         _check_exponent(self.r)
         if self.num_pairs < 1:
             raise InvalidParameterError("num_pairs must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 def _student_step(student: DetectorParams, image, target) -> tuple[DetectorParams, list[float]]:

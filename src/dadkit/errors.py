@@ -6,7 +6,9 @@ class DadkitError(Exception):
 
 
 class InvalidInputError(DadkitError):
-    """Input data violates a documented precondition (shape, finiteness, indices)."""
+    """Input data violates a documented precondition: a shape, finiteness or
+    index rule, an empty mask, indicator, error list or dataset, or a layout
+    that random placement could not satisfy."""
 
 
 class InvalidParameterError(DadkitError):
@@ -18,24 +20,13 @@ class InvalidParameterError(DadkitError):
     """
 
 
-class DegenerateMaskError(DadkitError):
-    """A mask or indicator has no active pixels where at least one is required."""
-
-
 class DegenerateTransferError(DadkitError):
     """A homography is singular or could not be sampled within its constraints."""
 
 
 class DegenerateInputError(DadkitError):
-    """A point configuration admits no unique model fit."""
-
-
-class PlacementError(DadkitError):
-    """Random placement could not satisfy the separation constraints."""
-
-
-class InsufficientDataError(DadkitError):
-    """Fewer data points than the operation needs."""
+    """A point configuration admits no unique model fit: fewer than 4
+    correspondences, coincident or degenerate points, or no valid RANSAC model."""
 
 
 class ConfigError(DadkitError):

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DegenerateTransferError,
-    InsufficientDataError,
     InvalidInputError,
     InvalidParameterError,
 )
@@ -113,7 +112,7 @@ def _correspondences(src, dst) -> tuple[np.ndarray, np.ndarray]:
     if s.shape != d.shape or s.ndim != 2 or s.shape[1] != 2:
         raise InvalidInputError("src and dst must both be (N, 2)")
     if len(s) < 4:
-        raise InsufficientDataError(f"need >= 4 correspondences, got {len(s)}")
+        raise DegenerateInputError(f"need >= 4 correspondences, got {len(s)}")
     if not (np.isfinite(s).all() and np.isfinite(d).all()):
         raise InvalidInputError("correspondences contain NaN/Inf")
     return s, d
@@ -233,22 +232,14 @@ def auc(errors, threshold: float) -> float:
     if not (e >= 0).all():
         raise InvalidInputError("errors must be >= 0 (inf sentinel allowed)")
     if e.size == 0:
-        raise InsufficientDataError("cannot integrate an empty error list")
+        raise InvalidInputError("cannot integrate an empty error list")
     return float(np.maximum(threshold - e, 0.0).sum() / (e.size * threshold))
-
-
-def detection_recall(kps: KeypointSet, gt: KeypointSet, radius: float) -> float:
-    """Fraction of gt points with a detection within radius; NaN if gt empty."""
-    if not (radius > 0):
-        raise InvalidParameterError("radius must be positive")
-    if len(gt) == 0:
-        return float("nan")
-    return float(_covered(gt.xy, kps.xy, radius).mean())
 
 
 def polarity_recall(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ...],
                     radius: float) -> dict[str, float]:
-    """detection_recall split by gt polarity label; NaN for absent labels."""
+    """Per gt polarity label, the fraction of gt points with a detection
+    within radius; NaN for a label with no gt points."""
     if not (radius > 0):
         raise InvalidParameterError("radius must be positive")
     labels = np.array(polarity, dtype=str)
@@ -283,6 +274,8 @@ class EvalConfig:
             raise InvalidParameterError(f"auc_threshold must be finite, got {self.auc_threshold}")
         if self.ransac_iterations < 1:
             raise InvalidParameterError("ransac_iterations must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 PER_PAIR_FIELDS = (
@@ -323,7 +316,7 @@ def _scene_row(pair: PairSample, ka: KeypointSet, kb: KeypointSet, cfg: EvalConf
             h_hat, _ = ransac_homography(ka.xy[mab.ia], kb.xy[mab.ib],
                                          cfg.ransac_threshold, cfg.ransac_iterations, rng)
             epe = corner_epe(h_hat, pair.transfer, pair.image_a.shape)
-        except (DegenerateInputError, InsufficientDataError):
+        except DegenerateInputError:
             pass
     return {
         "repeatability": rep,
@@ -350,7 +343,7 @@ def evaluate_detections(samples, detections, cfg: EvalConfig | None = None
     if len(samples) != len(detections):
         raise InvalidInputError("samples and detections must align")
     if not samples:
-        raise InsufficientDataError("nothing to evaluate")
+        raise InvalidInputError("nothing to evaluate")
     rows: list[dict] = []
     rng = np.random.default_rng(cfg.seed)
     for i, (pair, (ka, kb)) in enumerate(zip(samples, detections)):

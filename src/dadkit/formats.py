@@ -330,6 +330,8 @@ def generate_dataset(root, cfg: SceneConfig, count: int, seed: int) -> list[Path
     them, so one is refused before a pair is written; nothing is deleted."""
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
     paths = [rootp / f"pair_{i:06d}" for i in range(count)]

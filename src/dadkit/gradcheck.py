@@ -165,6 +165,8 @@ def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
     """Run the randomized suite; deterministic given the seed."""
     if instances < 1 or step <= 0 or tolerance <= 0:
         raise InvalidParameterError("bad gradcheck parameters")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     family_errors = {f: 0.0 for f in FAMILIES}
     family_margins = {f: 0.0 for f in FAMILIES}
     min_scale = np.inf

@@ -59,6 +59,8 @@ class ArchConfig:
                 f"channel_widths must hold at least one width, each >= 1, got {self.channel_widths}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise InvalidParameterError("kernel_size must be odd and >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def receptive_field(self) -> int:

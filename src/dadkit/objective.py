@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KL_FLOOR, gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
-from .errors import DegenerateMaskError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .geometry import MatchSet
 from .sampler import KeypointSet
 
@@ -131,7 +131,7 @@ def reg_loss_and_grad(scoremap, indicator, sigma: float) -> tuple[float, np.ndar
     """
     bits = np.asarray(indicator, dtype=bool)
     if not bits.any():
-        raise DegenerateMaskError("indicator has no true pixels")
+        raise InvalidInputError("indicator has no true pixels")
     p = softmax_2d(scoremap)
     if bits.shape != p.shape:
         raise InvalidInputError(f"indicator shape {bits.shape} != scoremap shape {p.shape}")

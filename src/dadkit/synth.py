@@ -17,12 +17,10 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import takewhile
 
 import numpy as np
 
-from .errors import (DegenerateTransferError, InvalidInputError, InvalidParameterError,
-                     PlacementError)
+from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
 from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _pixel_centers,
                        _sq_dists, covisibility_mask, covisible, transfer_points)
 from .sampler import KeypointSet, border_depth
@@ -120,8 +118,7 @@ class PairSample:
     correspondence is by index (identity pairing) and `transfer` is the
     identity placeholder; for scene pairs gt_keypoints_b holds the transfers
     of exactly the covisible entries of gt_keypoints_a, in the same order.
-    The covisibility masks mask_a/mask_b are derived on first use, unless
-    the generator hands over the ones it accepted the transfer with.
+    The covisibility masks mask_a/mask_b are derived on first use.
     """
 
     image_a: np.ndarray
@@ -231,7 +228,7 @@ def _place_points(rng: np.random.Generator, cfg: SceneConfig, count: int,
                 break
         if len(placed) == count:
             return np.array(placed, dtype=np.float64).reshape(count, 2)
-    raise PlacementError(f"could not place {count} points with separation {cfg.min_separation}")
+    raise InvalidInputError(f"could not place {count} points with separation {cfg.min_separation}")
 
 
 def _gt_set(centers: np.ndarray, shape: tuple[int, int]) -> KeypointSet:
@@ -392,11 +389,6 @@ def sample_homography(rng: np.random.Generator, cfg: SceneConfig,
     both directions, and so is one that the homography rule calls singular,
     for at most _HOMOGRAPHY_TRIES candidates.
     """
-    return _covisible_homography(rng, cfg, shape)[0]
-
-
-def _covisible_homography(rng: np.random.Generator, cfg: SceneConfig, shape: tuple[int, int]):
-    """`sample_homography`'s transfer, with its and its inverse's covisibility masks."""
     h, w = int(shape[0]), int(shape[1])
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     t_c = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1]], dtype=np.float64)
@@ -419,10 +411,8 @@ def _covisible_homography(rng: np.random.Generator, cfg: SceneConfig, shape: tup
             both = (t, t.inverse())
         except DegenerateTransferError:
             continue
-        masks = tuple(takewhile(lambda mask: mask.sum() >= _MIN_COVISIBLE * total,
-                                (covisibility_mask(m, shape, shape) for m in both)))
-        if len(masks) == 2:
-            return t, masks
+        if all(covisibility_mask(m, shape, shape).sum() >= _MIN_COVISIBLE * total for m in both):
+            return t
     raise DegenerateTransferError(
         f"no homography with >= {_MIN_COVISIBLE:.0%} covisibility in {_HOMOGRAPHY_TRIES} tries"
     )
@@ -449,7 +439,7 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
                                      1.0 if pol == "light" else -1.0, rho, phi))
     noise = _NoiseField.draw(rng) if cfg.noise_sigma > 0 else None
 
-    transfer, masks = _covisible_homography(rng, cfg, shape)
+    transfer = sample_homography(rng, cfg, shape)
     if cfg.rotation_aug:
         k = int(rng.integers(4))
         transfer = _rotation_transfer(k, cfg.size).compose(transfer)
@@ -469,8 +459,6 @@ def gen_scene_pair(rng: np.random.Generator, cfg: SceneConfig, seed: int = 0) ->
 
     pair = PairSample(image_a, image_b, transfer, _gt_set(centers, shape), gt_b,
                       labels, labels_b, kind="scene", seed=seed)
-    if not cfg.rotation_aug:  # seed the cached properties with the masks already made
-        vars(pair).update(mask_a=masks[0], mask_b=masks[1])
     check_pair_consistency(pair)
     return pair
 
@@ -564,6 +552,9 @@ def expected_strategy_reward(strategy: str, cfg: SceneConfig) -> float:
 
 def pair_rng(seed: int, index: int) -> np.random.Generator:
     """The per-pair generator: independent streams, stable under count changes."""
+    for name, value in (("seed", seed), ("index", index)):
+        if value < 0:
+            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
     return np.random.default_rng([seed, index])
 
 

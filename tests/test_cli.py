@@ -21,12 +21,13 @@ from dadkit import cli
 from dadkit.cli import (DISTILL_KEYS, SYNTH_KEYS, _build_scene_config, build_parser, main,
                         resolve_config)
 from dadkit.distill import DistillConfig
-from dadkit.errors import ConfigError
+from dadkit.errors import ConfigError, InvalidParameterError
 from dadkit.evaluate import EvalConfig
-from dadkit.model import AdamW, TrainConfig, forward
+from dadkit.gradcheck import run_gradcheck
+from dadkit.model import AdamW, ArchConfig, TrainConfig, forward
 from dadkit.sampler import SamplerConfig
-from dadkit.formats import read_meta
-from dadkit.synth import SceneConfig
+from dadkit.formats import generate_dataset, read_meta
+from dadkit.synth import SceneConfig, pair_rng
 
 
 def digest_tree(root: Path) -> dict[str, str]:
@@ -365,7 +366,7 @@ _BAD_SETTINGS = {
                                 "kde_sigma_frac must be in (0, 1], got 2.0"),
     # numpy seeds only non-negative integers
     **{f"{command}_seed_negative": ([command, "--seed=-1"],
-                                    "bad value for key 'seed': must be >= 0, got -1")
+                                    "dadkit: invalid parameter: seed must be >= 0, got -1")
        for command in ("synth", "train", "distill", "eval", "gradcheck")},
 }
 
@@ -520,6 +521,24 @@ def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("dadkit: ")
     assert str(bad) in err[0]
+
+
+@pytest.mark.parametrize("entry", [
+    lambda root: ArchConfig(seed=-1),
+    lambda root: EvalConfig(seed=-1),
+    lambda root: DistillConfig(seed=-1),
+    lambda root: pair_rng(-1, 0),
+    lambda root: generate_dataset(root, SceneConfig.toy(), 1, -1),
+    lambda root: run_gradcheck(instances=1, seed=-1),
+], ids=["ArchConfig", "EvalConfig", "DistillConfig", "pair_rng", "generate_dataset",
+        "run_gradcheck"])
+def test_library_entry_points_reject_a_negative_seed(tmp_path, entry):
+    """The seed rule lives in the library, so a library caller gets the
+    command line's error in place of numpy's ValueError, and nothing is written."""
+    root = tmp_path / "out"
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        entry(root)
+    assert not root.exists()
 
 
 @pytest.mark.parametrize("command, key", [

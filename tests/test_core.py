@@ -16,8 +16,7 @@ from mpmath import mp
 from dadkit.core import (KL_FLOOR, gaussian_blur, gaussian_kernel_1d, kl_divergence,
                          masked_log_softmax, shifted, softmax_2d)
 from dadkit.distill import distill_loss_and_grad
-from dadkit.errors import (DegenerateMaskError, InvalidInputError,
-                           InvalidParameterError)
+from dadkit.errors import InvalidInputError, InvalidParameterError
 from dadkit.formats import GRID_MAGIC, read_dadf, write_dadf
 from dadkit.model import ArchConfig, DetectorParams, forward, init_params
 
@@ -101,7 +100,7 @@ def test_masked_log_softmax_matches_oracle():
 
 
 def test_masked_log_softmax_empty_mask_raises():
-    with pytest.raises(DegenerateMaskError):
+    with pytest.raises(InvalidInputError, match="mask has no true pixels"):
         masked_log_softmax(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool))
 
 

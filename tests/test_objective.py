@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dadkit.core import gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
-from dadkit.errors import (DadkitError, DegenerateMaskError, InvalidInputError,
-                           InvalidParameterError)
+from dadkit.errors import DadkitError, InvalidInputError, InvalidParameterError
 from dadkit.geometry import MatchSet
 from dadkit.objective import (RewardConfig, normalize_rewards, raw_reward,
                               reg_loss_and_grad, rl_loss_and_grad, total_loss_and_grad)
@@ -365,7 +364,7 @@ def test_reg_perfect_coverage_is_minimal():
 
 
 def test_reg_empty_indicator_raises():
-    with pytest.raises(DegenerateMaskError):
+    with pytest.raises(InvalidInputError, match="indicator has no true pixels"):
         reg_loss_and_grad(np.zeros((8, 8)), np.zeros((8, 8), dtype=bool), 1.0)
 
 

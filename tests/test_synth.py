@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dadkit.errors import (DegenerateTransferError, InvalidInputError,
-                           InvalidParameterError, PlacementError)
+from dadkit.errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
 from dadkit.geometry import (HomographyTransfer, MatchSet, _nearest, covisibility_mask,
                              transfer_points)
 from dadkit import synth
@@ -115,7 +114,7 @@ def test_generators_are_deterministic_per_stream():
 
 def test_placement_error_when_layout_is_too_dense():
     cfg = SceneConfig.toy(size=16, num_light=20, num_dark=20)
-    with pytest.raises(PlacementError):
+    with pytest.raises(InvalidInputError, match="could not place"):
         gen_toy_pair(pair_rng(0, 0), cfg)
 
 
@@ -559,21 +558,6 @@ def test_pair_masks_derive_from_the_transfer(tmp_path, cfg):
         np.testing.assert_array_equal(back.mask_b, pair.mask_b)
 
 
-@pytest.mark.parametrize("rotation_aug, calls", [(False, 2), (True, 4)])
-def test_save_pair_makes_an_unrotated_pairs_masks_once(tmp_path, monkeypatch, rotation_aug, calls):
-    """An unrotated pair keeps the masks its homography was accepted with; a
-    rotated pair's transfer is not that homography, so it derives its own."""
-    made = []
-
-    def counted(*args):
-        made.append(args)
-        return covisibility_mask(*args)
-
-    monkeypatch.setattr(synth, "covisibility_mask", counted)
-    save_pair(tmp_path, make_pair(SceneConfig.scenes(rotation_aug=rotation_aug), 7, 4))
-    assert len(made) == calls
-
-
 def _rotation_transfer_reference(k: int, size: int) -> HomographyTransfer:
     """The four matrices written out, verbatim from before `_rotation_transfer` took powers."""
     n = size - 1
@@ -760,7 +744,7 @@ def _scene_pair_or_error(cfg, seed, index, render):
     synth._render = render
     try:
         return gen_scene_pair(pair_rng(seed, index), cfg)
-    except (PlacementError, DegenerateTransferError) as e:
+    except (InvalidInputError, DegenerateTransferError) as e:
         return f"{type(e).__name__}: {e}"
     finally:
         synth._render = saved
