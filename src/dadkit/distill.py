@@ -21,7 +21,7 @@ import numpy as np
 from .core import _probs_of, _window_offsets, kl_divergence, shifted, softmax_2d
 from .errors import InvalidInputError, InvalidParameterError
 from .model import AdamW, ArchConfig, DetectorParams, backward, fit, forward
-from .synth import SceneConfig, make_pair
+from .synth import SceneConfig, check_seed, make_pair
 
 MERGE_EXPONENTS = (1, 2, math.inf)
 
@@ -215,8 +215,7 @@ class DistillConfig:
         _check_exponent(self.r)
         if self.num_pairs < 1:
             raise InvalidParameterError("num_pairs must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 def _student_step(student: DetectorParams, image, target) -> tuple[DetectorParams, list[float]]:

@@ -24,7 +24,7 @@ from .errors import (
 from .geometry import (HomographyTransfer, _covered, _homography_rule, _sq_dist, _sq_dists,
                        _transfer, covisible, match_mutual_nn, transfer_points)
 from .sampler import KeypointSet
-from .synth import POLARITIES, PairSample, classify_polarity, toy_pair_hits
+from .synth import POLARITIES, PairSample, check_seed, classify_polarity, toy_pair_hits
 
 
 def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
@@ -274,8 +274,7 @@ class EvalConfig:
             raise InvalidParameterError(f"auc_threshold must be finite, got {self.auc_threshold}")
         if self.ransac_iterations < 1:
             raise InvalidParameterError("ransac_iterations must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
 
 PER_PAIR_FIELDS = (

@@ -22,7 +22,8 @@ from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParamete
 from .evaluate import PER_PAIR_FIELDS
 from .geometry import HomographyTransfer
 from .sampler import KeypointSet
-from .synth import POLARITIES, PairSample, SceneConfig, check_pair_consistency, make_pair
+from .synth import (POLARITIES, PairSample, SceneConfig, check_pair_consistency, check_seed,
+                    make_pair)
 
 GRID_MAGIC = b"DADF"
 GRID_VERSION = 1
@@ -330,8 +331,7 @@ def generate_dataset(root, cfg: SceneConfig, count: int, seed: int) -> list[Path
     them, so one is refused before a pair is written; nothing is deleted."""
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
     paths = [rootp / f"pair_{i:06d}" for i in range(count)]

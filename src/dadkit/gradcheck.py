@@ -44,7 +44,7 @@ from .model import (
 )
 from .objective import RewardConfig, reg_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig
-from .synth import PairSample, SceneConfig, sample_homography
+from .synth import PairSample, SceneConfig, check_seed, sample_homography
 
 FAMILIES = ("rl", "reg", "distill", "full")
 ABS_FLOOR = 1e-8  # the pass rule's absolute floor: smaller differences are round-off
@@ -165,8 +165,7 @@ def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
     """Run the randomized suite; deterministic given the seed."""
     if instances < 1 or step <= 0 or tolerance <= 0:
         raise InvalidParameterError("bad gradcheck parameters")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     family_errors = {f: 0.0 for f in FAMILIES}
     family_margins = {f: 0.0 for f in FAMILIES}
     min_scale = np.inf

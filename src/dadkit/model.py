@@ -38,7 +38,7 @@ from .formats import _read_exact, read_header
 from .geometry import match_mutual_nn
 from .objective import LossReport, RewardConfig, total_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig, sample_keypoints
-from .synth import toy_matches
+from .synth import check_seed, toy_matches
 
 WEIGHTS_MAGIC = b"DADW"
 WEIGHTS_VERSION = 1
@@ -59,8 +59,7 @@ class ArchConfig:
                 f"channel_widths must hold at least one width, each >= 1, got {self.channel_widths}")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise InvalidParameterError("kernel_size must be odd and >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def receptive_field(self) -> int:
@@ -469,8 +468,13 @@ def train_loop(data, cfg: TrainConfig) -> tuple[DetectorParams, list[LossReport]
 
     Each optimizer step takes the next `cfg.batch` pairs (`_batch_grads`);
     batch == 1 steps once per pair.  A run that diverges ends as `fit` says.
+    A pair with an empty covisibility mask is a data fault, not a divergence:
+    it raises InvalidInputError naming its index before the first step.
     """
     pairs = list(data)
+    for i, pair in enumerate(pairs):
+        if not (pair.mask_a.any() and pair.mask_b.any()):
+            raise InvalidInputError(f"training pair {i} has no pixel covisible in the other view")
     batches = [pairs[at:at + cfg.batch] for at in range(0, len(pairs), cfg.batch)]
     steps = (partial(_batch_grads, batch=b, cfg=cfg) for _ in range(cfg.epochs) for b in batches)
     return fit(cfg.arch, cfg.opt, steps, "training")

@@ -550,11 +550,16 @@ def expected_strategy_reward(strategy: str, cfg: SceneConfig) -> float:
     return float(sum(Fraction(m * m, n) for n, m in groups if m))
 
 
+def check_seed(value: int, name: str = "seed") -> None:
+    """The one seed rule: a seed, or a stream index, must be >= 0."""
+    if value < 0:
+        raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+
+
 def pair_rng(seed: int, index: int) -> np.random.Generator:
     """The per-pair generator: independent streams, stable under count changes."""
-    for name, value in (("seed", seed), ("index", index)):
-        if value < 0:
-            raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+    check_seed(seed)
+    check_seed(index, "index")
     return np.random.default_rng([seed, index])
 
 

@@ -43,7 +43,7 @@ def test_summarize_counts_wins_and_flags_the_bound(metric, parent, change, want)
 def _checkout(root: Path, result: dict, code: int = 0) -> Path:
     """A stand-in checkout whose benchmark prints `result` and exits `code`."""
     (root / "perfbench").mkdir(parents=True)
-    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [HIGHER]}))
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": [HIGHER]}))
     (root / "perfbench" / "run.py").write_text(
         f"import sys\nprint({json.dumps(json.dumps(result))})\nsys.exit({code})\n")
     return root
@@ -58,13 +58,14 @@ def test_main_alternates_and_prints_one_line_per_metric(tmp_path, capsys):
     parent = _checkout(tmp_path / "parent", _result(10.0))
     change = _checkout(tmp_path / "change", _result(12.0))
     assert bench_pairs.main([str(parent), str(change), "--workload", "w",
-                             "--first-seed", "7", "--pairs", "3", "--seconds", "1"]) == 0
+                             "--first-seed", "7"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out[:6]] == [
-        "pair 0 seed 7 parent", "pair 0 seed 7 change", "pair 1 seed 8 change",
-        "pair 1 seed 8 parent", "pair 2 seed 9 parent", "pair 2 seed 9 change"]
+    assert [line.split(":")[0] for line in out[:2 * bench_pairs.PAIRS]] == [
+        f"pair {i} seed {7 + i} {side}" for i in range(bench_pairs.PAIRS)
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+    assert out[-2] == "w: 10 pairs, seeds 7-16, 1 s per run"
     assert out[-1].startswith("pairs_per_s (1/s, higher is better): parent 10, change 12,")
-    assert "change wins 3/3" in out[-1] and out[-1].endswith("no")
+    assert "change wins 10/10" in out[-1] and out[-1].endswith("no")
 
 
 @pytest.mark.parametrize("result, code, why", [
@@ -76,6 +77,6 @@ def test_a_bad_run_stops_with_exit_1_naming_it(tmp_path, capsys, result, code, w
     parent = _checkout(tmp_path / "parent", _result(10.0))
     change = _checkout(tmp_path / "change", result, code)
     assert bench_pairs.main([str(parent), str(change), "--workload", "w",
-                             "--first-seed", "7", "--seconds", "1"]) == 1
+                             "--first-seed", "7"]) == 1
     err = capsys.readouterr().err
     assert f"{change} --workload w --seed 7" in err and why in err

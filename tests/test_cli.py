@@ -468,6 +468,17 @@ def _bad_input_case(case, ws, tmp):
                 "--kernel-size", "3", "--lr", "1e4"], \
             ("masked probabilities sum to" if case == "train_lr_1e4"
              else "training diverged at step 2: masked probabilities sum to")
+    if case == "train_pair_without_covisible_pixels":
+        # pair 1's h.txt maps A wholly outside B, and its gt_b is empty to agree:
+        # a data fault that the second step must not report as a divergence
+        assert main(["synth", "--mode", "scenes", "--num-pairs", "2",
+                     "--out", str(tmp / "data")]) == 0
+        pair = tmp / "data" / "pair_000001"
+        (pair / "h.txt").write_text("1 0 1000 0 1 0 0 0 1\n")
+        (pair / "gt_b.csv").write_bytes(b"x,y,score,polarity\n")
+        return ["train", "--data", str(tmp / "data"), "--out", str(tmp / "out"),
+                "--widths", "4", "--kernel-size", "3"], \
+            "dadkit: training pair 1 has no pixel covisible in the other view"
     if case == "distill_lr_1e200":
         return ["distill", "--light", str(ws["weights"]), "--dark", str(ws["weights"]),
                 "--out", str(tmp / "out"), "--num-pairs", "2", "--widths", "4",
@@ -511,7 +522,7 @@ def _bad_input_case(case, ws, tmp):
     ("train_reward_eps_0", 1), ("train_beta1_1", 1), ("distill_widths_0", 1),
     ("detect_data_without_pairs", 2), ("train_kde_sigma_frac_1e12", 1),
     ("train_kde_sigma_frac_1e308", 1), ("train_reg_sigma_frac_1e308", 1),
-    ("detect_kde_sigma_frac_2", 1),
+    ("detect_kde_sigma_frac_2", 1), ("train_pair_without_covisible_pixels", 2),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)

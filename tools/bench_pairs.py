@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Alternating benchmark runs of two checkouts, summarised per end-to-end metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --first-seed S [--pairs 10] [--seconds 30]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --first-seed S
 
-Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T --trace 0`
-from the root of PARENT and of CHANGE, one after the other: PARENT first on
-even i, CHANGE first on odd i.  Each run's metrics are printed as it ends.
+Pair i, for i below PAIRS, runs
+`perfbench/run.py --workload W --seed S+i --seconds T --trace 0` from the
+root of PARENT and of CHANGE, one after the other: PARENT first on even i,
+CHANGE first on odd i.  T is the `run_seconds` of CHANGE's BENCHMARK.json.
+Each run's metrics are printed as it ends.
 A run that exits nonzero, reads `correct: false` or reports failed operations
 stops the script with exit 1, naming the run.
 
@@ -24,6 +26,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+# The fewest pairs that the comparison of two checkouts accepts.
+PAIRS = 10
 
 
 class RunFailed(Exception):
@@ -70,27 +76,24 @@ def main(argv=None) -> int:
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be >= 2 for quartiles")
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     runs = {"parent": [], "change": []}
     try:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.first_seed + i
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                values = run_once(getattr(args, side), args.workload, seed, args.seconds)
+                values = run_once(getattr(args, side), args.workload, seed, seconds)
                 runs[side].append(values)
                 print(f"pair {i} seed {seed} {side}: "
                       + ", ".join(f"{k}={v:.4g}" for k, v in sorted(values.items())), flush=True)
     except RunFailed as e:
         print(f"bench_pairs: {e}", file=sys.stderr)
         return 1
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.first_seed}-"
-          f"{args.first_seed + args.pairs - 1}, {args.seconds:g} s per run")
-    for m in metrics:
+    print(f"{args.workload}: {PAIRS} pairs, seeds {args.first_seed}-"
+          f"{args.first_seed + PAIRS - 1}, {seconds:g} s per run")
+    for m in bench["end_to_end"]:
         s = summarize(m, [r[m["name"]] for r in runs["parent"]],
                       [r[m["name"]] for r in runs["change"]])
         print(format_summary(m, s))
