@@ -67,18 +67,15 @@ def _cast_str(s: str) -> str:
     return s.strip()
 
 
-def _cast_ints(s: str) -> tuple[int, ...]:
-    toks = [t.strip() for t in s.split(",") if t.strip()]
-    if not toks:
-        raise ValueError("empty integer list")
-    return tuple(int(t) for t in toks)
-
-
 def _cast_strs(s: str) -> tuple[str, ...]:
     toks = [t.strip() for t in s.split(",") if t.strip()]
     if not toks:
         raise ValueError("empty list")
     return tuple(toks)
+
+
+def _cast_ints(s: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in _cast_strs(s))
 
 
 def _choice(*options: str) -> Callable[[str], str]:

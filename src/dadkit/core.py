@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, check_range
 
 KL_FLOOR = 1e-12
 # Below this width the outer taps, exp(-1 / (2 sigma^2)) < exp(-800), are 0: the
@@ -91,8 +91,7 @@ def masked_log_softmax(z, mask) -> tuple[np.ndarray, np.ndarray]:
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian kernel truncated at radius ceil(3*sigma)."""
-    if not (sigma > 0) or not math.isfinite(sigma):
-        raise InvalidParameterError(f"sigma must be positive and finite, got {sigma}")
+    check_range("sigma", sigma, gt=0, lt=math.inf)
     if sigma < _DELTA_SIGMA:
         return np.array([0.0, 1.0, 0.0])
     radius = math.ceil(3.0 * sigma)

@@ -19,9 +19,9 @@ from functools import partial
 import numpy as np
 
 from .core import _probs_of, _window_offsets, kl_divergence, shifted, softmax_2d
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check_range
 from .model import AdamW, ArchConfig, DetectorParams, backward, fit, forward
-from .synth import SceneConfig, check_seed, make_pair
+from .synth import SceneConfig, make_pair
 
 MERGE_EXPONENTS = (1, 2, math.inf)
 
@@ -144,8 +144,8 @@ class KeypointFunction:
 def make_bump(shape, cx: float, cy: float, radius: float, height: float = 1.0) -> KeypointFunction:
     """Smooth compact bump height*(1 - (d/radius)^2)^3 centered at (cx, cy)."""
     h, w = int(shape[0]), int(shape[1])
-    if radius <= 0 or height <= 0:
-        raise InvalidParameterError("radius and height must be positive")
+    check_range("radius", radius, gt=0)
+    check_range("height", height, gt=0)
     ys, xs = np.mgrid[0:h, 0:w]
     d2 = (xs - cx) ** 2 + (ys - cy) ** 2
     t = np.maximum(0.0, 1.0 - d2 / (radius * radius))
@@ -213,9 +213,8 @@ class DistillConfig:
 
     def __post_init__(self):
         _check_exponent(self.r)
-        if self.num_pairs < 1:
-            raise InvalidParameterError("num_pairs must be >= 1")
-        check_seed(self.seed)
+        check_range("num_pairs", self.num_pairs, ge=1)
+        check_range("seed", self.seed, ge=0)
 
 
 def _student_step(student: DetectorParams, image, target) -> tuple[DetectorParams, list[float]]:

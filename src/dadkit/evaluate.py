@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DegenerateTransferError,
-    InvalidInputError,
-    InvalidParameterError,
-)
+from .errors import DegenerateInputError, DegenerateTransferError, InvalidInputError, check_range
 from .geometry import (HomographyTransfer, _covered, _homography_rule, _sq_dist, _sq_dists,
                        _transfer, covisible, match_mutual_nn, transfer_points)
 from .sampler import KeypointSet
-from .synth import POLARITIES, PairSample, check_seed, classify_polarity, toy_pair_hits
+from .synth import POLARITIES, PairSample, classify_polarity, toy_pair_hits
 
 
 def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
@@ -36,8 +31,7 @@ def repeatability(ka: KeypointSet, kb: KeypointSet, t: HomographyTransfer,
     of increasing distance (ties in row-major order), among the pairs within
     threshold.  Returns NaN when nothing is covisible.
     """
-    if not (threshold > 0):
-        raise InvalidParameterError("threshold must be positive")
+    check_range("threshold", threshold, gt=0)
     if len(ka) == 0:
         return float("nan")
     moved, inside = covisible(t, ka.xy, kb.source_shape)
@@ -168,8 +162,8 @@ def ransac_homography(src, dst, inlier_threshold: float = 2.0,
     model is returned.
     """
     s, d = _correspondences(src, dst)
-    if not (inlier_threshold > 0) or iterations < 1:
-        raise InvalidParameterError("bad RANSAC parameters")
+    check_range("inlier_threshold", inlier_threshold, gt=0)
+    check_range("iterations", iterations, ge=1)
     gen = np.random.default_rng(rng)  # a Generator comes back unchanged
 
     idx = np.array([gen.choice(len(s), size=4, replace=False) for _ in range(iterations)])
@@ -226,8 +220,7 @@ def auc(errors, threshold: float) -> float:
     fraction of errors <= tau is piecewise constant, so the integral is
     sum(max(threshold - e, 0)) / (n * threshold).
     """
-    if not (threshold > 0) or not math.isfinite(threshold):
-        raise InvalidParameterError("threshold must be positive and finite")
+    check_range("threshold", threshold, gt=0, lt=math.inf)
     e = np.asarray(errors, dtype=np.float64)
     if not (e >= 0).all():
         raise InvalidInputError("errors must be >= 0 (inf sentinel allowed)")
@@ -240,8 +233,7 @@ def polarity_recall(kps: KeypointSet, gt: KeypointSet, polarity: tuple[str, ...]
                     radius: float) -> dict[str, float]:
     """Per gt polarity label, the fraction of gt points with a detection
     within radius; NaN for a label with no gt points."""
-    if not (radius > 0):
-        raise InvalidParameterError("radius must be positive")
+    check_range("radius", radius, gt=0)
     labels = np.array(polarity, dtype=str)
     if len(labels) != len(gt) or not np.isin(labels, POLARITIES).all():
         raise InvalidInputError("polarity needs one label per gt point, 'light' or 'dark'")
@@ -266,15 +258,11 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("match_threshold", "ransac_threshold", "auc_threshold", "recall_radius",
-                     "hit_radius"):
-            if not (getattr(self, name) > 0):
-                raise InvalidParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if not math.isfinite(self.auc_threshold):
-            raise InvalidParameterError(f"auc_threshold must be finite, got {self.auc_threshold}")
-        if self.ransac_iterations < 1:
-            raise InvalidParameterError("ransac_iterations must be >= 1")
-        check_seed(self.seed)
+        for name in ("match_threshold", "ransac_threshold", "recall_radius", "hit_radius"):
+            check_range(name, getattr(self, name), gt=0)
+        check_range("ransac_iterations", self.ransac_iterations, ge=1)
+        check_range("auc_threshold", self.auc_threshold, gt=0, lt=math.inf)
+        check_range("seed", self.seed, ge=0)
 
 
 PER_PAIR_FIELDS = (

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import _as_grid
-from .errors import ConfigError, DadkitError, InvalidInputError, InvalidParameterError
+from .errors import ConfigError, DadkitError, InvalidInputError, check_range
 from .evaluate import PER_PAIR_FIELDS
 from .geometry import HomographyTransfer
 from .sampler import KeypointSet
-from .synth import (POLARITIES, PairSample, SceneConfig, check_pair_consistency, check_seed,
-                    make_pair)
+from .synth import POLARITIES, PairSample, SceneConfig, check_pair_consistency, make_pair
 
 GRID_MAGIC = b"DADF"
 GRID_VERSION = 1
@@ -329,9 +328,8 @@ def generate_dataset(root, cfg: SceneConfig, count: int, seed: int) -> list[Path
     `root`; returns their paths.  The root's meta.txt is the caller's to write.
     Later commands would read any other pair_* directory under `root` with
     them, so one is refused before a pair is written; nothing is deleted."""
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
-    check_seed(seed)
+    check_range("count", count, ge=0)
+    check_range("seed", seed, ge=0)
     rootp = Path(root)
     rootp.mkdir(parents=True, exist_ok=True)
     paths = [rootp / f"pair_{i:06d}" for i in range(count)]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
+from .errors import DegenerateTransferError, InvalidInputError, check_range
 from .sampler import KeypointSet, border_depth
 
 
@@ -195,8 +195,7 @@ def match_mutual_nn(
     B->A is built symmetrically; distances are measured in the query plane,
     so the two sets need not mirror each other.
     """
-    if not (threshold > 0):
-        raise InvalidParameterError("threshold must be positive")
+    check_range("threshold", threshold, gt=0)
     if len(ka) == 0 or len(kb) == 0:
         return MatchSet((), (), ()), MatchSet((), (), ())
     nn_ab, d_ab = _nearest_transferred(t, ka.xy, kb.xy)

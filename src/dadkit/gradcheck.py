@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distill import _student_step, distill_loss_and_grad
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_range
 from .model import (
     ArchConfig,
     DetectorParams,
@@ -44,7 +44,7 @@ from .model import (
 )
 from .objective import RewardConfig, reg_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig
-from .synth import PairSample, SceneConfig, check_seed, sample_homography
+from .synth import PairSample, SceneConfig, sample_homography
 
 FAMILIES = ("rl", "reg", "distill", "full")
 ABS_FLOOR = 1e-8  # the pass rule's absolute floor: smaller differences are round-off
@@ -163,9 +163,10 @@ def _analytic_and_loss_fns(inst: _Instance):
 def run_gradcheck(instances: int = 50, seed: int = 0, step: float = 1e-4,
                   tolerance: float = 1e-3) -> GradCheckResult:
     """Run the randomized suite; deterministic given the seed."""
-    if instances < 1 or step <= 0 or tolerance <= 0:
-        raise InvalidParameterError("bad gradcheck parameters")
-    check_seed(seed)
+    check_range("instances", instances, ge=1)
+    check_range("seed", seed, ge=0)
+    check_range("step", step, gt=0)
+    check_range("tolerance", tolerance, gt=0)
     family_errors = {f: 0.0 for f in FAMILIES}
     family_margins = {f: 0.0 for f in FAMILIES}
     min_scale = np.inf

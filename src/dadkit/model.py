@@ -33,12 +33,12 @@ from functools import cached_property, partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check_range
 from .formats import _read_exact, read_header
 from .geometry import match_mutual_nn
 from .objective import LossReport, RewardConfig, total_loss_and_grad
 from .sampler import KeypointSet, SamplerConfig, sample_keypoints
-from .synth import check_seed, toy_matches
+from .synth import toy_matches
 
 WEIGHTS_MAGIC = b"DADW"
 WEIGHTS_VERSION = 1
@@ -57,9 +57,10 @@ class ArchConfig:
         if not self.channel_widths or any(w < 1 for w in self.channel_widths):
             raise InvalidParameterError(
                 f"channel_widths must hold at least one width, each >= 1, got {self.channel_widths}")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise InvalidParameterError("kernel_size must be odd and >= 1")
-        check_seed(self.seed)
+        check_range("kernel_size", self.kernel_size, ge=1)
+        if self.kernel_size % 2 == 0:
+            raise InvalidParameterError(f"kernel_size must be odd and >= 1, got {self.kernel_size}")
+        check_range("seed", self.seed, ge=0)
 
     @property
     def receptive_field(self) -> int:
@@ -107,15 +108,11 @@ class AdamW:
     weight_decay: float = 1e-4
 
     def __post_init__(self):
-        if not (0 < self.lr < np.inf):
-            raise InvalidParameterError("lr must be positive and finite")
+        check_range("lr", self.lr, gt=0, lt=np.inf)
         for name in ("beta1", "beta2"):
-            if not (0 <= getattr(self, name) < 1):
-                raise InvalidParameterError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (self.eps > 0):
-            raise InvalidParameterError(f"eps must be positive, got {self.eps}")
-        if not (0 <= self.weight_decay < np.inf):
-            raise InvalidParameterError("weight_decay must be finite and >= 0")
+            check_range(name, getattr(self, name), ge=0, lt=1)
+        check_range("eps", self.eps, gt=0)
+        check_range("weight_decay", self.weight_decay, ge=0, lt=np.inf)
         if not math.isfinite(self.lr * self.weight_decay):  # the decay factor overflows
             raise InvalidParameterError("lr * weight_decay must be finite")
 
@@ -380,17 +377,12 @@ class TrainConfig:
     batch: int = 1
 
     def __post_init__(self):
-        if not (0 < self.reg_sigma_frac <= 1):
-            raise InvalidParameterError(f"reg_sigma_frac must be in (0, 1], got {self.reg_sigma_frac}")
-        if not (0 <= self.reg_weight < np.inf):
-            raise InvalidParameterError("reg_weight must be finite and >= 0")
-        if not (self.match_threshold > 0):
-            raise InvalidParameterError("match_threshold must be positive")
-        if not (self.assign_radius > 0):
-            raise InvalidParameterError("assign_radius must be positive")
+        check_range("reg_sigma_frac", self.reg_sigma_frac, gt=0, le=1)
+        check_range("reg_weight", self.reg_weight, ge=0, lt=np.inf)
+        check_range("match_threshold", self.match_threshold, gt=0)
+        check_range("assign_radius", self.assign_radius, gt=0)
         for name in ("epochs", "batch"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_range(name, getattr(self, name), ge=1)
 
 
 def _covisible_subset(kps: KeypointSet, mask: np.ndarray) -> KeypointSet:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import KL_FLOOR, gaussian_blur, kl_divergence, masked_log_softmax, softmax_2d
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, check_range
 from .geometry import MatchSet
 from .sampler import KeypointSet
 
@@ -30,10 +30,8 @@ class RewardConfig:
     linear_decay: bool = False
 
     def __post_init__(self):
-        if not (self.tau_r > 0):
-            raise InvalidParameterError("tau_r must be positive")
-        if not (self.eps > 0):
-            raise InvalidParameterError(f"eps must be positive, got {self.eps}")
+        check_range("tau_r", self.tau_r, gt=0)
+        check_range("eps", self.eps, gt=0)
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,7 @@ def raw_reward(distance, cfg: RewardConfig):
 
 def normalize_rewards(rewards, eps: float) -> np.ndarray:
     """Divide by (mean + eps); the pooled mean is shared by both directions."""
-    if not (eps > 0):
-        raise InvalidParameterError("eps must be positive")
+    check_range("eps", eps, gt=0)
     r = np.asarray(rewards, dtype=np.float64)
     if r.size == 0:
         return r
@@ -154,8 +151,7 @@ def total_loss_and_grad(
     reg_weight: float = 1.0,
 ) -> tuple[LossReport, np.ndarray, np.ndarray]:
     """Reinforcement + weighted coverage regularizer for both images of a pair."""
-    if reg_weight < 0:
-        raise InvalidParameterError("reg_weight must be >= 0")
+    check_range("reg_weight", reg_weight, ge=0, lt=np.inf)
     rl, grad_a, grad_b, raw = rl_loss_and_grad(sa, sb, mask_a, mask_b, ka, kb, mab, mba,
                                                reward_cfg)
     reg = 0.0

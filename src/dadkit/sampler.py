@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _logits_of, _window_offsets, gaussian_blur, shifted, softmax_2d
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check_range
 
 DENSITY_FLOOR = 1e-12
 
@@ -82,16 +82,18 @@ class SamplerConfig:
     subpixel_window: int = 3
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {self.k}")
+        check_range("k", self.k, ge=1)
         for name in ("nms_window", "subpixel_window"):
-            v = getattr(self, name)
-            if v < 3 or v % 2 == 0:
-                raise InvalidParameterError(f"{name} must be odd and >= 3, got {v}")
-        if not (0 < self.kde_sigma_frac <= 1):
-            raise InvalidParameterError(f"kde_sigma_frac must be in (0, 1], got {self.kde_sigma_frac}")
-        if not (self.subpixel_temp > 0):
-            raise InvalidParameterError("subpixel_temp must be positive")
+            _check_window(name, getattr(self, name))
+        check_range("kde_sigma_frac", self.kde_sigma_frac, gt=0, le=1)
+        check_range("subpixel_temp", self.subpixel_temp, gt=0)
+
+
+def _check_window(name: str, window: int) -> None:
+    """The window rule: odd and >= 3."""
+    check_range(name, window, ge=3)
+    if window % 2 == 0:
+        raise InvalidParameterError(f"{name} must be odd and >= 3, got {window}")
 
 
 def kde_balance(p, sigma: float) -> np.ndarray:
@@ -111,8 +113,7 @@ def nms(scores, window: int = 3) -> np.ndarray:
     A pixel survives iff every neighbor in the window is strictly smaller, or
     equal but later in raster order (so exactly one of any tied group wins).
     """
-    if window < 3 or window % 2 == 0:
-        raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
+    _check_window("window", window)
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise InvalidInputError(f"scores must be 2-D, got shape {s.shape}")
@@ -125,8 +126,7 @@ def nms(scores, window: int = 3) -> np.ndarray:
 
 def top_k(scores, k: int) -> KeypointSet:
     """Select min(k, #nonzero) highest-scoring pixels, raster tie-break."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
+    check_range("k", k, ge=1)
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise InvalidInputError(f"scores must be 2-D, got shape {s.shape}")
@@ -146,10 +146,8 @@ def subpixel_refine(scoremap, kps: KeypointSet, temp: float = 0.5, window: int =
     A window whose tempered logits overflow is shifted by its maximum logit
     before the division, so any positive temperature gives a finite position.
     """
-    if not (temp > 0):
-        raise InvalidParameterError("temp must be positive")
-    if window < 3 or window % 2 == 0:
-        raise InvalidParameterError(f"window must be odd and >= 3, got {window}")
+    check_range("temp", temp, gt=0)
+    _check_window("window", window)
     z = _logits_of(scoremap)
     h, w = z.shape
     r = window // 2

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError
+from .errors import DegenerateTransferError, InvalidInputError, InvalidParameterError, check_range
 from .geometry import (HomographyTransfer, MatchSet, _covered, _mutual, _nearest, _pixel_centers,
                        _sq_dists, covisibility_mask, covisible, transfer_points)
 from .sampler import KeypointSet, border_depth
@@ -64,31 +64,25 @@ class SceneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "shape_palette", tuple(self.shape_palette))
-        if self.size < 16:
-            raise InvalidParameterError("size must be >= 16")
-        if self.num_light < 0 or self.num_dark < 0 or self.num_light + self.num_dark < 1:
+        check_range("size", self.size, ge=16)
+        check_range("num_light", self.num_light, ge=0)
+        check_range("num_dark", self.num_dark, ge=0)
+        if self.num_light + self.num_dark < 1:
             raise InvalidParameterError("need at least one keypoint structure")
         bad = [s for s in self.shape_palette if s not in SHAPE_KINDS]
         if bad or not self.shape_palette:
             raise InvalidParameterError(f"shape_palette must be a nonempty subset of {SHAPE_KINDS}")
-        if not (0.0 < self.background_gray < 1.0):
-            raise InvalidParameterError("background_gray must be inside (0, 1)")
+        check_range("background_gray", self.background_gray, gt=0, lt=1)
         if self.negation_aug not in ("off", "rgb"):
             raise InvalidParameterError("negation_aug must be 'off' or 'rgb'")
         # centers must stay >= 2x the NMS window (3 px) apart
-        if not (self.min_separation >= 6):
-            raise InvalidParameterError("min_separation must be >= 6")
-        if not (0 <= self.margin and 2 * self.margin < self.size - 1):
-            raise InvalidParameterError("margin leaves no interior")
-        if not (0 <= self.noise_sigma < math.inf):
-            raise InvalidParameterError("noise_sigma must be finite and >= 0")
+        check_range("min_separation", self.min_separation, ge=6)
+        check_range("margin", self.margin, ge=0, lt=(self.size - 1) / 2)  # leaves an interior
+        check_range("noise_sigma", self.noise_sigma, ge=0, lt=math.inf)
         for name in ("hm_perspective_jitter", "hm_max_translation", "hm_max_rotation_deg"):
-            if not (0 <= getattr(self, name) <= self.BOUND_MAX):
-                raise InvalidParameterError(f"{name} must be in [0, {self.BOUND_MAX:g}]")
-        if not (0 < self.hm_scale_lo <= self.BOUND_MAX):
-            raise InvalidParameterError(f"hm_scale_lo must be in (0, {self.BOUND_MAX:g}]")
-        if not (self.hm_scale_lo <= self.hm_scale_hi <= self.BOUND_MAX):
-            raise InvalidParameterError(f"hm_scale_hi must be in [hm_scale_lo, {self.BOUND_MAX:g}]")
+            check_range(name, getattr(self, name), ge=0, le=self.BOUND_MAX)
+        check_range("hm_scale_lo", self.hm_scale_lo, gt=0, le=self.BOUND_MAX)
+        check_range("hm_scale_hi", self.hm_scale_hi, ge=self.hm_scale_lo, le=self.BOUND_MAX)
         if self.kind not in ("toy", "scene"):
             raise InvalidParameterError(f"kind must be 'toy' or 'scene', got {self.kind!r}")
         if self.kind == "toy":  # settings the toy generator never reads
@@ -477,8 +471,7 @@ def toy_matches(ka: KeypointSet, kb: KeypointSet, pair: PairSample,
     """
     if pair.kind != "toy":
         raise InvalidInputError("toy_matches requires a toy pair")
-    if not (assign_radius > 0):
-        raise InvalidParameterError("assign_radius must be positive")
+    check_range("assign_radius", assign_radius, gt=0)
     if len(ka) == 0 or len(kb) == 0:
         return MatchSet((), (), ()), MatchSet((), (), ())
     ga, gb = pair.gt_keypoints_a.xy, pair.gt_keypoints_b.xy
@@ -550,16 +543,10 @@ def expected_strategy_reward(strategy: str, cfg: SceneConfig) -> float:
     return float(sum(Fraction(m * m, n) for n, m in groups if m))
 
 
-def check_seed(value: int, name: str = "seed") -> None:
-    """The one seed rule: a seed, or a stream index, must be >= 0."""
-    if value < 0:
-        raise InvalidParameterError(f"{name} must be >= 0, got {value}")
-
-
 def pair_rng(seed: int, index: int) -> np.random.Generator:
     """The per-pair generator: independent streams, stable under count changes."""
-    check_seed(seed)
-    check_seed(index, "index")
+    check_range("seed", seed, ge=0)
+    check_range("index", index, ge=0)
     return np.random.default_rng([seed, index])
 
 

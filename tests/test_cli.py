@@ -351,8 +351,8 @@ _BAD_SETTINGS = {
                                     "lr * weight_decay"),
     # renamed keys and split bounds name the key, not the library field
     "detect_topk_0": (["detect", "--topk", "0"], "topk must be >= 1, got 0"),
-    "train_eps_opt_0": (["train", "--eps-opt", "0"], "eps_opt must be positive"),
-    "train_reward_eps_0": (["train", "--reward-eps", "0"], "reward_eps must be positive"),
+    "train_eps_opt_0": (["train", "--eps-opt", "0"], "eps_opt must be > 0"),
+    "train_reward_eps_0": (["train", "--reward-eps", "0"], "reward_eps must be > 0"),
     "train_beta1_1": (["train", "--beta1", "1"], "beta1 must be in [0, 1)"),
     "distill_widths_0": (["distill", "--widths", "0"], "widths must hold at least one width"),
     # a blur wider than the image side; 1e12 would allocate petabytes
@@ -364,6 +364,13 @@ _BAD_SETTINGS = {
                                    "reg_sigma_frac must be in (0, 1], got 1e+308"),
     "detect_kde_sigma_frac_2": (["detect", "--kde-sigma-frac", "2"],
                                 "kde_sigma_frac must be in (0, 1], got 2.0"),
+    # each gradcheck parameter is checked, and named, on its own
+    "gradcheck_instances_0": (["gradcheck", "--instances", "0"],
+                              "dadkit: invalid parameter: instances must be >= 1, got 0"),
+    "gradcheck_step_negative": (["gradcheck", "--step=-1"],
+                                "dadkit: invalid parameter: step must be > 0, got -1.0"),
+    "gradcheck_tolerance_0": (["gradcheck", "--tolerance", "0"],
+                              "dadkit: invalid parameter: tolerance must be > 0, got 0.0"),
     # numpy seeds only non-negative integers
     **{f"{command}_seed_negative": ([command, "--seed=-1"],
                                     "dadkit: invalid parameter: seed must be >= 0, got -1")
@@ -523,6 +530,7 @@ def _bad_input_case(case, ws, tmp):
     ("detect_data_without_pairs", 2), ("train_kde_sigma_frac_1e12", 1),
     ("train_kde_sigma_frac_1e308", 1), ("train_reg_sigma_frac_1e308", 1),
     ("detect_kde_sigma_frac_2", 1), ("train_pair_without_covisible_pixels", 2),
+    ("gradcheck_instances_0", 1), ("gradcheck_step_negative", 1), ("gradcheck_tolerance_0", 1),
 ])
 def test_bad_input_exits_with_one_error_line(workspace, tmp_path, capsys, case, code):
     argv, bad = _bad_input_case(case, workspace, tmp_path)
@@ -604,7 +612,7 @@ def test_eval_checks_its_config_before_detecting(workspace, tmp_path, capsys, mo
     assert main(["eval", "--data", str(workspace["data"]), "--weights", str(workspace["weights"]),
                  "--out", str(tmp_path / "x"), "--match-threshold", "0"]) == 1
     assert calls == []
-    assert "match_threshold must be positive, got 0.0" in capsys.readouterr().err
+    assert "match_threshold must be > 0, got 0.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["train", "--eps-opt=0"], ["distill", "--eps-opt=0"]])
@@ -612,7 +620,7 @@ def test_eps_opt_error_names_the_key_on_every_command(workspace, tmp_path, capsy
     inputs = {"train": ["--data", str(workspace["data"])],
               "distill": ["--light", str(workspace["weights"]), "--dark", str(workspace["weights"])]}
     assert main([*argv, *inputs[argv[0]], "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "dadkit: invalid parameter: eps_opt must be positive, got 0.0\n"
+    assert capsys.readouterr().err == "dadkit: invalid parameter: eps_opt must be > 0, got 0.0\n"
 
 
 def _build_parser_reference():

@@ -609,8 +609,9 @@ def test_eval_config_validation():
         EvalConfig(ransac_iterations=0)
     for field in ("match_threshold", "ransac_threshold", "auc_threshold", "recall_radius",
                   "hit_radius"):
+        rule = r"in \(0, inf\)" if field == "auc_threshold" else "> 0"
         for bad in (math.nan, 0.0, -math.inf):
-            with pytest.raises(InvalidParameterError, match=f"^{field} must be positive, got "):
+            with pytest.raises(InvalidParameterError, match=f"^{field} must be {rule}, got "):
                 EvalConfig(**{field: bad})
     with pytest.raises(InvalidParameterError, match="auc_threshold"):
         EvalConfig(auc_threshold=math.inf)
